@@ -1,8 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from blowupcones.cli import main
+
+DATA = Path(__file__).parent / "data"
+#: `oracle --format json` outputs recorded before the revised simplex replaced
+#: the dense tableau; the solver must reproduce every byte.
+ORACLE_GOLDEN = json.loads((DATA / "oracle_golden.json").read_text(encoding="utf-8"))
 
 
 def run(capsys, *argv):
@@ -249,6 +255,23 @@ class TestOracleCommand:
             )
             outputs.add(out)
         assert len(outputs) == 1
+
+
+    @pytest.mark.parametrize(
+        "case", ORACLE_GOLDEN, ids=[f"{c['generators']}-{c['target']}" for c in ORACLE_GOLDEN]
+    )
+    def test_golden_output(self, capsys, case):
+        code, out, _ = run(
+            capsys,
+            "oracle",
+            "--generators",
+            str(DATA / case["generators"]),
+            "--format",
+            "json",
+            case["target"],
+        )
+        assert code == 0
+        assert out == case["output"]
 
 
 class TestOutputFile:
