@@ -431,7 +431,7 @@ def _reduce_nonnegative(divisor: DivisorClass, max_steps: int) -> ReductionResul
         if 2 * current.d >= sum(current.m[:4]):
             return ReductionResult(current, tuple(word), steps)
         if steps >= max_steps:
-            raise NotEffective(f"reduction exceeded {max_steps} Cremona steps", current)
+            raise StepLimitExceeded(f"reduction exceeded {max_steps} Cremona steps", steps, current)
         current = reflect(0, current)
         word.append(0)
         steps += 1
@@ -451,6 +451,7 @@ def effective_decompose(
     d < m1+m4, split off quadrics through the k largest points, and expand
     what remains over planes and exceptional classes.  Every generator of the
     result is pulled back to the input frame, so the terms sum to the input.
+    A reduction that exceeds `max_steps` raises StepLimitExceeded.
     """
     if not divisor.is_integral():
         raise ValueError(f"integral class required, got {divisor}")
@@ -566,7 +567,8 @@ def movable_decompose(
     class is then decomposed over the 17 movable generators: peel
     M_a = (3;3,1^(a-1)) while d < m1+m4, split off the quadrics L_k, and run
     the three-point induction on what remains.  Rational classes are handled
-    by clearing denominators, which scales the certificate exactly.
+    by clearing denominators, which scales the certificate exactly.  A
+    reduction that exceeds `max_steps` raises StepLimitExceeded.
     """
     if divisor in frozenset(pi_generators()):
         certificate = Certificate(CONE_MOV, divisor, (), ((divisor, Fraction(1)),))
@@ -585,8 +587,6 @@ def movable_decompose(
             floor.last,
             floor.word,
         ) from None
-    except NotEffective as exc:
-        raise NotMovable(str(exc), exc.last) from None
     reduced = result.standard
 
     bad_negative = [i + 1 for i in range(NUM_POINTS) if reduced.m[i] < 0]

@@ -1,12 +1,12 @@
 """Independent exact cone-membership oracle (brute-force rational LP).
 
 This module is the ground truth the decomposers are validated against, so it
-is deliberately simple: a dense phase-1 simplex over exact arithmetic with
-Bland's rule (no cycling), using fraction-free integer pivoting internally.
-A membership query either returns non-negative rational coefficients that
-re-sum to the target, or a separating functional that is non-negative on all
-generators and negative on the target; both certificates are re-checked by
-plain arithmetic before they are returned.
+is deliberately simple: a revised phase-1 simplex with Bland's rule (no
+cycling) over integer generator columns, keeping only the fraction-free basis
+inverse.  A membership query either returns non-negative rational coefficients
+that re-sum to the target, or a separating functional that is non-negative on
+all generators and negative on the target; both certificates are re-checked
+in integer arithmetic before they are returned.
 """
 
 from __future__ import annotations
@@ -15,8 +15,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+from operator import mul
 
-from .lattice import CurveClass, DivisorClass
+from .lattice import HALF_ANTICANONICAL, CurveClass, DivisorClass
 from .weyl import _orbit_vectors
 
 MAX_DIMENSION = 10
@@ -27,6 +29,39 @@ MAX_GENERATORS = 60_000
 
 class ScaleExceeded(ValueError):
     """The problem is beyond the desk scale this oracle is meant for."""
+
+
+def _check_exact(value) -> None:
+    if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
+        raise TypeError(f"exact rational entry required, got {value!r}")
+
+
+def _check_shape(dim: int, generators) -> None:
+    if not generators:
+        raise ValueError("at least one generator is required")
+    if dim == 0:
+        raise ValueError("vectors must have positive dimension")
+    if dim > MAX_DIMENSION:
+        raise ScaleExceeded(f"dimension {dim} exceeds {MAX_DIMENSION}")
+    if len(generators) > MAX_GENERATORS:
+        raise ScaleExceeded(f"{len(generators)} generators exceed {MAX_GENERATORS}")
+    if any(len(vec) != dim for vec in generators):
+        raise ValueError("all generators must match the target dimension")
+
+
+class PreparedCone(tuple):
+    """Integer generator columns, validated once (as ConeProblem, but ints only).
+
+    A ConeProblem on a PreparedCone checks only its target and skips scaling.
+    """
+
+    def __new__(cls, generators):
+        cone = super().__new__(cls, generators)
+        _check_shape(len(cone[0]) if cone else 0, cone)
+        for value in chain.from_iterable(cone):
+            if type(value) is not int:
+                raise TypeError(f"integer generator entry required, got {value!r}")
+        return cone
 
 
 @dataclass(frozen=True)
@@ -41,28 +76,11 @@ class ConeProblem:
     generators: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        dim = len(self.target)
-        if not self.generators:
-            raise ValueError("at least one generator is required")
-        if dim == 0:
-            raise ValueError("vectors must have positive dimension")
-        if dim > MAX_DIMENSION:
-            raise ScaleExceeded(f"dimension {dim} exceeds {MAX_DIMENSION}")
-        if len(self.generators) > MAX_GENERATORS:
-            raise ScaleExceeded(f"{len(self.generators)} generators exceed {MAX_GENERATORS}")
-        for vec in self.generators:
-            if len(vec) != dim:
-                raise ValueError("all generators must match the target dimension")
-        for value in self.target:
+        # A PreparedCone was checked whole; its first column gives its dimension.
+        prepared = isinstance(self.generators, PreparedCone)
+        _check_shape(len(self.target), self.generators[:1] if prepared else self.generators)
+        for value in chain(self.target, *(() if prepared else self.generators)):
             _check_exact(value)
-        for vec in self.generators:
-            for value in vec:
-                _check_exact(value)
-
-
-def _check_exact(value) -> None:
-    if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
-        raise TypeError(f"exact rational entry required, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -79,150 +97,103 @@ class Infeasible:
     functional: tuple[Fraction, ...]
 
 
-def divisor_problem(target: DivisorClass, generators) -> ConeProblem:
+def divisor_problem(target: DivisorClass | CurveClass, generators) -> ConeProblem:
     return ConeProblem(target.vector(), tuple(g.vector() for g in generators))
 
 
-def curve_problem(target: CurveClass, generators) -> ConeProblem:
-    return ConeProblem(target.vector(), tuple(g.vector() for g in generators))
+curve_problem = divisor_problem
 
 
 def cone_member(problem: ConeProblem) -> Feasible | Infeasible:
     """Decide exact cone membership by phase-1 simplex, with a checked certificate."""
-    rows = len(problem.target)
-    n = len(problem.generators)
-
-    # Scale each row to integers (positive multipliers keep the solution set),
-    # then flip signs so the right-hand side is non-negative.
-    multipliers: list[int] = []
-    A: list[list[int]] = []
-    rhs: list[int] = []
-    for i in range(rows):
-        scale = math.lcm(
-            problem.target[i].denominator,
-            *(g[i].denominator for g in problem.generators),
-        )
-        b = problem.target[i] * scale
-        row = [int(g[i] * scale) for g in problem.generators]
-        if b < 0:
-            scale = -scale
-            b = -b
-            row = [-v for v in row]
-        multipliers.append(scale)
-        A.append(row)
-        rhs.append(int(b))
-
-    coefficients, dual = _phase1_simplex(A, rhs)
-
-    if coefficients is not None:
-        result = Feasible(tuple(coefficients))
-        _verify_feasible(problem, result)
-        return result
-
-    assert dual is not None
-    functional = tuple(-y * s for y, s in zip(dual, multipliers))
-    result = Infeasible(functional)
-    _verify_infeasible(problem, result)
-    return result
+    if isinstance(problem.generators, PreparedCone):
+        return _solve(problem.generators, problem.target)
+    # Scale each row by the lcm of its generator denominators: positive row
+    # multipliers keep the coefficients, and a functional maps back row by row.
+    scales = [math.lcm(*(x.denominator for x in row)) for row in zip(*problem.generators)]
+    columns = tuple(
+        tuple(x.numerator * (s // x.denominator) for x, s in zip(g, scales))
+        for g in problem.generators
+    )
+    outcome = _solve(columns, tuple(t * s for t, s in zip(problem.target, scales)))
+    if isinstance(outcome, Infeasible):
+        return Infeasible(tuple(p * s for p, s in zip(outcome.functional, scales)))
+    return outcome
 
 
-def _phase1_simplex(A: list[list[int]], rhs: list[int]):
-    """Minimize the artificial-variable sum for A x = rhs, x >= 0 (rhs >= 0).
-
-    Returns (coefficients, None) when the problem is feasible and
-    (None, dual) otherwise, where `dual` is the optimal phase-1 dual vector y
-    with y^T A <= 0 componentwise and y^T rhs > 0.  The tableau is kept
-    integral via fraction-free pivoting; Bland's rule guarantees termination.
-    """
-    rows = len(A)
-    n = len(A[0]) if rows else 0
-    total = n + rows
-    tableau = [A[i] + [1 if j == i else 0 for j in range(rows)] + [rhs[i]] for i in range(rows)]
-    # Reduced-cost row z_j - c_j for the artificial starting basis.
-    z = [0] * (total + 1)
-    for row in tableau:
-        for j, value in enumerate(row):
-            z[j] += value
-    for j in range(n, total):
-        z[j] -= 1
-    basis = list(range(n, total))
-    previous_pivot = 1
-
-    while True:
-        entering = -1
-        for j in range(total):
-            if z[j] > 0:
-                entering = j
-                break
-        if entering < 0:
-            break
-        leaving = -1
-        best_num = best_den = 0
-        for i in range(rows):
-            a = tableau[i][entering]
-            if a > 0:
-                num, den = tableau[i][total], a
-                if (
-                    leaving < 0
-                    or num * best_den < best_num * den
-                    or (num * best_den == best_num * den and basis[i] < basis[leaving])
-                ):
-                    leaving, best_num, best_den = i, num, den
-        if leaving < 0:
-            raise RuntimeError("phase-1 simplex became unbounded; this cannot happen")
-
-        pivot = tableau[leaving][entering]
-        pivot_row = tableau[leaving]
-        for i in range(rows):
-            if i == leaving:
-                continue
-            factor = tableau[i][entering]
-            row = tableau[i]
-            tableau[i] = [
-                (pivot * row[j] - factor * pivot_row[j]) // previous_pivot
-                for j in range(total + 1)
-            ]
-        z_factor = z[entering]
-        z = [
-            (pivot * z[j] - z_factor * pivot_row[j]) // previous_pivot
-            for j in range(total + 1)
-        ]
-        basis[leaving] = entering
-        previous_pivot = pivot
-
-    infeasible = any(basis[i] >= n and tableau[i][total] != 0 for i in range(rows))
-    if infeasible:
-        dual = [Fraction(z[n + i], previous_pivot) + 1 for i in range(rows)]
-        return None, dual
-    coefficients = [Fraction(0)] * n
-    for i in range(rows):
-        if basis[i] < n:
-            coefficients[basis[i]] = Fraction(tableau[i][total], previous_pivot)
-    return coefficients, None
-
-
-def _verify_feasible(problem: ConeProblem, result: Feasible) -> None:
-    if len(result.coefficients) != len(problem.generators):
-        raise RuntimeError("internal error: coefficient count mismatch")
-    if any(c < 0 for c in result.coefficients):
-        raise RuntimeError("internal error: negative coefficient in feasibility certificate")
-    dim = len(problem.target)
-    total = [Fraction(0)] * dim
-    for coefficient, vec in zip(result.coefficients, problem.generators):
-        if coefficient:
-            for k in range(dim):
-                total[k] += coefficient * vec[k]
-    if any(total[k] != problem.target[k] for k in range(dim)):
-        raise RuntimeError("internal error: feasibility certificate does not re-sum")
-
-
-def _verify_infeasible(problem: ConeProblem, result: Infeasible) -> None:
-    phi = result.functional
-    for vec in problem.generators:
-        if sum(p * v for p, v in zip(phi, vec)) < 0:
-            raise RuntimeError("internal error: separating functional negative on a generator")
-    if sum(p * t for p, t in zip(phi, problem.target)) >= 0:
+def _solve(columns: tuple[tuple[int, ...], ...], target) -> Feasible | Infeasible:
+    # Row i is multiplied by +-denominator(target_i) for a non-negative integer
+    # right-hand side.  Certificates are checked in integers: sum_j num_j a_j ==
+    # det * target, or the cleared functional >= 0 on all columns, < 0 on target.
+    scale = tuple(-t.denominator if t < 0 else t.denominator for t in target)
+    rhs = tuple(abs(t.numerator) for t in target)
+    basic, dual, det = _simplex(columns, scale, rhs)
+    if basic is not None:
+        if det <= 0 or any(numerator < 0 for numerator in basic.values()):
+            raise RuntimeError("internal error: negative coefficient in feasibility certificate")
+        for i, (s, b) in enumerate(zip(scale, rhs)):
+            if s * sum(numerator * columns[j][i] for j, numerator in basic.items()) != det * b:
+                raise RuntimeError("internal error: feasibility certificate does not re-sum")
+        coefficients = [Fraction(0)] * len(columns)
+        for j, numerator in basic.items():
+            coefficients[j] = Fraction(numerator, det)
+        return Feasible(tuple(coefficients))
+    functional = tuple(Fraction(-y * s, det) for y, s in zip(dual, scale))
+    psi = _cleared(functional)
+    if any(sum(map(mul, psi, a)) < 0 for a in columns):
+        raise RuntimeError("internal error: separating functional negative on a generator")
+    if sum(map(mul, psi, _cleared(target))) >= 0:
         raise RuntimeError("internal error: separating functional non-negative on target")
+    return Infeasible(functional)
+
+
+def _simplex(columns, scale, rhs):
+    """Minimize the artificial-variable sum for A x = rhs, x >= 0, A = scale * columns.
+
+    Keeps the fraction-free tableau's artificial block M (M / det is the basis
+    inverse, Bareiss 1968), rhs and z, the artificial part of the reduced-cost
+    row.  Column j of the tableau is M (scale * a_j) and its reduced cost is
+    v . (scale * a_j) with v = z + det, so Bland's rule pivots as on the full
+    tableau.  Returns ({basic column: numerator}, None, det) when feasible, and
+    (None, v, det) otherwise: y = v / det has y^T A <= 0 and y^T rhs > 0.
+    """
+    rows, n = len(rhs), len(columns)
+    inverse = [[int(i == k) for k in range(rows)] for i in range(rows)]
+    beta, z, det = list(rhs), [0] * rows, 1
+    basis = list(range(n, n + rows))
+    while True:
+        price = [(zi + det) * s for zi, s in zip(z, scale)]
+        entering = next((j for j, a in enumerate(columns) if sum(map(mul, price, a)) > 0), -1)
+        if entering >= 0:
+            reduced = sum(map(mul, price, columns[entering]))
+            scaled = [s * x for s, x in zip(scale, columns[entering])]
+            column = [sum(map(mul, row, scaled)) for row in inverse]
+        else:
+            artificial = next((i for i in range(rows) if z[i] > 0), -1)
+            if artificial < 0:
+                break
+            entering, reduced = n + artificial, z[artificial]
+            column = [row[artificial] for row in inverse]
+        ratios = [(Fraction(beta[i], a), basis[i], i) for i, a in enumerate(column) if a > 0]
+        if not ratios:
+            raise RuntimeError("phase-1 simplex became unbounded; this cannot happen")
+        leaving = min(ratios)[2]
+        pivot, row_l, rhs_l = column[leaving], inverse[leaving], beta[leaving]
+        for i, factor in enumerate(column):
+            if i != leaving:
+                inverse[i] = [(pivot * x - factor * y) // det for x, y in zip(inverse[i], row_l)]
+                beta[i] = (pivot * beta[i] - factor * rhs_l) // det
+        z = [(pivot * x - reduced * y) // det for x, y in zip(z, row_l)]
+        basis[leaving], det = entering, pivot
+    if any(basis[i] >= n and beta[i] != 0 for i in range(rows)):
+        return None, [zi + det for zi in z], det
+    return {basis[i]: beta[i] for i in range(rows) if basis[i] < n}, None, det
+
+
+def _cleared(vector) -> tuple[int, ...]:
+    """The vector times the lcm of its denominators, a positive integer multiple."""
+    lcm = math.lcm(*(x.denominator for x in vector))
+    return tuple(x.numerator * (lcm // x.denominator) for x in vector)
 
 
 # -- effective-cone membership with per-instance truncation ----------------------
@@ -249,30 +220,34 @@ class MembershipReport:
 
 def effective_generators(truncation_degree: int) -> tuple[DivisorClass, ...]:
     """Orbit classes up to the truncation degree plus the half-anticanonical class."""
-    vectors = _orbit_vectors(truncation_degree) + (_Q_VECTOR,)
-    return tuple(DivisorClass(v[0], v[1:]) for v in vectors)
+    return _orbit_vectors.classes(truncation_degree) + (HALF_ANTICANONICAL,)
+
+
+@lru_cache(maxsize=None)
+def _effective_cone(truncation_degree: int) -> PreparedCone:
+    # The columns are references into the shared orbit table, not copies.
+    return PreparedCone(_orbit_vectors(truncation_degree) + (_Q_VECTOR,))
 
 
 # Functionals known to be non-negative on every effective generator: the
 # degree, the pairing with the half-anticanonical class, and degree minus each
 # multiplicity.  They are re-verified against each truncated generator list
 # before use, so a shortcut verdict carries the same guarantee as the LP's.
-_CANDIDATE_FUNCTIONALS = (
-    ((1,) + (0,) * 8),
-    ((4,) + (-1,) * 8),
-) + tuple(
-    tuple((1 if k == 0 else 0) - (1 if k == i else 0) for k in range(9)) for i in range(1, 9)
+_CANDIDATE_FUNCTIONALS = ((1,) + (0,) * 8, (4,) + (-1,) * 8) + tuple(
+    (1,) + tuple(-int(k == i) for k in range(8)) for i in range(8)
 )
 
 
 @lru_cache(maxsize=None)
 def _verified_functionals(truncation_degree: int) -> tuple[tuple[int, ...], ...]:
-    vectors = _orbit_vectors(truncation_degree) + (_Q_VECTOR,)
-    verified = []
-    for phi in _CANDIDATE_FUNCTIONALS:
-        if all(sum(p * v for p, v in zip(phi, vec)) >= 0 for vec in vectors):
-            verified.append(phi)
-    return tuple(verified)
+    # Each truncation adds one degree slice to the one below it, so a
+    # generator is checked once per candidate, in whatever order degrees come.
+    if truncation_degree < 0:
+        candidates, added = _CANDIDATE_FUNCTIONALS, [_Q_VECTOR]
+    else:
+        candidates = _verified_functionals(truncation_degree - 1)
+        added = _orbit_vectors(truncation_degree)[_orbit_vectors.prefix(truncation_degree - 1) :]
+    return tuple(phi for phi in candidates if all(sum(map(mul, phi, v)) >= 0 for v in added))
 
 
 def effective_membership(
@@ -296,31 +271,32 @@ def effective_membership(
     carried: tuple[Fraction, ...] | None = None
     carried_degree = -1
     for degree in range(base, base + window + 1):
-        vectors = _orbit_vectors(degree) + (_Q_VECTOR,)
-        count = len(vectors)
+        cone = _effective_cone(degree)
+        count = len(cone)
         checked.append(degree)
-        shortcut = _separating_shortcut(target, degree)
+        shortcut = _separating_shortcut(_cleared(target), degree)
         if shortcut is not None:
             outcome = shortcut
             continue
         if carried is not None:
-            added = (v for v in _orbit_vectors(degree) if v[0] > carried_degree)
-            if all(sum(p * x for p, x in zip(carried, v)) >= 0 for v in added):
+            added = cone[_orbit_vectors.prefix(carried_degree) : -1]
+            if all(sum(map(mul, carried_psi, v)) >= 0 for v in added):
                 carried_degree = degree
                 outcome = Infeasible(carried)
                 continue
             carried = None
-        outcome = cone_member(ConeProblem(target, vectors))
+        outcome = cone_member(ConeProblem(target, cone))
         if isinstance(outcome, Feasible):
             return MembershipReport(outcome, degree, tuple(checked), count, True)
         carried = outcome.functional
+        carried_psi = _cleared(carried)
         carried_degree = degree
     assert isinstance(outcome, Infeasible)
     return MembershipReport(outcome, checked[-1], tuple(checked), count, False)
 
 
-def _separating_shortcut(target, truncation_degree: int) -> Infeasible | None:
+def _separating_shortcut(cleared_target, truncation_degree: int) -> Infeasible | None:
     for phi in _verified_functionals(truncation_degree):
-        if sum(p * t for p, t in zip(phi, target)) < 0:
+        if sum(map(mul, phi, cleared_target)) < 0:
             return Infeasible(tuple(Fraction(p) for p in phi))
     return None

@@ -8,9 +8,9 @@ points.  Words are sequences of generator indices applied left to right.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .lattice import (
     EXCEPTIONALS,
@@ -156,34 +156,60 @@ def to_standard_form(
 
 # -- orbit enumeration --------------------------------------------------------
 
-def _int_vector(divisor: DivisorClass) -> tuple[int, ...]:
-    if not divisor.is_integral():
-        raise ValueError(f"integral class required, got {divisor}")
-    return (int(divisor.d), *(int(x) for x in divisor.m))
+class _OrbitTable:
+    """The exceptional orbit up to a degree bound, sorted by coefficient vector.
+
+    The sort puts the degree first, so each truncation is a prefix of `vectors`
+    (and of the classes, each built once).  Enumeration reaches the largest
+    bound so far and resumes from the images the last bound pruned.
+    """
+
+    def __init__(self) -> None:
+        self.vectors: tuple[tuple[int, ...], ...] = ()
+        self.degree = -1
+        self._pruned = [tuple(int(x) for x in e.vector()) for e in EXCEPTIONALS]
+        self._classes: list[DivisorClass] = []
+
+    cache_clear = __init__
+
+    def __call__(self, max_degree: int) -> tuple[tuple[int, ...], ...]:
+        count = self.prefix(max_degree)
+        return self.vectors[:count]
+
+    def classes(self, max_degree: int) -> tuple[DivisorClass, ...]:
+        count = self.prefix(max_degree)
+        new = self.vectors[len(self._classes) : count]
+        self._classes += (DivisorClass(v[0], v[1:]) for v in new)
+        return tuple(self._classes[:count])
+
+    def prefix(self, max_degree: int) -> int:
+        # Breadth-first closure under s_0..s_7, pruning anything above the
+        # degree bound.  Pruning is complete: every orbit element reduces to an
+        # exceptional class through degree non-increasing moves, so the reverse
+        # path stays within the bound.  New classes lie above the old bound, so
+        # they sort after the old table.
+        if max_degree > self.degree:
+            seen, queue, added = set(self.vectors), deque(self._pruned), []
+            self._pruned = []
+            while queue:
+                image = queue.popleft()
+                if image[0] > max_degree:
+                    self._pruned.append(image)
+                elif image not in seen:
+                    seen.add(image)
+                    added.append(image)
+                    d, *m = image
+                    t = 2 * d - (m[0] + m[1] + m[2] + m[3])
+                    queue.append((d + t, m[0] + t, m[1] + t, m[2] + t, m[3] + t, *m[4:]))
+                    queue.extend(
+                        (d, *m[:i], m[i + 1], m[i], *m[i + 2 :]) for i in range(NUM_POINTS - 1)
+                    )
+            self.vectors += tuple(sorted(added))
+            self.degree = max_degree
+        return bisect_left(self.vectors, (max_degree + 1,))
 
 
-@lru_cache(maxsize=None)
-def _orbit_vectors(max_degree: int) -> tuple[tuple[int, ...], ...]:
-    # Breadth-first closure of the eight exceptional vectors under s_0..s_7,
-    # pruning anything above the degree bound.  Pruning is complete: every
-    # orbit element reduces to an exceptional class through degree
-    # non-increasing moves, so the reverse path stays within the bound.
-    seeds = [_int_vector(e) for e in EXCEPTIONALS]
-    seen: set[tuple[int, ...]] = set(seeds)
-    queue = deque(seeds)
-    while queue:
-        d, *m = queue.popleft()
-        t = 2 * d - (m[0] + m[1] + m[2] + m[3])
-        images = [(d + t, m[0] + t, m[1] + t, m[2] + t, m[3] + t, *m[4:])]
-        for i in range(NUM_POINTS - 1):
-            swapped = list(m)
-            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            images.append((d, *swapped))
-        for image in images:
-            if image[0] <= max_degree and image not in seen:
-                seen.add(image)
-                queue.append(image)
-    return tuple(sorted(seen))
+_orbit_vectors = _OrbitTable()
 
 
 def exceptional_orbit(max_degree: int) -> tuple[DivisorClass, ...]:
@@ -194,15 +220,13 @@ def exceptional_orbit(max_degree: int) -> tuple[DivisorClass, ...]:
     """
     if not isinstance(max_degree, int) or max_degree < 0:
         raise ValueError(f"max_degree must be a non-negative integer, got {max_degree!r}")
-    return tuple(DivisorClass(v[0], v[1:]) for v in _orbit_vectors(max_degree))
+    return _orbit_vectors.classes(max_degree)
 
 
 def orbit_degree_counts(max_degree: int) -> dict[int, int]:
     """Number of orbit classes of each exact degree up to the bound."""
-    counts: dict[int, int] = {}
-    for v in _orbit_vectors(max_degree):
-        counts[v[0]] = counts.get(v[0], 0) + 1
-    return counts
+    ends = [_orbit_vectors.prefix(k) for k in range(-1, max_degree + 1)]
+    return {k: ends[k + 1] - ends[k] for k in range(max_degree + 1) if ends[k + 1] > ends[k]}
 
 
 # -- the (-1)-class decision procedure ----------------------------------------

@@ -6,8 +6,8 @@ import pytest
 from blowupcones.cli import main
 
 DATA = Path(__file__).parent / "data"
-#: `oracle --format json` outputs recorded before the revised simplex replaced
-#: the dense tableau; the solver must reproduce every byte.
+#: Recorded `oracle --format json` outputs over two generator files (the nef
+#: generators, and the orbit to degree 3 plus -K/2); every byte must repeat.
 ORACLE_GOLDEN = json.loads((DATA / "oracle_golden.json").read_text(encoding="utf-8"))
 
 
@@ -82,6 +82,21 @@ class TestClassify:
         code, _, err = run(capsys, "classify")
         assert code == 2
         assert "no input classes" in err
+
+
+class TestStepCap:
+    # The class reaches standard form in two Cremona steps; a cap of one
+    # leaves its verdict unknown, which is exit 3 and no record.
+    @pytest.mark.parametrize(
+        "command", [("decompose", "--cone", "eff"), ("decompose", "--cone", "mov"), ("classify",)]
+    )
+    def test_cap_exits_3(self, capsys, command):
+        code, out, err = run(
+            capsys, *command, "--max-steps", "1", "--format", "json", "3;2,2,2,2,1,1,1,0"
+        )
+        assert code == 3
+        assert out == ""
+        assert "exceeded 1 Cremona steps" in err
 
 
 class TestDecompose:

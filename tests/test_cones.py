@@ -17,6 +17,7 @@ from blowupcones import (
     NotEffective,
     NotMovable,
     NotNef,
+    StepLimitExceeded,
     accumulation_report,
     apply_word,
     curve_decompose,
@@ -276,6 +277,11 @@ class TestEffectiveDecompose:
         with pytest.raises(ValueError):
             effective_decompose(Fraction(1, 2) * HALF_ANTICANONICAL)
 
+    def test_step_cap_is_not_a_verdict(self):
+        # The class is in the exceptional orbit, two Cremona steps from E_8.
+        with pytest.raises(StepLimitExceeded):
+            effective_decompose(DivisorClass(3, (2, 2, 2, 2, 1, 1, 1, 0)), max_steps=1)
+
     def test_perturbation_off_the_isotropic_ray_fails(self):
         # Same pairing with -K/2 as a multiple of it, but not proportional.
         perturbed = DivisorClass(2, (2, 1, 1, 1, 1, 1, 1, 0))
@@ -352,6 +358,10 @@ class TestMovableDecompose:
     def test_degree_floor_reports_not_movable(self):
         with pytest.raises(NotMovable):
             movable_decompose(MINUS_H)
+
+    def test_step_cap_is_not_a_verdict(self):
+        with pytest.raises(StepLimitExceeded):
+            movable_decompose(DivisorClass(3, (2, 2, 2, 2, 1, 1, 1, 0)), max_steps=1)
 
     @given(pi_combinations())
     @settings(max_examples=60, deadline=None)

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from blowupcones import oracle
+from blowupcones.oracle import PreparedCone
 from blowupcones import (
     EXCEPTIONALS,
     H,
@@ -117,6 +119,104 @@ class TestValidation:
         with pytest.raises(TypeError):
             ConeProblem((1.0, 0), ((1, 0),))
 
+    def test_bool_rejected(self):
+        with pytest.raises(TypeError):
+            ConeProblem((1, 0), ((True, 0),))
+
+
+class TestPreparedCone:
+    @pytest.mark.parametrize("value", [1.0, True, Fraction(1)])
+    def test_non_int_column_rejected(self, value):
+        with pytest.raises(TypeError):
+            PreparedCone(((1, 0), (value, 0)))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            PreparedCone(((1, 0), (1, 0, 0)))
+
+    def test_dimension_cap(self):
+        with pytest.raises(ScaleExceeded):
+            PreparedCone(((0,) * 11,))
+
+    def test_generator_cap(self):
+        with pytest.raises(ScaleExceeded):
+            PreparedCone(tuple((i,) for i in range(oracle.MAX_GENERATORS + 1)))
+
+    def test_empty(self):
+        with pytest.raises(ValueError):
+            PreparedCone(())
+
+    @pytest.mark.parametrize("target, error", [((1.0, 0), TypeError), ((True, 0), TypeError),
+                                               ((1, 0, 0), ValueError)])
+    def test_target_checked_per_query(self, target, error):
+        with pytest.raises(error):
+            ConeProblem(target, PreparedCone(((1, 0), (0, 1))))
+
+    def test_same_outcome_as_cone_problem(self):
+        columns = ((1, 0), (0, 1), (1, 1))
+        for target in ((2, 3), (Fraction(1, 2), 0), (-1, 2)):
+            prepared = cone_member(ConeProblem(target, PreparedCone(columns)))
+            assert prepared == cone_member(ConeProblem(target, columns))
+
+
+def _corrupt_simplex(monkeypatch, corrupt):
+    solve = oracle._simplex
+
+    def wrong(*args):
+        return corrupt(*solve(*args))
+
+    monkeypatch.setattr(oracle, "_simplex", wrong)
+
+
+class TestIntegerVerification:
+    """A wrong solver answer must not leave the oracle as a certificate."""
+
+    FEASIBLE = (
+        DivisorClass(2, (1, 1, 1, 1, 1, 1, 1, 0)),
+        exceptional_orbit(2) + (HALF_ANTICANONICAL,),
+    )
+    INFEASIBLE = (HALF_ANTICANONICAL, exceptional_orbit(2))
+
+    @staticmethod
+    def _problems(target, generators):
+        generic = divisor_problem(target, generators)
+        columns = tuple(tuple(int(x) for x in g.vector()) for g in generators)
+        return generic, ConeProblem(target.vector(), PreparedCone(columns))
+
+    @pytest.mark.parametrize("path", [0, 1])
+    def test_wrong_coefficient(self, monkeypatch, path):
+        def corrupt(basic, dual, det):
+            column = max(basic, key=basic.get)
+            return {**basic, column: basic[column] + 1}, dual, det
+
+        problem = self._problems(*self.FEASIBLE)[path]
+        _corrupt_simplex(monkeypatch, corrupt)
+        with pytest.raises(RuntimeError, match="does not re-sum"):
+            cone_member(problem)
+
+    @pytest.mark.parametrize("path", [0, 1])
+    def test_functional_negative_on_a_column(self, monkeypatch, path):
+        # Raising v_0 lowers the functional's degree coefficient, which turns
+        # it negative on the planes while keeping it negative on -K/2.
+        def corrupt(basic, dual, det):
+            return basic, [dual[0] + 1000 * det, *dual[1:]], det
+
+        problem = self._problems(*self.INFEASIBLE)[path]
+        _corrupt_simplex(monkeypatch, corrupt)
+        with pytest.raises(RuntimeError, match="negative on a generator"):
+            cone_member(problem)
+
+    def test_effective_membership_verifies(self, monkeypatch):
+        def corrupt(basic, dual, det):
+            if basic is None:
+                return basic, dual, det
+            column = max(basic, key=basic.get)
+            return {**basic, column: basic[column] + 1}, dual, det
+
+        _corrupt_simplex(monkeypatch, corrupt)
+        with pytest.raises(RuntimeError):
+            effective_membership(DivisorClass(2, (1, 1, 1, 1, 1, 1, 1, 0)))
+
 
 class TestAgreementWithDecomposers:
     def test_nef_agreement_small_grid(self):
@@ -187,6 +287,39 @@ class TestEffectiveMembership:
     def test_half_anticanonical_member_via_seed(self):
         report = effective_membership(HALF_ANTICANONICAL)
         assert isinstance(report.outcome, Feasible)
+
+    @pytest.mark.parametrize(
+        "divisor, feasible",
+        [
+            (Fraction(1, 3) * HALF_ANTICANONICAL, True),
+            (DivisorClass.parse("1/2;1/2,0,0,0,0,0,0,0"), True),
+            (DivisorClass.parse("1/2;1/2,1/2,1/2,1/2,0,0,0,0"), False),
+        ],
+    )
+    def test_rational_targets(self, divisor, feasible):
+        report = effective_membership(divisor)
+        problem = divisor_problem(divisor, effective_generators(report.truncation_degree))
+        assert isinstance(report.outcome, Feasible) == feasible
+        if feasible:
+            check_feasible(problem, report.outcome)
+        else:
+            check_infeasible(problem, report.outcome)
+
+    def test_prepared_path_matches_generic_path(self):
+        # Criterion-4 sampler: every LP answer from the shared prepared cone
+        # equals a fresh generic LP over the same generator list.
+        rng = random.Random(20250810)
+        feasible = 0
+        for _ in range(60):
+            divisor = DivisorClass(
+                rng.randint(0, 8), tuple(rng.randint(-8, 8) for _ in range(8))
+            )
+            report = effective_membership(divisor)
+            if isinstance(report.outcome, Feasible):
+                feasible += 1
+                generators = effective_generators(report.truncation_degree)
+                assert report.outcome == cone_member(divisor_problem(divisor, generators))
+        assert feasible >= 10
 
     def test_generator_list_contains_q(self):
         generators = effective_generators(2)
