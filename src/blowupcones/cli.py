@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
-import math
 import re
 import sys
 
@@ -90,19 +90,6 @@ def _emit(args, text: str) -> None:
 
 # -- subcommand handlers ---------------------------------------------------------
 
-def _effective_certificate(divisor: DivisorClass, max_steps: int) -> Certificate:
-    # Membership in the effective cone is scale-invariant, so rational classes
-    # are decided by clearing denominators; the certificate scales back exactly.
-    if divisor.is_integral():
-        return effective_decompose(divisor, max_steps=max_steps)
-    scale = math.lcm(divisor.d.denominator, *(x.denominator for x in divisor.m))
-    cert = effective_decompose(divisor * scale, max_steps=max_steps)
-    terms = tuple((generator, coefficient / scale) for generator, coefficient in cert.terms)
-    rescaled = Certificate(cert.cone, divisor, cert.word, terms)
-    rescaled.check()
-    return rescaled
-
-
 def _cmd_reduce(args) -> int:
     lines = []
     for text in _gather_inputs(args):
@@ -141,7 +128,7 @@ def _classify_one(divisor: DivisorClass, max_steps: int) -> dict:
         record["nef_witness"] = str(witness)
 
     try:
-        certificates["eff"] = _effective_certificate(divisor, max_steps).to_dict()
+        certificates["eff"] = effective_decompose(divisor, max_steps=max_steps).to_dict()
         record["effective"] = True
     except NotEffective as exc:
         record["effective"] = False
@@ -316,6 +303,7 @@ def _cmd_verify(args) -> int:
 
 # -- parser ------------------------------------------------------------------------
 
+@functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blowupcones",

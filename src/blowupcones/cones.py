@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,13 +30,17 @@ from .lattice import (
     line_between,
     pairing,
 )
-from .weyl import (
+# reflect is unused here but stays importable from this module: the benchmark's
+# self-test (bench/run.py) checks that its tracer reaches cones.reflect.
+from .weyl import (  # noqa: F401
     DEFAULT_MAX_STEPS,
     ReductionResult,
     StepLimitExceeded,
     WeylWord,
+    _DegreeWentNegative,
     _orbit_vectors,
-    _sort_descending,
+    _reduce,
+    _scaled,
     apply_word,
     inverse_word,
     is_minus_one_divisor,
@@ -126,10 +129,13 @@ class Certificate:
                 raise CertificateError(f"negative coefficient {coefficient} on {generator}")
             if not _generator_allowed(self.cone, generator):
                 raise CertificateError(f"{generator} is not a generator of the {self.cone} cone")
-        if self.resummation() != self.reduced_target():
-            raise CertificateError(
-                f"terms sum to {self.resummation()}, expected {self.reduced_target()}"
-            )
+        try:
+            expected = self.reduced_target()
+        except ValueError as exc:  # a word letter outside 0..7
+            raise CertificateError(str(exc)) from None
+        total = self.resummation()
+        if total != expected:
+            raise CertificateError(f"terms sum to {total}, expected {expected}")
 
     # -- serialization ------------------------------------------------------
 
@@ -208,6 +214,11 @@ def _plane_through(indices) -> DivisorClass:
     return DivisorClass(1, tuple(m))
 
 
+def _cubic(a: int) -> DivisorClass:
+    """M_a = (3; 3, 1^(a-1)), the cubic with a triple point and a-1 simple ones."""
+    return DivisorClass(3, (3,) + (1,) * (a - 1) + (0,) * (NUM_POINTS - a))
+
+
 @lru_cache(maxsize=1)
 def curve_generators() -> tuple[CurveClass, ...]:
     """The 36 generators of the cone of curves: e_i and the line classes h-e_i-e_j."""
@@ -239,12 +250,7 @@ def pi_generators() -> tuple[DivisorClass, ...]:
     gens.extend(_plane_through((i,)) for i in (1, 2, 3))
     gens.extend(_plane_through(pair) for pair in itertools.combinations((1, 2, 3), 2))
     gens.extend(_quadric_through(range(1, k + 1)) for k in range(4, NUM_POINTS + 1))
-    for size in range(4, NUM_POINTS + 1):
-        m = [0] * NUM_POINTS
-        m[0] = 3
-        for i in range(1, size):
-            m[i] = 1
-        gens.append(DivisorClass(3, tuple(m)))
+    gens.extend(_cubic(a) for a in range(4, NUM_POINTS + 1))
     return tuple(gens)
 
 
@@ -296,7 +302,9 @@ def _generator_allowed(cone: str, generator) -> bool:
     if cone == CONE_MOV:
         return generator in frozenset(pi_generators())
     if cone == CONE_EFF:
-        return generator == HALF_ANTICANONICAL or is_minus_one_divisor(generator)
+        return generator == HALF_ANTICANONICAL or (
+            generator.is_integral() and is_minus_one_divisor(generator)
+        )
     return False
 
 
@@ -405,38 +413,6 @@ def nef_decompose(divisor: DivisorClass) -> Certificate:
     return certificate
 
 
-# -- reduction with a degree floor ------------------------------------------------
-
-class _DegreeWentNegative(Exception):
-    def __init__(self, last: DivisorClass, word: WeylWord):
-        self.last = last
-        self.word = word
-
-
-def _reduce_nonnegative(divisor: DivisorClass, max_steps: int) -> ReductionResult:
-    """Reduce to standard form, failing fast once the degree drops below zero.
-
-    Weyl moves preserve effectivity and effective classes have non-negative
-    degree, so a negative degree anywhere along the reduction certifies that
-    the input is outside the effective cone.  The floor also bounds the loop:
-    integral inputs admit at most d+1 Cremona moves before tripping it.
-    """
-    word: list[int] = []
-    current = divisor
-    steps = 0
-    while True:
-        if current.d < 0:
-            raise _DegreeWentNegative(current, tuple(word))
-        current = _sort_descending(current, word)
-        if 2 * current.d >= sum(current.m[:4]):
-            return ReductionResult(current, tuple(word), steps)
-        if steps >= max_steps:
-            raise StepLimitExceeded(f"reduction exceeded {max_steps} Cremona steps", steps, current)
-        current = reflect(0, current)
-        word.append(0)
-        steps += 1
-
-
 # -- effective cone ----------------------------------------------------------------
 
 def effective_decompose(
@@ -451,43 +427,36 @@ def effective_decompose(
     d < m1+m4, split off quadrics through the k largest points, and expand
     what remains over planes and exceptional classes.  Every generator of the
     result is pulled back to the input frame, so the terms sum to the input.
-    A reduction that exceeds `max_steps` raises StepLimitExceeded.
+    Rational classes are handled by clearing denominators, which scales the
+    certificate exactly.  A reduction that exceeds `max_steps` raises
+    StepLimitExceeded.
     """
-    if not divisor.is_integral():
-        raise ValueError(f"integral class required, got {divisor}")
-
+    ints, scale = _scaled(divisor)
     terms: dict[DivisorClass, Fraction] = {}
     word_acc: list[int] = []
 
-    def pull(generator: DivisorClass) -> DivisorClass:
-        return apply_word(inverse_word(word_acc), generator)
-
     def add(generator: DivisorClass, coefficient) -> None:
-        coefficient = Fraction(coefficient)
+        coefficient = Fraction(coefficient, scale)
         if coefficient:
-            pulled = pull(generator)
+            pulled = apply_word(inverse_word(word_acc), generator)
             terms[pulled] = terms.get(pulled, Fraction(0)) + coefficient
 
-    current = divisor
     while True:
         try:
-            result = _reduce_nonnegative(current, max_steps)
+            result = _reduce(ints, 1, max_steps, nonnegative=True)
         except _DegreeWentNegative as floor:
             raise NotEffective(
                 f"degree became negative under reduction (reached {floor.last})",
                 floor.last,
             ) from None
         word_acc.extend(result.word)
-        current = result.standard
-        negatives = [i for i in range(NUM_POINTS) if current.m[i] < 0]
+        negatives = [i for i in range(1, NUM_POINTS + 1) if ints[i] < 0]
         if not negatives:
             break
         for i in negatives:
-            add(EXCEPTIONALS[i], -current.m[i])
-        current = DivisorClass(
-            current.d,
-            tuple(Fraction(0) if i in negatives else x for i, x in enumerate(current.m)),
-        )
+            add(EXCEPTIONALS[i - 1], -ints[i])
+            ints[i] = 0
+    current = result.standard
 
     if current.m[0] > current.d:
         raise NotEffective(
@@ -496,7 +465,14 @@ def effective_decompose(
             current,
         )
 
-    current = _peel_cubics(current, add)
+    def add_cubic(a: int) -> None:
+        # M_a = (2;2,1^5) + (1;1,0^5,1,1) + E_{a+1} + ... + E_8.
+        add(_DOUBLE_QUADRIC, 1)
+        add(_CUBIC_COMPLEMENT, 1)
+        for i in range(a, NUM_POINTS):
+            add(EXCEPTIONALS[i], 1)
+
+    current = _peel_cubics(current, add_cubic)
     _expand_standard(current, add)
 
     certificate = Certificate(CONE_EFF, divisor, (), _freeze_terms(terms))
@@ -510,17 +486,14 @@ _DOUBLE_QUADRIC = DivisorClass(2, (2, 1, 1, 1, 1, 1, 0, 0))
 _CUBIC_COMPLEMENT = DivisorClass(1, (1, 0, 0, 0, 0, 0, 1, 1))
 
 
-def _peel_cubics(current: DivisorClass, add) -> DivisorClass:
-    # While d < m1 + m4, subtract (3;3,1^(a-1)) with a the last non-zero
-    # position; the difference stays in standard form with 0 <= m_i <= d and
-    # the defect m1 + m4 - d drops by one each round.
+def _peel_cubics(current: DivisorClass, add_cubic) -> DivisorClass:
+    # While d < m1 + m4, subtract M_a = (3;3,1^(a-1)) with a the last non-zero
+    # position, handing a to add_cubic; the difference stays in standard form
+    # with 0 <= m_i <= d and the defect m1 + m4 - d drops by one each round.
     while current.d < current.m[0] + current.m[3]:
         a = max(i + 1 for i in range(NUM_POINTS) if current.m[i] != 0)
         assert a >= 4
-        add(_DOUBLE_QUADRIC, 1)
-        add(_CUBIC_COMPLEMENT, 1)
-        for i in range(a, NUM_POINTS):
-            add(EXCEPTIONALS[i], 1)
+        add_cubic(a)
         m = list(current.m)
         m[0] -= 3
         for i in range(1, a):
@@ -575,11 +548,9 @@ def movable_decompose(
         certificate.check()
         return certificate
 
-    scale = math.lcm(divisor.d.denominator, *(x.denominator for x in divisor.m))
-    integral = divisor * scale
-
+    ints, scale = _scaled(divisor)
     try:
-        result = _reduce_nonnegative(integral, max_steps)
+        result = _reduce(ints, 1, max_steps, nonnegative=True)
     except _DegreeWentNegative as floor:
         raise NotMovable(
             f"degree became negative under reduction (reached {floor.last}); "
@@ -612,21 +583,7 @@ def movable_decompose(
         if coefficient:
             terms[generator] = terms.get(generator, Fraction(0)) + coefficient
 
-    current = reduced
-    while current.d < current.m[0] + current.m[3]:
-        a = max(i + 1 for i in range(NUM_POINTS) if current.m[i] != 0)
-        assert a >= 4
-        m = [0] * NUM_POINTS
-        m[0] = 3
-        for i in range(1, a):
-            m[i] = 1
-        add(DivisorClass(3, tuple(m)), 1)
-        m = list(current.m)
-        m[0] -= 3
-        for i in range(1, a):
-            m[i] -= 1
-        current = DivisorClass(current.d - 3, tuple(m))
-
+    current = _peel_cubics(reduced, lambda a: add(_cubic(a), 1))
     m = list(current.m) + [Fraction(0)]
     m4 = m[3]
     for k in range(4, NUM_POINTS + 1):

@@ -4,13 +4,19 @@ The group is generated by eight involutions s_0, ..., s_7.  For i >= 1 the
 reflection s_i swaps the multiplicities m_i and m_{i+1}; s_0 is the lattice
 action of the standard Cremona transformation centered at the first four
 points.  Words are sequences of generator indices applied left to right.
+
+Reflections, words and reduction all run on one integer vector: the class
+times the lcm of its denominators (the action commutes with scaling).  A
+DivisorClass is built only for a result that leaves the module.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .lattice import (
     EXCEPTIONALS,
@@ -43,15 +49,43 @@ class StepLimitExceeded(RuntimeError):
         self.last = last
 
 
+def _scaled(divisor: DivisorClass) -> tuple[list[int], int]:
+    """The class as (ints, den): den is the lcm of its denominators, ints = den * D."""
+    vector = divisor.vector()
+    den = math.lcm(*(x.denominator for x in vector))
+    return [x.numerator * (den // x.denominator) for x in vector], den
+
+
+def _unscaled(ints: list[int], den: int) -> DivisorClass:
+    """The class ints / den, built back from `_scaled`."""
+    if den == 1:
+        return DivisorClass(ints[0], tuple(ints[1:]))
+    return DivisorClass(Fraction(ints[0], den), tuple(Fraction(x, den) for x in ints[1:]))
+
+
+def _act(word, ints: list[int]) -> None:
+    # The Weyl action on a coefficient vector (d, m_1, ..., m_8), in place:
+    # s_0 adds t = 2d - m_1 - m_2 - m_3 - m_4 to d and m_1..m_4, s_i swaps m_i
+    # and m_{i+1}.  Both commute with scaling, so any common denominator works.
+    for letter in word:
+        if letter == 0:
+            t = 2 * ints[0] - ints[1] - ints[2] - ints[3] - ints[4]
+            ints[0] += t
+            ints[1] += t
+            ints[2] += t
+            ints[3] += t
+            ints[4] += t
+        elif 0 < letter < 8:
+            ints[letter], ints[letter + 1] = ints[letter + 1], ints[letter]
+        else:
+            raise ValueError(f"generator index must be in 0..7, got {letter}")
+
+
 def reflect(i: int, divisor: DivisorClass) -> DivisorClass:
     """Apply the simple reflection s_i(D) = D + (alpha_i, D) * alpha_i."""
-    if not 0 <= i < 8:
-        raise ValueError(f"generator index must be in 0..7, got {i}")
-    if i == 0:
-        return cremona((1, 2, 3, 4), divisor)
-    m = list(divisor.m)
-    m[i - 1], m[i] = m[i], m[i - 1]
-    return DivisorClass(divisor.d, tuple(m))
+    ints, den = _scaled(divisor)
+    _act((i,), ints)
+    return _unscaled(ints, den)
 
 
 def cremona(indices, divisor: DivisorClass) -> DivisorClass:
@@ -65,19 +99,18 @@ def cremona(indices, divisor: DivisorClass) -> DivisorClass:
         isinstance(i, int) and 1 <= i <= NUM_POINTS for i in index_set
     ):
         raise ValueError(f"need four distinct point indices in 1..{NUM_POINTS}, got {indices!r}")
-    t = 2 * divisor.d - sum(divisor.m[i - 1] for i in index_set)
-    m = list(divisor.m)
-    for i in index_set:
-        m[i - 1] += t
-    return DivisorClass(divisor.d + t, tuple(m))
+    ints, den = _scaled(divisor)
+    t = 2 * ints[0] - sum(ints[i] for i in index_set)
+    for i in (0, *index_set):
+        ints[i] += t
+    return _unscaled(ints, den)
 
 
 def apply_word(word, divisor: DivisorClass) -> DivisorClass:
     """Apply a word of generator indices left to right."""
-    out = divisor
-    for letter in word:
-        out = reflect(letter, out)
-    return out
+    ints, den = _scaled(divisor)
+    _act(word, ints)
+    return _unscaled(ints, den)
 
 
 def inverse_word(word) -> WeylWord:
@@ -113,19 +146,55 @@ class ReductionResult:
     steps: int
 
 
-def _sort_descending(divisor: DivisorClass, word: list[int]) -> DivisorClass:
+class _DegreeWentNegative(Exception):
+    def __init__(self, last: DivisorClass, word: WeylWord):
+        self.last = last
+        self.word = word
+
+
+def _sort_descending(ints: list[int], word: list[int]) -> None:
     # Bubble sort via adjacent reflections; swaps only on strict inversion,
     # so equal multiplicities keep their order and the word is deterministic.
-    m = list(divisor.m)
-    while True:
+    swapped = True
+    while swapped:
         swapped = False
-        for i in range(NUM_POINTS - 1):
-            if m[i] < m[i + 1]:
-                m[i], m[i + 1] = m[i + 1], m[i]
-                word.append(i + 1)
+        for i in range(1, NUM_POINTS):
+            if ints[i] < ints[i + 1]:
+                ints[i], ints[i + 1] = ints[i + 1], ints[i]
+                word.append(i)
                 swapped = True
-        if not swapped:
-            return DivisorClass(divisor.d, tuple(m))
+
+
+def _reduce(
+    ints: list[int], den: int, max_steps: int, nonnegative: bool = False
+) -> ReductionResult:
+    """Reduce den * D, given as ints, to standard form in place.
+
+    Loop: sort multiplicities descending by adjacent reflections, then apply
+    s_0 whenever 2d < m_1 + m_2 + m_3 + m_4.  With `nonnegative`, a degree
+    below zero anywhere along the way raises _DegreeWentNegative: Weyl moves
+    preserve effectivity and effective classes have non-negative degree, so
+    the input is not effective.  That floor also bounds the loop: integral
+    inputs admit at most d+1 Cremona moves before tripping it.
+    """
+    word: list[int] = []
+    steps = 0
+    while True:
+        if nonnegative and ints[0] < 0:
+            raise _DegreeWentNegative(_unscaled(ints, den), tuple(word))
+        _sort_descending(ints, word)
+        if 2 * ints[0] >= ints[1] + ints[2] + ints[3] + ints[4]:
+            return ReductionResult(_unscaled(ints, den), tuple(word), steps)
+        if steps >= max_steps:
+            message = (
+                f"reduction exceeded {max_steps} Cremona steps"
+                if nonnegative
+                else f"no standard form within {max_steps} Cremona steps"
+            )
+            raise StepLimitExceeded(message, steps, _unscaled(ints, den))
+        _act((0,), ints)
+        word.append(0)
+        steps += 1
 
 
 def to_standard_form(
@@ -133,25 +202,11 @@ def to_standard_form(
 ) -> ReductionResult:
     """Reduce a class to standard form, recording the word that achieves it.
 
-    Loop: sort multiplicities descending by adjacent reflections, then apply
-    s_0 whenever 2d < m_1 + m_2 + m_3 + m_4.  Each s_0 strictly lowers the
-    degree, so any class admitting a standard form is reached; the step cap
-    guards against inputs whose degree diverges (see StepLimitExceeded).
+    Each s_0 strictly lowers the degree, so any class admitting a standard
+    form is reached; the step cap guards against inputs whose degree diverges
+    (see StepLimitExceeded).
     """
-    word: list[int] = []
-    current = divisor
-    steps = 0
-    while True:
-        current = _sort_descending(current, word)
-        if 2 * current.d >= sum(current.m[:4]):
-            return ReductionResult(current, tuple(word), steps)
-        if steps >= max_steps:
-            raise StepLimitExceeded(
-                f"no standard form within {max_steps} Cremona steps", steps, current
-            )
-        current = reflect(0, current)
-        word.append(0)
-        steps += 1
+    return _reduce(*_scaled(divisor), max_steps)
 
 
 # -- orbit enumeration --------------------------------------------------------

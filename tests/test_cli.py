@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from blowupcones.cli import main
+from blowupcones.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
 #: Recorded `oracle --format json` outputs over two generator files (the nef
@@ -173,6 +173,37 @@ class TestDecompose:
         assert code == 0
         assert out.startswith("invalid certificate")
 
+    def test_rational_effective_class(self, capsys, tmp_path):
+        cert_path = tmp_path / "cert.json"
+        code, _, err = run(
+            capsys, "decompose", "--cone", "eff", "--format", "json", "--output", str(cert_path),
+            "1/2;1/2,0,0,0,0,0,0,0",
+        )
+        assert code == 0, err
+        assert json.loads(cert_path.read_text())["input"] == "1/2;1/2,0,0,0,0,0,0,0"
+        code, out, _ = run(capsys, "verify", str(cert_path))
+        assert code == 0
+        assert out.startswith("valid eff certificate for 1/2;1/2,0,0,0,0,0,0,0")
+
+    @pytest.mark.parametrize(
+        "change, reason",
+        [
+            ({"word": [9]}, "generator index must be in 0..7, got 9"),
+            ({"terms": [{"gen": "0;-1/2,0,0,0,0,0,0,0", "coeff": "2"}]}, "not a generator"),
+        ],
+        ids=["word-letter-9", "non-integral-eff-generator"],
+    )
+    def test_bad_certificate_is_invalid_not_an_input_error(
+        self, capsys, tmp_path, change, reason
+    ):
+        cert_path = tmp_path / "cert.json"
+        data = {"cone": "eff", "input": "0;-1,0,0,0,0,0,0,0", "word": [],
+                "terms": [{"gen": "0;-1,0,0,0,0,0,0,0", "coeff": "1"}]}
+        cert_path.write_text(json.dumps({**data, **change}))
+        code, out, err = run(capsys, "verify", str(cert_path))
+        assert (code, err) == (0, "")
+        assert out.startswith("invalid certificate: ") and reason in out
+
     def test_malformed_certificate_file(self, capsys, tmp_path):
         cert_path = tmp_path / "cert.json"
         cert_path.write_text("{}")
@@ -287,6 +318,23 @@ class TestOracleCommand:
         )
         assert code == 0
         assert out == case["output"]
+
+
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_help_and_errors_repeat(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as info:
+                main(["reduce", "--help"])
+            assert info.value.code == 0
+            assert "--max-steps" in capsys.readouterr().out
+            with pytest.raises(SystemExit) as info:
+                main(["reduce", "--format", "xml", "1;0,0,0,0,0,0,0,0"])
+            assert info.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
+            assert run(capsys, "reduce", "3;1,2")[0] == 2
 
 
 class TestOutputFile:

@@ -25,6 +25,7 @@ from blowupcones import (
     effective_decompose,
     effective_seed,
     exceptional_line,
+    exceptional_orbit,
     in_box,
     in_fundamental_chamber,
     in_tits_cone,
@@ -39,13 +40,29 @@ from blowupcones import (
     ray_distance,
 )
 
-from conftest import int_divisors, words
+from conftest import int_divisors, rational_divisors, words
 
 MINUS_H = DivisorClass(-1, (0,) * 8)
 
 
 def terms_as_dict(certificate):
     return {generator: coefficient for generator, coefficient in certificate.terms}
+
+
+def effective(divisor):
+    try:
+        effective_decompose(divisor)
+        return True
+    except NotEffective:
+        return False
+
+
+def movable(divisor):
+    try:
+        movable_decompose(divisor)
+        return True
+    except NotMovable:
+        return False
 
 
 class TestGeneratorSets:
@@ -273,9 +290,11 @@ class TestEffectiveDecompose:
         with pytest.raises(NotEffective):
             effective_decompose(divisor)
 
-    def test_requires_integral(self):
-        with pytest.raises(ValueError):
-            effective_decompose(Fraction(1, 2) * HALF_ANTICANONICAL)
+    def test_rational_input_scales(self):
+        divisor = Fraction(1, 2) * HALF_ANTICANONICAL
+        cert = effective_decompose(divisor)
+        assert cert.target == divisor
+        assert terms_as_dict(cert) == {HALF_ANTICANONICAL: Fraction(1, 2)}
 
     def test_step_cap_is_not_a_verdict(self):
         # The class is in the exceptional orbit, two Cremona steps from E_8.
@@ -289,19 +308,22 @@ class TestEffectiveDecompose:
         with pytest.raises(NotEffective):
             effective_decompose(perturbed)
 
-    @given(int_divisors, words)
-    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(int_divisors, rational_divisors), words)
+    @settings(max_examples=60, deadline=None)
     def test_verdict_weyl_invariant(self, divisor, word):
-        moved = apply_word(word, divisor)
+        assert effective(divisor) == effective(apply_word(word, divisor))
 
-        def verdict(cls):
-            try:
-                effective_decompose(cls)
-                return True
-            except NotEffective:
-                return False
-
-        assert verdict(divisor) == verdict(moved)
+    @given(
+        st.lists(st.tuples(st.integers(0, 231), st.integers(1, 3)), min_size=1, max_size=4),
+        st.fractions(min_value=0, max_value=4, max_denominator=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_adding_half_anticanonical_keeps_effective(self, picks, k):
+        orbit = exceptional_orbit(2)
+        divisor = _combination([orbit[i] for i, _ in picks], [c for _, c in picks])
+        shifted = divisor + k * HALF_ANTICANONICAL
+        cert = effective_decompose(shifted)
+        assert cert.resummation() == shifted
 
     @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 3)), min_size=1, max_size=5))
     @settings(max_examples=60)
@@ -368,6 +390,16 @@ class TestMovableDecompose:
     def test_resummation(self, divisor):
         cert = movable_decompose(divisor)
         assert cert.resummation() == apply_word(cert.word, divisor)
+
+    @given(st.one_of(int_divisors, rational_divisors), words)
+    @settings(max_examples=60, deadline=None)
+    def test_verdict_weyl_invariant(self, divisor, word):
+        assert movable(divisor) == movable(apply_word(word, divisor))
+
+    @given(pi_combinations(), words)
+    @settings(max_examples=40, deadline=None)
+    def test_members_stay_members(self, divisor, word):
+        assert movable(apply_word(word, divisor))
 
 
 class TestInclusionChain:
@@ -483,6 +515,22 @@ class TestCertificateSerialization:
             "terms": [{"gen": "1;0,0,0,0,0,0,0,0", "coeff": "-1"}],
         }
         with pytest.raises(CertificateError):
+            Certificate.from_dict(data).check()
+
+    def test_word_letter_out_of_range_rejected(self):
+        data = movable_decompose(DivisorClass(3, (1, 1, 3, 1, 1, 1, 1, 1))).to_dict()
+        data["word"] = [9]
+        with pytest.raises(CertificateError, match="0..7"):
+            Certificate.from_dict(data).check()
+
+    def test_non_integral_effective_generator_rejected(self):
+        data = {
+            "cone": "eff",
+            "input": "0;-1/2,0,0,0,0,0,0,0",
+            "word": [],
+            "terms": [{"gen": "0;-1/2,0,0,0,0,0,0,0", "coeff": "1"}],
+        }
+        with pytest.raises(CertificateError, match="not a generator"):
             Certificate.from_dict(data).check()
 
     def test_malformed_json_rejected(self):

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blowupcones import (
     EXCEPTIONALS,
@@ -109,6 +110,20 @@ class TestWords:
     @given(words, rational_divisors, rational_divisors)
     def test_words_preserve_pairing(self, word, a, b):
         assert pairing(apply_word(word, a), apply_word(word, b)) == pairing(a, b)
+
+    @given(st.lists(generator_letters, max_size=40), rational_divisors)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_iterated_root_formula(self, word, d):
+        expected = d
+        for i in word:
+            alpha = ROOT_SYSTEM.roots[i]
+            expected = expected + pairing(alpha, expected) * alpha
+        assert apply_word(word, d) == expected
+
+    def test_letter_out_of_range(self):
+        for word in ((1, 8), (0, -1)):
+            with pytest.raises(ValueError):
+                apply_word(word, H)
 
 
 class TestCoxeterRelations:
