@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -9,6 +10,9 @@ DATA = Path(__file__).parent / "data"
 #: Recorded `oracle --format json` outputs over two generator files (the nef
 #: generators, and the orbit to degree 3 plus -K/2); every byte must repeat.
 ORACLE_GOLDEN = json.loads((DATA / "oracle_golden.json").read_text(encoding="utf-8"))
+#: Recorded `orbit --max-degree 13` (line count and sha256 of stdout) and the
+#: whole stdout of `accumulation --max-degree 13`; every byte must repeat.
+ORBIT_GOLDEN = json.loads((DATA / "orbit_golden.json").read_text(encoding="utf-8"))
 
 
 def run(capsys, *argv):
@@ -239,6 +243,17 @@ class TestOrbitCommands:
         assert lines[0] == "degree,max_ray_distance,approx"
         assert lines[1].startswith("0,11/12,")
         assert len(lines) == 5
+
+    def test_orbit_golden(self, capsys):
+        golden = ORBIT_GOLDEN["orbit"]
+        code, out, err = run(capsys, *golden["argv"])
+        assert (code, err) == (0, "")
+        assert out.count("\n") == golden["lines"]
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == golden["sha256"]
+
+    def test_accumulation_golden(self, capsys):
+        golden = ORBIT_GOLDEN["accumulation"]
+        assert run(capsys, *golden["argv"]) == (0, golden["stdout"], "")
 
 
 class TestCheckMinusOne:
