@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter, mul
 
 from .lattice import (
     EXCEPTIONALS,
@@ -38,6 +39,7 @@ from .weyl import (  # noqa: F401
     StepLimitExceeded,
     WeylWord,
     _DegreeWentNegative,
+    _HALF_ANTICANONICAL_INTS,
     _orbit_vectors,
     _reduce,
     _scaled,
@@ -200,18 +202,12 @@ def _freeze_terms(terms: dict) -> tuple:
 
 # -- generating sets -----------------------------------------------------------
 
-def _quadric_through(indices) -> DivisorClass:
+def _through(degree: int, indices) -> DivisorClass:
+    # The plane (degree 1) or quadric (degree 2) through the points, simply.
     m = [0] * NUM_POINTS
     for i in indices:
         m[i - 1] = 1
-    return DivisorClass(2, tuple(m))
-
-
-def _plane_through(indices) -> DivisorClass:
-    m = [0] * NUM_POINTS
-    for i in indices:
-        m[i - 1] = 1
-    return DivisorClass(1, tuple(m))
+    return DivisorClass(degree, tuple(m))
 
 
 def _cubic(a: int) -> DivisorClass:
@@ -232,10 +228,10 @@ def curve_generators() -> tuple[CurveClass, ...]:
 def nef_generators() -> tuple[DivisorClass, ...]:
     """The 228 nef-cone generators: H, H-E_i, and quadrics through 3..8 points."""
     gens = [H]
-    gens.extend(_plane_through((i,)) for i in range(1, NUM_POINTS + 1))
+    gens.extend(_through(1, (i,)) for i in range(1, NUM_POINTS + 1))
     for size in range(3, NUM_POINTS + 1):
         for subset in itertools.combinations(range(1, NUM_POINTS + 1), size):
-            gens.append(_quadric_through(subset))
+            gens.append(_through(2, subset))
     return tuple(gens)
 
 
@@ -247,9 +243,9 @@ def pi_generators() -> tuple[DivisorClass, ...]:
     L_k = (2;1^k) for 4 <= k <= 8; and M_l = (3;3,1^(l-1)) for 4 <= l <= 8.
     """
     gens = [H]
-    gens.extend(_plane_through((i,)) for i in (1, 2, 3))
-    gens.extend(_plane_through(pair) for pair in itertools.combinations((1, 2, 3), 2))
-    gens.extend(_quadric_through(range(1, k + 1)) for k in range(4, NUM_POINTS + 1))
+    gens.extend(_through(1, (i,)) for i in (1, 2, 3))
+    gens.extend(_through(1, pair) for pair in itertools.combinations((1, 2, 3), 2))
+    gens.extend(_through(2, range(1, k + 1)) for k in range(4, NUM_POINTS + 1))
     gens.extend(_cubic(a) for a in range(4, NUM_POINTS + 1))
     return tuple(gens)
 
@@ -282,30 +278,25 @@ class GeneratorSets:
         return sets
 
 
-@lru_cache(maxsize=1)
-def _nef_certificate_generators() -> frozenset[DivisorClass]:
-    # The decomposition formula also emits quadrics through exactly two points;
-    # each equals (H-E_i) + (H-E_j), so the generated cone is unchanged.
-    extra = (
-        _quadric_through(pair) for pair in itertools.combinations(range(1, NUM_POINTS + 1), 2)
-    )
-    return frozenset(nef_generators()) | frozenset(extra)
+@lru_cache(maxsize=None)
+def _generator_set(cone: str) -> frozenset:
+    # The generators a curves, nef or mov certificate may use, hashed once.  A nef
+    # certificate may also use quadrics through exactly two points; each equals
+    # (H-E_i) + (H-E_j), so the generated cone is unchanged.
+    if cone == CONE_CURVES:
+        return frozenset(curve_generators())
+    if cone == CONE_MOV:
+        return frozenset(pi_generators())
+    pairs = itertools.combinations(range(1, NUM_POINTS + 1), 2)
+    return frozenset(nef_generators()) | frozenset(_through(2, pair) for pair in pairs)
 
 
 def _generator_allowed(cone: str, generator) -> bool:
-    if cone == CONE_CURVES:
-        return isinstance(generator, CurveClass) and generator in frozenset(curve_generators())
-    if not isinstance(generator, DivisorClass):
-        return False
-    if cone == CONE_NEF:
-        return generator in _nef_certificate_generators()
-    if cone == CONE_MOV:
-        return generator in frozenset(pi_generators())
     if cone == CONE_EFF:
-        return generator == HALF_ANTICANONICAL or (
-            generator.is_integral() and is_minus_one_divisor(generator)
-        )
-    return False
+        return isinstance(generator, DivisorClass) and (generator == HALF_ANTICANONICAL or (
+            generator.is_integral() and is_minus_one_divisor(generator)))
+    kind = CurveClass if cone == CONE_CURVES else DivisorClass
+    return cone in CONE_TAGS and isinstance(generator, kind) and generator in _generator_set(cone)
 
 
 # -- cone of curves -------------------------------------------------------------
@@ -403,10 +394,10 @@ def nef_decompose(divisor: DivisorClass) -> Certificate:
             terms[generator] = terms.get(generator, Fraction(0)) + coefficient
 
     add(H, divisor.d - sorted_m[0] - sorted_m[1])
-    add(_plane_through((order[0] + 1,)), sorted_m[0] - sorted_m[1])
+    add(_through(1, (order[0] + 1,)), sorted_m[0] - sorted_m[1])
     for k in range(2, NUM_POINTS + 1):
         indices = tuple(order[i] + 1 for i in range(k))
-        add(_quadric_through(indices), sorted_m[k - 1] - sorted_m[k])
+        add(_through(2, indices), sorted_m[k - 1] - sorted_m[k])
 
     certificate = Certificate(CONE_NEF, divisor, (), _freeze_terms(terms))
     certificate.check()
@@ -509,7 +500,7 @@ def _expand_standard(current: DivisorClass, add) -> None:
     # through the first three points and exceptional classes.
     m = list(current.m) + [Fraction(0)]
     m4 = m[3]
-    add(_plane_through((1, 2, 3)), current.d - 2 * m4)
+    add(_through(1, (1, 2, 3)), current.d - 2 * m4)
     for i in range(3):
         add(EXCEPTIONALS[i], current.d - m4 - m[i])
     for k in range(4, NUM_POINTS + 1):
@@ -543,7 +534,7 @@ def movable_decompose(
     by clearing denominators, which scales the certificate exactly.  A
     reduction that exceeds `max_steps` raises StepLimitExceeded.
     """
-    if divisor in frozenset(pi_generators()):
+    if divisor in _generator_set(CONE_MOV):
         certificate = Certificate(CONE_MOV, divisor, (), ((divisor, Fraction(1)),))
         certificate.check()
         return certificate
@@ -587,7 +578,7 @@ def movable_decompose(
     m = list(current.m) + [Fraction(0)]
     m4 = m[3]
     for k in range(4, NUM_POINTS + 1):
-        add(_quadric_through(range(1, k + 1)), m[k - 1] - m[k])
+        add(_through(2, range(1, k + 1)), m[k - 1] - m[k])
     _three_point_decompose(current.d - 2 * m4, [m[0] - m4, m[1] - m4, m[2] - m4], add)
 
     certificate = Certificate(CONE_MOV, divisor, result.word, _freeze_terms(terms))
@@ -607,12 +598,12 @@ def _three_point_decompose(d: Fraction, m: list[Fraction], add) -> None:
             return
         if len(nonzero) == 1:
             j = nonzero[0]
-            add(_plane_through((j + 1,)), m[j])
+            add(_through(1, (j + 1,)), m[j])
             add(H, d - m[j])
             return
         j_min = min(range(3), key=lambda j: (m[j], j))
         p, q = sorted(set(range(3)) - {j_min})
-        add(_plane_through((p + 1, q + 1)), 1)
+        add(_through(1, (p + 1, q + 1)), 1)
         d -= 1
         m[p] -= 1
         m[q] -= 1
@@ -653,8 +644,16 @@ def in_box(divisor: DivisorClass) -> bool:
 
 # -- accumulation of orbit rays ------------------------------------------------------
 
-_KAPPA = (2,) + (1,) * NUM_POINTS
-_KAPPA_NORM = sum(x * x for x in _KAPPA)
+_HALF_ANTICANONICAL_NORM = sum(x * x for x in _HALF_ANTICANONICAL_INTS)
+
+
+def _ray_distance(vec) -> Fraction:
+    # As ray_distance, on a coefficient vector; scaling leaves it unchanged.
+    cross = sum(map(mul, vec, _HALF_ANTICANONICAL_INTS))
+    norm = sum(map(mul, vec, vec))
+    if norm == 0:
+        raise ValueError("the zero class spans no ray")
+    return 1 - Fraction(cross * cross, norm * _HALF_ANTICANONICAL_NORM)
 
 
 def ray_distance(divisor: DivisorClass) -> Fraction:
@@ -664,12 +663,7 @@ def ray_distance(divisor: DivisorClass) -> Fraction:
     inner product on coefficient vectors and kappa = (2; 1, ..., 1); zero iff
     the class is proportional to the half-anticanonical class.
     """
-    vec = divisor.vector()
-    cross = sum(a * b for a, b in zip(vec, _KAPPA))
-    norm = sum(a * a for a in vec)
-    if norm == 0:
-        raise ValueError("the zero class spans no ray")
-    return 1 - Fraction(cross * cross, norm * _KAPPA_NORM)
+    return _ray_distance(_scaled(divisor)[0])
 
 
 def accumulation_report(max_degree: int) -> tuple[tuple[int, Fraction], ...]:
@@ -681,12 +675,7 @@ def accumulation_report(max_degree: int) -> tuple[tuple[int, Fraction], ...]:
     """
     if not isinstance(max_degree, int) or max_degree < 2:
         raise ValueError(f"max_degree must be an integer >= 2, got {max_degree!r}")
-    maxima: dict[int, Fraction] = {}
-    for vec in _orbit_vectors(max_degree):
-        cross = sum(a * b for a, b in zip(vec, _KAPPA))
-        norm = sum(a * a for a in vec)
-        distance = 1 - Fraction(cross * cross, norm * _KAPPA_NORM)
-        degree = vec[0]
-        if degree not in maxima or distance > maxima[degree]:
-            maxima[degree] = distance
-    return tuple(sorted(maxima.items()))
+    return tuple(
+        (degree, max(map(_ray_distance, vectors)))
+        for degree, vectors in itertools.groupby(_orbit_vectors(max_degree), itemgetter(0))
+    )

@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain
-from operator import mul
+from functools import lru_cache, partial, reduce
+from itertools import chain, islice, repeat
+from operator import add, mul
 
 from .lattice import HALF_ANTICANONICAL, CurveClass, DivisorClass
-from .weyl import _orbit_vectors
+from .weyl import _HALF_ANTICANONICAL_INTS, _orbit_vectors
 
 MAX_DIMENSION = 10
 # Desk scale with headroom for the effective-cone truncations: stabilizing a
@@ -36,7 +36,7 @@ def _check_exact(value) -> None:
         raise TypeError(f"exact rational entry required, got {value!r}")
 
 
-def _check_shape(dim: int, generators) -> None:
+def _check_shape(dim: int, generators, checked: int = 0) -> None:
     if not generators:
         raise ValueError("at least one generator is required")
     if dim == 0:
@@ -45,20 +45,21 @@ def _check_shape(dim: int, generators) -> None:
         raise ScaleExceeded(f"dimension {dim} exceeds {MAX_DIMENSION}")
     if len(generators) > MAX_GENERATORS:
         raise ScaleExceeded(f"{len(generators)} generators exceed {MAX_GENERATORS}")
-    if any(len(vec) != dim for vec in generators):
+    if any(len(vec) != dim for vec in islice(generators, checked, None)):
         raise ValueError("all generators must match the target dimension")
 
 
 class PreparedCone(tuple):
     """Integer generator columns, validated once (as ConeProblem, but ints only).
 
-    A ConeProblem on a PreparedCone checks only its target and skips scaling.
+    The first `checked` columns were validated by an earlier cone.  A
+    ConeProblem on a PreparedCone checks only its target and skips scaling.
     """
 
-    def __new__(cls, generators):
+    def __new__(cls, generators, checked: int = 0):
         cone = super().__new__(cls, generators)
-        _check_shape(len(cone[0]) if cone else 0, cone)
-        for value in chain.from_iterable(cone):
+        _check_shape(len(cone[0]) if cone else 0, cone, checked)
+        for value in chain.from_iterable(cone[checked:]):
             if type(value) is not int:
                 raise TypeError(f"integer generator entry required, got {value!r}")
         return cone
@@ -198,9 +199,6 @@ def _cleared(vector) -> tuple[int, ...]:
 
 # -- effective-cone membership with per-instance truncation ----------------------
 
-_Q_VECTOR = (2,) + (1,) * 8
-
-
 @dataclass(frozen=True)
 class MembershipReport:
     """Outcome of a truncated effective-cone membership query.
@@ -225,8 +223,12 @@ def effective_generators(truncation_degree: int) -> tuple[DivisorClass, ...]:
 
 @lru_cache(maxsize=None)
 def _effective_cone(truncation_degree: int) -> PreparedCone:
-    # The columns are references into the shared orbit table, not copies.
-    return PreparedCone(_orbit_vectors(truncation_degree) + (_Q_VECTOR,))
+    # The columns are references into the shared orbit table, not copies, each
+    # validated by the first cone it enters (`checked` resets with the table).
+    orbit, checked = _orbit_vectors(truncation_degree), _orbit_vectors.checked
+    cone = PreparedCone(orbit + (_HALF_ANTICANONICAL_INTS,), min(checked, len(orbit)))
+    _orbit_vectors.checked = max(checked, len(orbit))
+    return cone
 
 
 # Functionals known to be non-negative on every effective generator: the
@@ -243,11 +245,18 @@ def _verified_functionals(truncation_degree: int) -> tuple[tuple[int, ...], ...]
     # Each truncation adds one degree slice to the one below it, so a
     # generator is checked once per candidate, in whatever order degrees come.
     if truncation_degree < 0:
-        candidates, added = _CANDIDATE_FUNCTIONALS, [_Q_VECTOR]
+        candidates, added = _CANDIDATE_FUNCTIONALS, [_HALF_ANTICANONICAL_INTS]
     else:
         candidates = _verified_functionals(truncation_degree - 1)
         added = _orbit_vectors(truncation_degree)[_orbit_vectors.prefix(truncation_degree - 1) :]
-    return tuple(phi for phi in candidates if all(sum(map(mul, phi, v)) >= 0 for v in added))
+    rows = tuple(zip(*added))
+    return tuple(phi for phi in candidates if not rows or _nonnegative_on(phi, rows))
+
+
+def _nonnegative_on(phi, rows) -> bool:
+    # phi . column >= 0 for every column, summed row-wise over phi's non-zero rows.
+    terms = (map(mul, repeat(c), row) for c, row in zip(phi, rows) if c)
+    return min(reduce(partial(map, add), terms)) >= 0
 
 
 def effective_membership(

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .lattice import (
     EXCEPTIONALS,
@@ -211,18 +211,32 @@ def to_standard_form(
 
 # -- orbit enumeration --------------------------------------------------------
 
+#: The half-anticanonical class as an integer vector.
+_HALF_ANTICANONICAL_INTS = tuple(_scaled(HALF_ANTICANONICAL)[0])
+
+
+def _arrangements(values: tuple[int, ...], memo: dict) -> list[tuple[int, ...]]:
+    """The distinct permutations of an ascending tuple, in lexicographic order."""
+    if len(values) > 1 and values not in memo:
+        memo[values] = [(v,) + tail for i, v in enumerate(values) if v not in values[:i]
+                        for tail in _arrangements(values[:i] + values[i + 1 :], memo)]
+    return memo.get(values, [values])
+
+
 class _OrbitTable:
     """The exceptional orbit up to a degree bound, sorted by coefficient vector.
 
     The sort puts the degree first, so each truncation is a prefix of `vectors`
     (and of the classes, each built once).  Enumeration reaches the largest
-    bound so far and resumes from the images the last bound pruned.
+    bound so far and resumes from the shapes the last bound pruned.
     """
 
     def __init__(self) -> None:
         self.vectors: tuple[tuple[int, ...], ...] = ()
         self.degree = -1
-        self._pruned = [tuple(int(x) for x in e.vector()) for e in EXCEPTIONALS]
+        self.checked = 0  # leading vectors oracle._effective_cone has validated
+        self._shapes: set[tuple[int, ...]] = set()
+        self._pruned = {(0, -1) + (0,) * (NUM_POINTS - 1)}  # the exceptional shape
         self._classes: list[DivisorClass] = []
 
     cache_clear = __init__
@@ -238,27 +252,27 @@ class _OrbitTable:
         return tuple(self._classes[:count])
 
     def prefix(self, max_degree: int) -> int:
-        # Breadth-first closure under s_0..s_7, pruning anything above the
-        # degree bound.  Pruning is complete: every orbit element reduces to an
-        # exceptional class through degree non-increasing moves, so the reverse
-        # path stays within the bound.  New classes lie above the old bound, so
-        # they sort after the old table.
+        # Closure of the shapes (d; multiplicities ascending) under s_0 at any
+        # four points, pruning anything above the degree bound; each new shape
+        # adds its distinct permutations.  Pruning is complete: every orbit
+        # element reduces to an exceptional class through degree non-increasing
+        # moves, so the reverse path stays within the bound.  New classes lie
+        # above the old bound, so they sort after the old table.
         if max_degree > self.degree:
-            seen, queue, added = set(self.vectors), deque(self._pruned), []
-            self._pruned = []
+            queue, self._pruned, added, memo = list(self._pruned), set(), [], {}
             while queue:
-                image = queue.popleft()
-                if image[0] > max_degree:
-                    self._pruned.append(image)
-                elif image not in seen:
-                    seen.add(image)
-                    added.append(image)
-                    d, *m = image
-                    t = 2 * d - (m[0] + m[1] + m[2] + m[3])
-                    queue.append((d + t, m[0] + t, m[1] + t, m[2] + t, m[3] + t, *m[4:]))
-                    queue.extend(
-                        (d, *m[:i], m[i + 1], m[i], *m[i + 2 :]) for i in range(NUM_POINTS - 1)
-                    )
+                shape = queue.pop()
+                if shape[0] > max_degree:
+                    self._pruned.add(shape)
+                elif shape not in self._shapes:
+                    self._shapes.add(shape)
+                    d, m = shape[0], shape[1:]
+                    added += [(d,) + p for p in _arrangements(m, memo)]
+                    for four in combinations(range(NUM_POINTS), 4):
+                        rest = (x for i, x in enumerate(m) if i not in four)
+                        ints = [d, *(m[i] for i in four), *rest]
+                        _act((0,), ints)
+                        queue.append((ints[0], *sorted(ints[1:])))
             self.vectors += tuple(sorted(added))
             self.degree = max_degree
         return bisect_left(self.vectors, (max_degree + 1,))

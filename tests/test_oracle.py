@@ -6,6 +6,7 @@ import pytest
 
 from blowupcones import oracle
 from blowupcones.oracle import PreparedCone
+from blowupcones.weyl import _HALF_ANTICANONICAL_INTS, _orbit_vectors
 from blowupcones import (
     EXCEPTIONALS,
     H,
@@ -325,3 +326,109 @@ class TestEffectiveMembership:
         generators = effective_generators(2)
         assert HALF_ANTICANONICAL in generators
         assert len(generators) == 233
+
+
+def _per_column_filter(candidates, truncation_degree):
+    columns = _orbit_vectors(truncation_degree) + (_HALF_ANTICANONICAL_INTS,)
+    return tuple(
+        phi for phi in candidates
+        if all(sum(p * x for p, x in zip(phi, v)) >= 0 for v in columns)
+    )
+
+
+@pytest.fixture
+def fresh_oracle_caches():
+    """Empty the orbit table and the oracle's caches before and after a test."""
+    def clear():
+        _orbit_vectors.cache_clear()
+        oracle._effective_cone.cache_clear()
+        oracle._verified_functionals.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+class TestVerifiedFunctionals:
+    def test_candidates_match_per_column_filter(self, fresh_oracle_caches):
+        # Highest degree first, so every slice is reached through the recursion.
+        for degree in range(13, -2, -1):
+            expected = _per_column_filter(oracle._CANDIDATE_FUNCTIONALS, degree)
+            assert oracle._verified_functionals(degree) == expected
+        assert len(oracle._verified_functionals(13)) == 10
+
+    def test_failing_candidates_dropped_at_their_degree(self, monkeypatch, fresh_oracle_caches):
+        # a(4d - sum m) + m_1 - m_2 = a + m_1 - m_2 on the orbit: it first fails
+        # at degree 0, 2, 4, 8 and 12 for a = 0..4 and holds to degree 13 for
+        # a = 5.  Further candidates have 1, 2 and 3 non-zero rows, plus random
+        # ones; the real candidates stay in.
+        rng = random.Random(20250810)
+        extra = [(4 * a, 1 - a, -1 - a) + (-a,) * 6 for a in range(6)]
+        extra += [(c, -1, -1) + (0,) * 6 for c in range(1, 5)]
+        extra += [(1,) + (0,) * 7 + (-1,), (0,) * 8 + (-1,), (0,) * 3 + (1,) + (0,) * 5]
+        extra += [tuple(rng.randint(-2, 4) for _ in range(9)) for _ in range(20)]
+        candidates = oracle._CANDIDATE_FUNCTIONALS + tuple(v for v in extra if any(v))
+        monkeypatch.setattr(oracle, "_CANDIDATE_FUNCTIONALS", candidates)
+        counts = []
+        for degree in range(13, -2, -1):
+            expected = _per_column_filter(candidates, degree)
+            assert oracle._verified_functionals(degree) == expected
+            counts.append(len(expected))
+        assert len(set(counts)) >= 6
+
+
+class TestEffectiveConeValidation:
+    """Each orbit column is validated once, by the first cone it enters."""
+
+    @staticmethod
+    def _poison(degree, value, low=0):
+        # Build the table without the oracle, then corrupt one column of
+        # degree above `low`.
+        count = _orbit_vectors.prefix(degree)
+        start = _orbit_vectors.prefix(low)
+        vectors = list(_orbit_vectors.vectors)
+        j = (start + count) // 2
+        vectors[j] = (value,) + vectors[j][1:]
+        _orbit_vectors.vectors = tuple(vectors)
+
+    @pytest.mark.parametrize("value", [True, 1.0])
+    def test_bad_entry_rejected(self, fresh_oracle_caches, value):
+        self._poison(4, value)
+        with pytest.raises(TypeError):
+            oracle._effective_cone(4)
+
+    @pytest.mark.parametrize("value", [True, 1.0])
+    def test_bad_entry_rejected_after_cache_clear(self, fresh_oracle_caches, value):
+        oracle._effective_cone(4)
+        _orbit_vectors.cache_clear()
+        oracle._effective_cone.cache_clear()
+        self._poison(4, value)
+        with pytest.raises(TypeError):
+            oracle._effective_cone(4)
+
+    @pytest.mark.parametrize("value", [True, 1.0])
+    def test_bad_entry_in_new_slice_rejected(self, fresh_oracle_caches, value):
+        oracle._effective_cone(3)
+        self._poison(5, value, low=3)
+        with pytest.raises(TypeError):
+            oracle._effective_cone(5)
+
+    def test_bad_dimension_rejected(self, fresh_oracle_caches):
+        oracle._effective_cone(2)
+        count = _orbit_vectors.prefix(3)
+        _orbit_vectors.vectors = _orbit_vectors.vectors[: count - 1] + ((3, 1),)
+        with pytest.raises(ValueError):
+            oracle._effective_cone(3)
+
+    def test_cap_checked_per_cone(self, monkeypatch, fresh_oracle_caches):
+        oracle._effective_cone(2)
+        monkeypatch.setattr(oracle, "MAX_GENERATORS", len(oracle._effective_cone(2)))
+        with pytest.raises(ScaleExceeded):
+            oracle._effective_cone(3)
+
+    def test_shared_columns_validated_once(self, fresh_oracle_caches):
+        for degree in (3, 6, 5, 13):
+            cone = oracle._effective_cone(degree)
+            assert cone[:-1] == _orbit_vectors(degree)
+            assert cone[-1] == _HALF_ANTICANONICAL_INTS
+        assert _orbit_vectors.checked == _orbit_vectors.prefix(13)

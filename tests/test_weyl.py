@@ -1,4 +1,5 @@
 import itertools
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,8 @@ from blowupcones import (
     reflect,
     to_standard_form,
 )
+
+from blowupcones.weyl import _OrbitTable
 
 from conftest import generator_letters, int_divisors, rational_divisors, words
 
@@ -236,6 +239,57 @@ class TestOrbit:
     def test_bad_bound(self):
         with pytest.raises(ValueError):
             exceptional_orbit(-1)
+
+
+def breadth_first_orbit(max_degree):
+    """Reference enumeration: closure of the exceptional vectors under s_0..s_7.
+
+    Breadth-first over whole coefficient vectors, pruning anything above the
+    degree bound, with its own copy of the Weyl action.
+    """
+    seen, queue = set(), deque(tuple(int(x) for x in e.vector()) for e in EXCEPTIONALS)
+    while queue:
+        image = queue.popleft()
+        if image[0] > max_degree or image in seen:
+            continue
+        seen.add(image)
+        d, *m = image
+        t = 2 * d - (m[0] + m[1] + m[2] + m[3])
+        queue.append((d + t, m[0] + t, m[1] + t, m[2] + t, m[3] + t, *m[4:]))
+        queue.extend((d, *m[:i], m[i + 1], m[i], *m[i + 2 :]) for i in range(7))
+    return tuple(sorted(seen))
+
+
+class TestOrbitTable:
+    def test_matches_breadth_first_reference(self):
+        growing = _OrbitTable()
+        for bound in range(10):
+            reference = breadth_first_orbit(bound)
+            assert _OrbitTable()(bound) == reference
+            assert growing(bound) == reference
+
+    def test_bound_order_does_not_matter(self):
+        direct, stepped = _OrbitTable(), _OrbitTable()
+        direct.prefix(13)
+        for bound in (5, 9, 13, 7):
+            stepped.prefix(bound)
+        assert stepped.vectors == direct.vectors
+        for bound in range(-1, 15):
+            assert stepped.prefix(bound) == direct.prefix(bound)
+        assert stepped.classes(7) == direct.classes(7)
+
+    def test_cache_clear_starts_over(self):
+        table = _OrbitTable()
+        table.prefix(6)
+        table.checked = 5
+        table.cache_clear()
+        assert (table.vectors, table.degree, table.checked) == ((), -1, 0)
+        assert table(4) == breadth_first_orbit(4)
+
+    def test_degree_counts_to_thirteen(self):
+        counts = orbit_degree_counts(13)
+        assert sorted(counts) == list(range(14))
+        assert sum(counts.values()) == 37480
 
 
 class TestMinusOne:
