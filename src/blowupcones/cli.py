@@ -36,7 +36,7 @@ from .cones import (
     nef_decompose,
 )
 from .lattice import CurveClass, DivisorClass
-from .oracle import ConeProblem, Feasible, ScaleExceeded, cone_member
+from .oracle import Feasible, ScaleExceeded, cone_member, curve_problem, divisor_problem
 from .weyl import (
     DEFAULT_MAX_STEPS,
     StepLimitExceeded,
@@ -234,7 +234,10 @@ def _cmd_check_minus_one(args) -> int:
     lines = []
     for text in _gather_inputs(args):
         divisor = DivisorClass.parse(text)
-        word = minus_one_certificate(divisor, max_steps=args.max_steps)
+        # A (-1)-class is integral, so a p/q class is simply not one.
+        word = None
+        if divisor.is_integral():
+            word = minus_one_certificate(divisor, max_steps=args.max_steps)
         if args.format == "json":
             record = {"input": str(divisor), "minus_one": word is not None}
             if word is not None:
@@ -249,11 +252,12 @@ def _cmd_check_minus_one(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    parse = CurveClass.parse if args.curves else DivisorClass.parse
+    parse, problem = (
+        (CurveClass.parse, curve_problem) if args.curves else (DivisorClass.parse, divisor_problem)
+    )
     target = parse(args.target)
     generators = [parse(line) for line in _read_lines(args.generators)]
-    problem = ConeProblem(target.vector(), tuple(g.vector() for g in generators))
-    outcome = cone_member(problem)
+    outcome = cone_member(problem(target, generators))
     if isinstance(outcome, Feasible):
         record = {
             "outcome": "feasible",

@@ -7,6 +7,16 @@ inverse.  A membership query either returns non-negative rational coefficients
 that re-sum to the target, or a separating functional that is non-negative on
 all generators and negative on the target; both certificates are re-checked
 in integer arithmetic before they are returned.
+
+Two generator sets are prepared: validated once and kept as integer columns
+(`PreparedCone`), so a query checks only its target.  The effective-cone
+truncations are cached per degree.  `divisor_problem` (and its alias
+`curve_problem`) keeps the last integral generator *tuple* it was given with
+its cone, such as `nef_generators()` or `curve_generators()`, which return one
+cached tuple.  The memo is matched by identity, not by value: holding the tuple
+keeps its id from being reused, and a tuple of frozen classes cannot change.
+Lists can change between calls, and rational sets need row scaling, so both
+are built and scaled afresh for every query.
 """
 
 from __future__ import annotations
@@ -15,8 +25,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from itertools import chain, islice, repeat
-from operator import add, mul
+from itertools import chain, compress, count, islice, repeat
+from operator import add, gt, lt, mul
 
 from .lattice import HALF_ANTICANONICAL, CurveClass, DivisorClass
 from .weyl import _HALF_ANTICANONICAL_INTS, _orbit_vectors
@@ -98,7 +108,23 @@ class Infeasible:
     functional: tuple[Fraction, ...]
 
 
+# The last integral generator tuple and its PreparedCone (see the module docstring).
+_memo: tuple = ((), None)
+
+
 def divisor_problem(target: DivisorClass | CurveClass, generators) -> ConeProblem:
+    """The membership problem of `target` over the generators' coefficient vectors."""
+    global _memo
+    if type(generators) is tuple and generators:
+        held, cone = _memo
+        if generators is not held:
+            vectors = [g.vector() for g in generators]
+            entries = chain.from_iterable(vectors)
+            if not all(type(x) is Fraction and x.denominator == 1 for x in entries):
+                return ConeProblem(target.vector(), tuple(vectors))
+            cone = PreparedCone(tuple(x.numerator for x in v) for v in vectors)
+            _memo = (generators, cone)
+        return ConeProblem(target.vector(), cone)
     return ConeProblem(target.vector(), tuple(g.vector() for g in generators))
 
 
@@ -141,7 +167,7 @@ def _solve(columns: tuple[tuple[int, ...], ...], target) -> Feasible | Infeasibl
         return Feasible(tuple(coefficients))
     functional = tuple(Fraction(-y * s, det) for y, s in zip(dual, scale))
     psi = _cleared(functional)
-    if any(sum(map(mul, psi, a)) < 0 for a in columns):
+    if any(map(gt, repeat(0), _dots(psi, columns))):
         raise RuntimeError("internal error: separating functional negative on a generator")
     if sum(map(mul, psi, _cleared(target))) >= 0:
         raise RuntimeError("internal error: separating functional non-negative on target")
@@ -164,7 +190,7 @@ def _simplex(columns, scale, rhs):
     basis = list(range(n, n + rows))
     while True:
         price = [(zi + det) * s for zi, s in zip(z, scale)]
-        entering = next((j for j, a in enumerate(columns) if sum(map(mul, price, a)) > 0), -1)
+        entering = next(compress(count(), map(lt, repeat(0), _dots(price, columns))), -1)
         if entering >= 0:
             reduced = sum(map(mul, price, columns[entering]))
             scaled = [s * x for s, x in zip(scale, columns[entering])]
@@ -175,10 +201,9 @@ def _simplex(columns, scale, rhs):
                 break
             entering, reduced = n + artificial, z[artificial]
             column = [row[artificial] for row in inverse]
-        ratios = [(Fraction(beta[i], a), basis[i], i) for i, a in enumerate(column) if a > 0]
-        if not ratios:
+        leaving = _leaving_row(column, beta, basis)
+        if leaving < 0:
             raise RuntimeError("phase-1 simplex became unbounded; this cannot happen")
-        leaving = min(ratios)[2]
         pivot, row_l, rhs_l = column[leaving], inverse[leaving], beta[leaving]
         for i, factor in enumerate(column):
             if i != leaving:
@@ -189,6 +214,28 @@ def _simplex(columns, scale, rhs):
     if any(basis[i] >= n and beta[i] != 0 for i in range(rows)):
         return None, [zi + det for zi in z], det
     return {basis[i]: beta[i] for i in range(rows) if basis[i] < n}, None, det
+
+
+def _dots(vector, columns):
+    """vector . a for each column a, lazily, with no Python frame per column."""
+    return map(sum, map(map, repeat(mul), repeat(vector), columns))
+
+
+def _leaving_row(column, beta, basis) -> int:
+    """Row i with column[i] > 0 of least ratio beta[i] / column[i], ties to least basis[i].
+
+    The ratios are compared cross-multiplied, in integers; -1 if no entry is positive.
+    """
+    leaving = -1
+    for i, a in enumerate(column):
+        if a > 0:
+            if leaving < 0:
+                leaving = i
+                continue
+            delta = beta[i] * column[leaving] - beta[leaving] * a
+            if delta < 0 or (delta == 0 and basis[i] < basis[leaving]):
+                leaving = i
+    return leaving
 
 
 def _cleared(vector) -> tuple[int, ...]:
@@ -289,7 +336,7 @@ def effective_membership(
             continue
         if carried is not None:
             added = cone[_orbit_vectors.prefix(carried_degree) : -1]
-            if all(sum(map(mul, carried_psi, v)) >= 0 for v in added):
+            if not any(map(gt, repeat(0), _dots(carried_psi, added))):
                 carried_degree = degree
                 outcome = Infeasible(carried)
                 continue

@@ -266,6 +266,21 @@ class TestCheckMinusOne:
         assert lines[0].endswith("yes (word: 0,4,5,6,7)")
         assert lines[1].endswith("no")
 
+    def test_rational_class_is_no(self, capsys):
+        # A (-1)-class is integral, so a p/q class is answered, not rejected.
+        code, out, err = run(
+            capsys, "check-minus-one", "1/2;1/2,0,0,0,0,0,0,0", "1;1,1,1,0,0,0,0,0"
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "1/2;1/2,0,0,0,0,0,0,0: no", "1;1,1,1,0,0,0,0,0: yes (word: 0,4,5,6,7)"
+        ]
+        code, out, _ = run(
+            capsys, "check-minus-one", "--format", "json", "3/2;1,1/2,1/2,1/2,0,0,0,0"
+        )
+        assert code == 0
+        assert json.loads(out) == {"input": "3/2;1,1/2,1/2,1/2,0,0,0,0", "minus_one": False}
+
 
 class TestOracleCommand:
     def test_infeasible_with_functional(self, capsys, tmp_path):

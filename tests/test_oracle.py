@@ -33,6 +33,11 @@ from blowupcones import (
 )
 
 
+def generic_problem(target, generators):
+    """The problem as built without preparing: Fraction vectors, scaled per query."""
+    return ConeProblem(target.vector(), tuple(g.vector() for g in generators))
+
+
 def check_feasible(problem, outcome):
     dim = len(problem.target)
     total = [Fraction(0)] * dim
@@ -160,6 +165,167 @@ class TestPreparedCone:
             assert prepared == cone_member(ConeProblem(target, columns))
 
 
+class TestPreparedMemo:
+    """divisor_problem prepares the last integral generator tuple once."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_memo", ((), None))
+
+    TARGETS = (
+        H,
+        EXCEPTIONALS[0],
+        HALF_ANTICANONICAL,
+        DivisorClass(2, (1, 1, 1, 1, 1, 1, 1, 0)),
+        DivisorClass(Fraction(5, 2), (Fraction(3, 2),) * 4 + (0,) * 4),
+    )
+
+    def test_same_tuple_same_cone(self):
+        generators = nef_generators()
+        first = divisor_problem(H, generators).generators
+        assert isinstance(first, PreparedCone)
+        assert divisor_problem(HALF_ANTICANONICAL, generators).generators is first
+        assert curve_problem(H, generators).generators is first
+
+    def test_alternating_tuples(self):
+        pair = (nef_generators(), exceptional_orbit(2) + (HALF_ANTICANONICAL,))
+        for _ in range(2):
+            for generators in pair:
+                for target in self.TARGETS:
+                    problem = divisor_problem(target, generators)
+                    assert len(problem.generators) == len(generators)
+                    outcome = cone_member(problem)
+                    assert repr(outcome) == repr(cone_member(generic_problem(target, generators)))
+
+    def test_mutated_list_is_not_memoised(self):
+        generators = list(nef_generators())
+        target = EXCEPTIONALS[0]
+        assert isinstance(cone_member(divisor_problem(target, generators)), Infeasible)
+        generators.append(target)
+        problem = divisor_problem(target, generators)
+        assert not isinstance(problem.generators, PreparedCone)
+        assert isinstance(cone_member(problem), Feasible)
+
+    def test_rational_tuple_not_prepared(self):
+        generators = nef_generators()[1:] + (DivisorClass(Fraction(1, 2), (0,) * 8),)
+        for target in self.TARGETS:
+            problem = divisor_problem(target, generators)
+            assert not isinstance(problem.generators, PreparedCone)
+            expected = cone_member(generic_problem(target, generators))
+            assert repr(cone_member(problem)) == repr(expected)
+
+    def test_curve_generators(self):
+        problem = curve_problem(CurveClass(1, (0,) * 8), curve_generators())
+        assert isinstance(problem.generators, PreparedCone)
+
+    def test_criterion_3_sample_matches_generic_path(self):
+        generators = nef_generators()
+        grid = [DivisorClass(d, m) for d in range(5)
+                for m in itertools.combinations_with_replacement(range(4, -1, -1), 8)]
+        kinds = set()
+        for divisor in random.Random(3).sample(grid, 150):
+            outcome = cone_member(divisor_problem(divisor, generators))
+            assert repr(outcome) == repr(cone_member(generic_problem(divisor, generators)))
+            kinds.add(type(outcome))
+        assert kinds == {Feasible, Infeasible}
+
+
+def _reference_leaving_row(column, beta, basis):
+    """The ratio test as a Fraction minimum, ties to the smaller basis index."""
+    ratios = [(Fraction(beta[i], a), basis[i], i) for i, a in enumerate(column) if a > 0]
+    return min(ratios)[2] if ratios else -1
+
+
+def _reference_simplex(columns, scale, rhs):
+    """`oracle._simplex` with per-column pricing and the Fraction ratio test."""
+    rows, n = len(rhs), len(columns)
+    inverse = [[int(i == k) for k in range(rows)] for i in range(rows)]
+    beta, z, det = list(rhs), [0] * rows, 1
+    basis = list(range(n, n + rows))
+    while True:
+        price = [(zi + det) * s for zi, s in zip(z, scale)]
+        dots = [sum(p * x for p, x in zip(price, a)) for a in columns]
+        entering = next((j for j, dot in enumerate(dots) if dot > 0), -1)
+        if entering >= 0:
+            reduced = dots[entering]
+            scaled = [s * x for s, x in zip(scale, columns[entering])]
+            column = [sum(r * x for r, x in zip(row, scaled)) for row in inverse]
+        else:
+            artificial = next((i for i in range(rows) if z[i] > 0), -1)
+            if artificial < 0:
+                break
+            entering, reduced = n + artificial, z[artificial]
+            column = [row[artificial] for row in inverse]
+        leaving = _reference_leaving_row(column, beta, basis)
+        pivot, row_l, rhs_l = column[leaving], inverse[leaving], beta[leaving]
+        for i, factor in enumerate(column):
+            if i != leaving:
+                inverse[i] = [(pivot * x - factor * y) // det for x, y in zip(inverse[i], row_l)]
+                beta[i] = (pivot * beta[i] - factor * rhs_l) // det
+        z = [(pivot * x - reduced * y) // det for x, y in zip(z, row_l)]
+        basis[leaving], det = entering, pivot
+    if any(basis[i] >= n and beta[i] != 0 for i in range(rows)):
+        return None, [zi + det for zi in z], det
+    return {basis[i]: beta[i] for i in range(rows) if basis[i] < n}, None, det
+
+
+def _degenerate_lps(seed=11, count=300):
+    # Small 0/1/2 systems with zeros in the right-hand side tie often.
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows = rng.randint(2, 5)
+        columns = tuple(tuple(rng.choice((0, 0, 1, 1, 2)) for _ in range(rows))
+                        for _ in range(rng.randint(2, 8)))
+        scale = tuple(rng.choice((1, -1, 2)) for _ in range(rows))
+        rhs = tuple(rng.choice((0, 0, 1, 2)) for _ in range(rows))
+        yield columns, scale, rhs
+
+
+class TestPivotRule:
+    """Bland pricing and the integer ratio test pivot as the Fraction reference."""
+
+    def test_leaving_row_matches_reference(self):
+        rng = random.Random(5)
+        for _ in range(3000):
+            rows = rng.randint(1, 9)
+            column = [rng.randint(-2, 3) for _ in range(rows)]
+            beta = [rng.randint(0, 3) for _ in range(rows)]
+            basis = rng.sample(range(2 * rows), rows)
+            expected = _reference_leaving_row(column, beta, basis)
+            assert oracle._leaving_row(column, beta, basis) == expected
+
+    def test_degenerate_lps_break_ties_by_basis_index(self, monkeypatch):
+        calls = []
+        leaving_row = oracle._leaving_row
+
+        def recorded(column, beta, basis):
+            calls.append((list(column), list(beta), list(basis)))
+            return leaving_row(column, beta, basis)
+
+        monkeypatch.setattr(oracle, "_leaving_row", recorded)
+        for columns, scale, rhs in _degenerate_lps():
+            assert oracle._simplex(columns, scale, rhs) == _reference_simplex(columns, scale, rhs)
+        first_loses = last_loses = 0
+        for column, beta, basis in calls:
+            expected = _reference_leaving_row(column, beta, basis)
+            assert leaving_row(column, beta, basis) == expected
+            best = Fraction(beta[expected], column[expected])
+            tied = [i for i, a in enumerate(column) if a > 0 and Fraction(beta[i], a) == best]
+            first_loses += tied[0] != expected
+            last_loses += tied[-1] != expected
+        # Ties where neither the first nor the last tied row is the answer.
+        assert first_loses and last_loses
+
+    def test_nef_sample_matches_reference(self):
+        columns = divisor_problem(H, nef_generators()).generators
+        rng = random.Random(614)
+        for _ in range(40):
+            d = rng.randint(0, 6)
+            rhs = (d, *(rng.randint(0, d) for _ in range(8)))
+            scale = (1, *(rng.choice((1, 1, -1)) for _ in range(8)))
+            assert oracle._simplex(columns, scale, rhs) == _reference_simplex(columns, scale, rhs)
+
+
 def _corrupt_simplex(monkeypatch, corrupt):
     solve = oracle._simplex
 
@@ -180,7 +346,7 @@ class TestIntegerVerification:
 
     @staticmethod
     def _problems(target, generators):
-        generic = divisor_problem(target, generators)
+        generic = generic_problem(target, generators)
         columns = tuple(tuple(int(x) for x in g.vector()) for g in generators)
         return generic, ConeProblem(target.vector(), PreparedCone(columns))
 
@@ -319,7 +485,7 @@ class TestEffectiveMembership:
             if isinstance(report.outcome, Feasible):
                 feasible += 1
                 generators = effective_generators(report.truncation_degree)
-                assert report.outcome == cone_member(divisor_problem(divisor, generators))
+                assert report.outcome == cone_member(generic_problem(divisor, generators))
         assert feasible >= 10
 
     def test_generator_list_contains_q(self):
