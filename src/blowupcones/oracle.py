@@ -9,22 +9,36 @@ all generators and negative on the target; both certificates are re-checked
 in integer arithmetic before they are returned.
 
 Two generator sets are prepared: validated once and kept as integer columns
-(`PreparedCone`), so a query checks only its target.  The effective-cone
-truncations are cached per degree.  `divisor_problem` (and its alias
-`curve_problem`) keeps the last integral generator *tuple* it was given with
-its cone, such as `nef_generators()` or `curve_generators()`, which return one
-cached tuple.  The memo is matched by identity, not by value: holding the tuple
-keeps its id from being reused, and a tuple of frozen classes cannot change.
-Lists can change between calls, and rational sets need row scaling, so both
-are built and scaled afresh for every query.
+(`PreparedCone`), so a query checks only its target.  An effective-cone
+truncation is the orbit table up to a degree plus -K/2; only the last one
+built is kept.  `divisor_problem` (and its alias `curve_problem`) keeps the
+last integral generator *tuple* it was given with its cone, such as
+`nef_generators()` or `curve_generators()`, which return one cached tuple.
+The memo is matched by identity, not by value: holding the tuple keeps its id
+from being reused, and a tuple of frozen classes cannot change.  Lists can
+change between calls, and rational sets need row scaling, so both are built
+and scaled afresh for every query.
+
+Pricing packs each run of at least 1024 columns of a prepared cone, 1024 at
+a time, into one Python int per row with a 16-bit field per column, so one
+pass over a block is 9 big-int multiply-adds; a field's top bit says whether
+that column's price is positive.  It enters the same column as pricing one
+column at a time, so the pivots, coefficients and functionals do not change.
+A block whose prices could overflow a field, a shorter run, and unprepared
+columns are priced exactly by dot products instead.  The orbit table's blocks follow
+its degree slices: every truncation shares them, they are built at the first
+LP that needs them (about 0.7 MB to degree 13) and `_orbit_vectors.cache_clear()`
+drops them.  Any other prepared cone packs its own.  The certificate checks
+never use the packed blocks: they re-sum and re-price with plain dot products.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import chain, compress, count, islice, repeat
 from operator import add, gt, lt, mul
 
@@ -35,6 +49,10 @@ MAX_DIMENSION = 10
 # Desk scale with headroom for the effective-cone truncations: stabilizing a
 # degree-8 target checks the exceptional orbit up to degree 13 (37480 classes).
 MAX_GENERATORS = 60_000
+# Bland's rule cannot cycle, and no LP of the acceptance suite takes more than
+# 103 pivots, so passing this many means the pricing is at fault: it fails
+# instead of looping.
+MAX_PIVOTS = 10_000
 
 
 class ScaleExceeded(ValueError):
@@ -66,6 +84,10 @@ class PreparedCone(tuple):
     ConeProblem on a PreparedCone checks only its target and skips scaling.
     """
 
+    #: Set on an effective truncation: its columns are the orbit table up to
+    #: this degree, then -K/2, and it prices with the table's packed blocks.
+    degree: int | None = None
+
     def __new__(cls, generators, checked: int = 0):
         cone = super().__new__(cls, generators)
         _check_shape(len(cone[0]) if cone else 0, cone, checked)
@@ -73,6 +95,16 @@ class PreparedCone(tuple):
             if type(value) is not int:
                 raise TypeError(f"integer generator entry required, got {value!r}")
         return cone
+
+    def blocks(self):
+        """The packed pricing blocks (see `_pack`), in column order."""
+        if self.degree is None:
+            return self._own_blocks
+        return chain.from_iterable(map(_orbit_blocks, range(self.degree + 1)))
+
+    @cached_property
+    def _own_blocks(self):
+        return _pack(self, 0, len(self))
 
 
 @dataclass(frozen=True)
@@ -188,9 +220,9 @@ def _simplex(columns, scale, rhs):
     inverse = [[int(i == k) for k in range(rows)] for i in range(rows)]
     beta, z, det = list(rhs), [0] * rows, 1
     basis = list(range(n, n + rows))
-    while True:
+    for _ in range(MAX_PIVOTS + 1):
         price = [(zi + det) * s for zi, s in zip(z, scale)]
-        entering = next(compress(count(), map(lt, repeat(0), _dots(price, columns))), -1)
+        entering = _entering(price, columns)
         if entering >= 0:
             reduced = sum(map(mul, price, columns[entering]))
             scaled = [s * x for s, x in zip(scale, columns[entering])]
@@ -211,6 +243,8 @@ def _simplex(columns, scale, rhs):
                 beta[i] = (pivot * beta[i] - factor * rhs_l) // det
         z = [(pivot * x - reduced * y) // det for x, y in zip(z, row_l)]
         basis[leaving], det = entering, pivot
+    else:
+        raise RuntimeError(f"phase-1 simplex passed {MAX_PIVOTS} pivots; its pricing is at fault")
     if any(basis[i] >= n and beta[i] != 0 for i in range(rows)):
         return None, [zi + det for zi in z], det
     return {basis[i]: beta[i] for i in range(rows) if basis[i] < n}, None, det
@@ -219,6 +253,11 @@ def _simplex(columns, scale, rhs):
 def _dots(vector, columns):
     """vector . a for each column a, lazily, with no Python frame per column."""
     return map(sum, map(map, repeat(mul), repeat(vector), columns))
+
+
+def _first_positive(price, columns) -> int:
+    """The first j with price . columns[j] > 0, or -1, by `_dots`."""
+    return next(compress(count(), map(lt, repeat(0), _dots(price, columns))), -1)
 
 
 def _leaving_row(column, beta, basis) -> int:
@@ -242,6 +281,79 @@ def _cleared(vector) -> tuple[int, ...]:
     """The vector times the lcm of its denominators, a positive integer multiple."""
     lcm = math.lcm(*(x.denominator for x in vector))
     return tuple(x.numerator * (lcm // x.denominator) for x in vector)
+
+
+# Packed pricing.  Row i of a block of columns a_0..a_{n-1} is the one int
+# sum_j a_ij 2^(16 j).  Then sum_i price_i row_i + _BIAS * sum_j 2^(16 j) holds
+# price . a_j + 2^15 - 1 in its 16-bit field j, as long as every field lies in
+# [0, 2^16): _GUARD keeps |price . a_j| < 2^14.  A field's top bit is then set
+# exactly when price . a_j >= 1, and to_bytes puts the top bits in the odd
+# bytes.  16-bit fields keep the blocks small; on every LP of the acceptance
+# suite and the benchmark, sum |price_i| stays below 128 and the largest entry
+# is 13, far inside the guard.
+# Only runs of at least one block are packed: the orbit slices of degree >= 6
+# and prepared cones of >= _BLOCK columns.  Shorter runs (the orbit slices of
+# degree <= 5, the nef and curve generators) keep `_dots`.  Packing them too
+# is faster still, but the benchmark harness keeps every request it serves, so
+# its peak RSS would then pass its bound (see CHANGES.md).
+_BLOCK = 1024
+_BIAS = (1 << 15) - 1
+_GUARD = 1 << 14
+_TOP_BIT = bytes(b >> 7 for b in range(256))
+
+
+def _entering(price, columns) -> int:
+    """Bland's entering column: the first j with price . columns[j] > 0, or -1.
+
+    The packed blocks of a PreparedCone take 9 big-int multiply-adds each.
+    The columns between and after them, a block whose fields this price could
+    overflow, and all other columns are priced by `_dots`, in column order.
+    """
+    weight, start = sum(map(abs, price)), 0
+    for low, high, bound, bias, rows in columns.blocks() if isinstance(columns, PreparedCone) else ():
+        if weight * bound >= _GUARD:
+            continue
+        if start < low:
+            hit = _first_positive(price, columns[start:low])
+            if hit >= 0:
+                return start + hit
+        total = sum(map(mul, price, rows), bias)
+        hit = total.to_bytes(2 * (high - low), "little")[1::2].translate(_TOP_BIT).find(1)
+        if hit >= 0:
+            return low + hit
+        start = high
+    hit = _first_positive(price, columns[start:] if start else columns)
+    return start + hit if hit >= 0 else -1
+
+
+def _pack(columns, start: int, stop: int) -> list:
+    """Blocks (low, high, bound, bias, rows) of columns[start:stop], in order.
+
+    A run of at least _BLOCK columns is cut into blocks of at most _BLOCK; a
+    shorter run, and a block with an entry too large for a field, get none.
+    bound is a block's largest |a_ij|.
+    """
+    blocks = []
+    for low in range(start, stop, _BLOCK) if stop - start >= _BLOCK else ():
+        high = min(low + _BLOCK, stop)
+        chunk, ones = columns[low:high], ((1 << 16 * (high - low)) - 1) // 0xFFFF
+        bound = max(map(abs, chain.from_iterable(chunk)))
+        if bound < _GUARD:
+            # Two's complement with each field's top bit flipped is a + 2^15.
+            top, fmt = ones << 15, f"<{high - low}h"
+            rows = tuple((int.from_bytes(struct.pack(fmt, *row), "little") ^ top) - top
+                         for row in zip(*chunk))
+            blocks.append((low, high, bound, _BIAS * ones, rows))
+    return blocks
+
+
+def _orbit_blocks(degree: int) -> list:
+    """The blocks of the orbit table's degree slice, kept on the table from first use."""
+    blocks = _orbit_vectors.packed.get(degree)
+    if blocks is None:
+        start, stop = _orbit_vectors.prefix(degree - 1), _orbit_vectors.prefix(degree)
+        blocks = _orbit_vectors.packed[degree] = _pack(_orbit_vectors.vectors, start, stop)
+    return blocks
 
 
 # -- effective-cone membership with per-instance truncation ----------------------
@@ -268,12 +380,14 @@ def effective_generators(truncation_degree: int) -> tuple[DivisorClass, ...]:
     return _orbit_vectors.classes(truncation_degree) + (HALF_ANTICANONICAL,)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _effective_cone(truncation_degree: int) -> PreparedCone:
     # The columns are references into the shared orbit table, not copies, each
     # validated by the first cone it enters (`checked` resets with the table).
+    # Only the last cone is kept: at degree 13 one holds 37 481 references.
     orbit, checked = _orbit_vectors(truncation_degree), _orbit_vectors.checked
     cone = PreparedCone(orbit + (_HALF_ANTICANONICAL_INTS,), min(checked, len(orbit)))
+    cone.degree = truncation_degree
     _orbit_vectors.checked = max(checked, len(orbit))
     return cone
 
@@ -327,21 +441,22 @@ def effective_membership(
     carried: tuple[Fraction, ...] | None = None
     carried_degree = -1
     for degree in range(base, base + window + 1):
-        cone = _effective_cone(degree)
-        count = len(cone)
+        count = _orbit_vectors.prefix(degree) + 1
+        if _orbit_vectors.checked < count - 1:
+            _effective_cone(degree)  # validates the new orbit columns
         checked.append(degree)
         shortcut = _separating_shortcut(_cleared(target), degree)
         if shortcut is not None:
             outcome = shortcut
             continue
         if carried is not None:
-            added = cone[_orbit_vectors.prefix(carried_degree) : -1]
+            added = _orbit_vectors.vectors[_orbit_vectors.prefix(carried_degree) : count - 1]
             if not any(map(gt, repeat(0), _dots(carried_psi, added))):
                 carried_degree = degree
                 outcome = Infeasible(carried)
                 continue
             carried = None
-        outcome = cone_member(ConeProblem(target, cone))
+        outcome = cone_member(ConeProblem(target, _effective_cone(degree)))
         if isinstance(outcome, Feasible):
             return MembershipReport(outcome, degree, tuple(checked), count, True)
         carried = outcome.functional

@@ -235,6 +235,7 @@ class _OrbitTable:
         self.vectors: tuple[tuple[int, ...], ...] = ()
         self.degree = -1
         self.checked = 0  # leading vectors oracle._effective_cone has validated
+        self.packed: dict[int, list] = {}  # oracle's pricing blocks per degree slice
         self._shapes: set[tuple[int, ...]] = set()
         self._pruned = {(0, -1) + (0,) * (NUM_POINTS - 1)}  # the exceptional shape
         self._classes: list[DivisorClass] = []

@@ -1,5 +1,6 @@
 import itertools
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -324,6 +325,229 @@ class TestPivotRule:
             rhs = (d, *(rng.randint(0, d) for _ in range(8)))
             scale = (1, *(rng.choice((1, 1, -1)) for _ in range(8)))
             assert oracle._simplex(columns, scale, rhs) == _reference_simplex(columns, scale, rhs)
+
+
+def _reference_entering(price, columns):
+    """Bland's entering column priced one column at a time."""
+    for j, a in enumerate(columns):
+        if sum(p * x for p, x in zip(price, a)) > 0:
+            return j
+    return -1
+
+
+def _unpacked(block):
+    """The columns a block was packed from, read back from its 16-bit fields."""
+    start, stop, _, _, rows = block
+    width = stop - start
+    top = sum(1 << 16 * j + 15 for j in range(width))
+    fields = [struct.unpack(f"<{width}H", (row + top).to_bytes(2 * width, "little"))
+              for row in rows]
+    return tuple(tuple(x - (1 << 15) for x in column) for column in zip(*fields))
+
+
+class TestPackedPricing:
+    """The packed kernel enters the column `_dots` pricing enters, on any prices."""
+
+    EDGES = (0, 1, 1023, 1024, 1025, 2047, 2048, 2499)
+
+    @staticmethod
+    def _orthogonal(rng, price, count, bound=20):
+        # Columns with price . a == 0 exactly: solve for the entry under the
+        # first non-zero price (kept within the entry bound by rejection).
+        i = next(i for i, p in enumerate(price) if p)
+        columns = []
+        while len(columns) < count:
+            a = [rng.randint(-bound, bound) for _ in price]
+            a[i] = 0
+            rest = sum(p * x for p, x in zip(price, a))
+            if rest % price[i] == 0 and abs(rest // price[i]) <= bound:
+                a[i] = -rest // price[i]
+                columns.append(tuple(a))
+        return columns
+
+    @staticmethod
+    def _check(price, columns):
+        expected = _reference_entering(price, columns)
+        assert oracle._first_positive(price, columns) == expected
+        assert oracle._entering(price, columns) == expected
+        return expected
+
+    def test_random_signed_columns(self):
+        rng = random.Random(20250810)
+        for _ in range(60):
+            bound = rng.choice((1, 3, 13, 100, 1000, 1 << 40))
+            n = rng.choice((1, 7, 1024, 1500))
+            cone = PreparedCone(tuple(tuple(rng.randint(-bound, bound) for _ in range(9))
+                                      for _ in range(n)))
+            for _ in range(5):
+                price = [rng.randint(-300, 300) for _ in range(9)]
+                self._check(price, cone)
+                self._check([-p for p in price], cone)
+
+    def test_zero_prices_and_first_positive_at_block_edges(self):
+        rng = random.Random(7)
+        price = [3, -2, 5, 0, 1, -7, 2, 0, 4]
+        zeros = self._orthogonal(rng, price, 2500)
+        negative = tuple(-x for x in price)
+        assert sum(p * x for p, x in zip(price, negative)) < 0
+        positive = tuple(price)
+        for edge in self.EDGES:
+            columns = list(zeros)
+            columns[edge // 2] = negative
+            columns[edge] = positive
+            assert self._check(price, PreparedCone(columns)) == edge
+        # Exact zeros (and a negative) only: no column enters.
+        assert self._check(price, PreparedCone(zeros + [negative])) == -1
+
+    def test_smallest_positive_price(self):
+        # price . a == 1 enters and price . a == 0 does not, on both sides of
+        # a block edge and at the largest field the guard allows.
+        price = [1] + [0] * 8
+        for value in (1, oracle._GUARD - 1):
+            columns = [(0,) * 9] * 1024 + [(value,) + (0,) * 8]
+            assert self._check(price, PreparedCone(columns)) == 1024
+            assert self._check([-1] + [0] * 8, PreparedCone(columns)) == -1
+
+    def test_positive_only_at_half_anticanonical_column(self):
+        # A functional separating -K/2 from the orbit, negated: every orbit
+        # column prices <= 0 and the -K/2 column, past the blocks, prices > 0.
+        cone = oracle._effective_cone(6)
+        psi = oracle._cleared(cone_member(ConeProblem(HALF_ANTICANONICAL.vector(),
+                                                      PreparedCone(cone[:-1]))).functional)
+        price = [-x for x in psi]
+        assert self._check(price, cone) == len(cone) - 1
+        assert self._check(psi, cone) >= 0
+
+    def test_prices_past_the_guard(self):
+        # Fields of these sums would overflow 16 bits; such blocks are priced
+        # by `_dots`, with the same answer.
+        rng = random.Random(3)
+        cone = PreparedCone(tuple(tuple(rng.randint(-13, 13) for _ in range(9))
+                                  for _ in range(2100)))
+        for shift in (10, 13, 14, 15, 16, 62, 63, 64, 90):
+            for _ in range(4):
+                price = [rng.randint(-(1 << shift), 1 << shift) for _ in range(9)]
+                self._check(price, cone)
+                self._check([p >> 1 for p in price], cone)
+        # Exact zeros under a price of 2^62 and more, then one positive column.
+        price = [1 << 62, -(1 << 63), 3 << 61] + [0] * 6
+        zeros = self._orthogonal(rng, price, 1500, bound=4)
+        columns = zeros + [(1,) + (0,) * 8] + zeros
+        assert self._check(price, PreparedCone(columns)) == 1500
+
+    def test_block_edges_of_the_guard(self):
+        # sum |price_i| * max |a| just under the guard is priced packed, at the
+        # guard it is not; both give the reference answer.
+        guard = oracle._GUARD
+        columns = [(0,) * 9] * 1018 + [(-1,) + (0,) * 8] * 5 + [(1,) + (0,) * 8]
+        for weight in (guard - 1, guard, guard + 1, 2 * guard, (1 << 62) + 1):
+            assert self._check([weight] + [0] * 8, PreparedCone(columns)) == 1023
+            assert self._check([-weight] + [0] * 8, PreparedCone(columns)) == 1018
+
+    def test_blocks_hold_their_columns(self):
+        rng = random.Random(5)
+        cone = PreparedCone(tuple(tuple(rng.randint(-9, 9) for _ in range(9))
+                                  for _ in range(2500)))
+        blocks = cone.blocks()
+        assert [(b[0], b[1]) for b in blocks] == [(0, 1024), (1024, 2048), (2048, 2500)]
+        for block in blocks:
+            assert _unpacked(block) == cone[block[0] : block[1]]
+        # A cone shorter than one block is priced by `_dots` alone.
+        assert PreparedCone(cone[:1023]).blocks() == []
+        assert divisor_problem(H, nef_generators()).generators.blocks() == []
+
+    def test_effective_truncation_uses_table_slices(self):
+        # Slices of degree 6 and 7 are packed; degrees 0-5 (2192 columns, no
+        # slice of 1024) and -K/2 are left to `_dots`.
+        cone = oracle._effective_cone(7)
+        blocks = list(cone.blocks())
+        ends = [_orbit_vectors.prefix(k) for k in range(5, 8)]
+        assert [b[0] for b in blocks if b[0] in ends] == ends[:-1] == [2192, 3592]
+        assert blocks[-1][1] == ends[-1] == len(cone) - 1
+        for block in blocks:
+            assert block[1] - block[0] <= oracle._BLOCK
+            assert _unpacked(block) == cone[block[0] : block[1]]
+        assert sum(b[1] - b[0] for b in blocks) == ends[-1] - ends[0]
+
+
+class TestPivotCap:
+    def test_pricing_fault_fails_fast(self, monkeypatch):
+        # Entering a column of price 0, such as a basic one, pivots without
+        # progress; without the cap this loops for ever.
+        def faulty(price, columns):
+            return next(j for j, a in enumerate(columns)
+                        if sum(p * x for p, x in zip(price, a)) >= 0)
+
+        monkeypatch.setattr(oracle, "_entering", faulty)
+        problem = divisor_problem(DivisorClass(2, (1, 1, 1, 0, 0, 0, 0, 0)), nef_generators())
+        with pytest.raises(RuntimeError, match="pivots"):
+            cone_member(problem)
+
+    def test_real_lps_stay_far_below_the_cap(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_PIVOTS", 120)
+        generators = nef_generators()
+        grid = itertools.product(range(5), itertools.combinations_with_replacement(range(4, -1, -1), 8))
+        for d, m in itertools.islice(grid, 0, None, 5):
+            cone_member(divisor_problem(DivisorClass(d, m), generators))
+
+
+class TestPricingCaches:
+    """Packed blocks are built once per prepared cone and never go stale."""
+
+    def test_generic_calls_add_no_cache_entry(self, monkeypatch):
+        packed = []
+        pack = oracle._pack
+        monkeypatch.setattr(oracle, "_pack", lambda *args: packed.append(args) or pack(*args))
+        before = (dict(_orbit_vectors.packed), oracle._memo, oracle._effective_cone.cache_info())
+        generators = nef_generators()
+        rng = random.Random(8)
+        kinds = set()
+        for _ in range(200):
+            divisor = DivisorClass(rng.randint(0, 4), tuple(rng.randint(0, 3) for _ in range(8)))
+            kinds.add(type(cone_member(generic_problem(divisor, generators))))
+        assert kinds == {Feasible, Infeasible}
+        assert not packed
+        after = (dict(_orbit_vectors.packed), oracle._memo, oracle._effective_cone.cache_info())
+        assert after == before
+
+    def test_same_reports_after_table_cache_clear(self, fresh_oracle_caches):
+        rng = random.Random(20250810)
+        divisors = [DivisorClass(rng.randint(5, 8), tuple(rng.randint(-8, 8) for _ in range(8)))
+                    for _ in range(12)] + [HALF_ANTICANONICAL]
+        before = [repr(effective_membership(divisor)) for divisor in divisors]
+        assert _orbit_vectors.packed
+        _orbit_vectors.cache_clear()
+        assert not _orbit_vectors.packed
+        assert [repr(effective_membership(divisor)) for divisor in divisors] == before
+        assert _orbit_vectors.packed
+
+    def test_memo_alternation_prices_current_blocks(self, monkeypatch):
+        # Every block priced is the packing of the cone being priced.
+        monkeypatch.setattr(oracle, "_memo", ((), None))
+        priced = []
+        entering = oracle._entering
+
+        def checked(price, columns):
+            # Each cone's blocks are read back the first time it is priced.
+            if isinstance(columns, PreparedCone) and all(c is not columns for c in priced):
+                for block in columns.blocks():
+                    assert _unpacked(block) == columns[block[0] : block[1]]
+                priced.append(columns)
+            return entering(price, columns)
+
+        # The nef cone has no blocks; the two orbit tuples own theirs.
+        pair = (nef_generators(), exceptional_orbit(4) + (HALF_ANTICANONICAL,),
+                nef_generators(), exceptional_orbit(5) + (HALF_ANTICANONICAL,))
+        monkeypatch.setattr(oracle, "_entering", oracle._first_positive)
+        expected = [repr(cone_member(divisor_problem(target, generators)))
+                    for generators in pair for target in TestPreparedMemo.TARGETS]
+        monkeypatch.setattr(oracle, "_entering", checked)
+        for _ in range(2):
+            outcomes = [repr(cone_member(divisor_problem(target, generators)))
+                        for generators in pair for target in TestPreparedMemo.TARGETS]
+            assert outcomes == expected
+        # Every generator tuple got a cone of its own, each time it came back.
+        assert [len(cone) for cone in priced] == [len(g) for g in pair] * 2
 
 
 def _corrupt_simplex(monkeypatch, corrupt):
