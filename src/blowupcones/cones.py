@@ -255,29 +255,6 @@ def effective_seed() -> tuple[DivisorClass, ...]:
     return EXCEPTIONALS + (HALF_ANTICANONICAL,)
 
 
-@dataclass(frozen=True)
-class GeneratorSets:
-    """The generating sets used by the membership and decomposition oracles."""
-
-    curve_gens: tuple[CurveClass, ...]
-    nef_gens: tuple[DivisorClass, ...]
-    pi_gens: tuple[DivisorClass, ...]
-    eff_gen_seed: tuple[DivisorClass, ...]
-
-    @classmethod
-    def standard(cls) -> "GeneratorSets":
-        sets = cls(curve_generators(), nef_generators(), pi_generators(), effective_seed())
-        if len(sets.nef_gens) != 228:
-            raise ValueError(f"nef generator count {len(sets.nef_gens)}, want 228")
-        for curve in sets.curve_gens:
-            if curve_intersection(H, curve) < 0:
-                raise ValueError(f"curve generator {curve} meets H negatively")
-        for generator in sets.pi_gens:
-            if not is_nef(generator)[0]:
-                movable_decompose(generator)
-        return sets
-
-
 @lru_cache(maxsize=None)
 def _generator_set(cone: str) -> frozenset:
     # The generators a curves, nef or mov certificate may use, hashed once.  A nef

@@ -39,7 +39,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, count, repeat
 from operator import add, gt, lt, mul
 
 from .lattice import HALF_ANTICANONICAL, CurveClass, DivisorClass
@@ -73,7 +73,7 @@ def _check_shape(dim: int, generators, checked: int = 0) -> None:
         raise ScaleExceeded(f"dimension {dim} exceeds {MAX_DIMENSION}")
     if len(generators) > MAX_GENERATORS:
         raise ScaleExceeded(f"{len(generators)} generators exceed {MAX_GENERATORS}")
-    if any(len(vec) != dim for vec in islice(generators, checked, None)):
+    if any(len(vec) != dim for vec in generators[checked:]):
         raise ValueError("all generators must match the target dimension")
 
 

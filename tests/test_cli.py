@@ -374,3 +374,40 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("class,degree")
+
+
+class TestBatchFiles:
+    """An --input batch written with --output equals the same classes inline."""
+
+    #: Members of every cone, a p/q class, a (-1)-class and a class in no cone.
+    BATCH = [
+        "2;1,1,1,1,1,1,1,1",
+        "1/2;1/2,0,0,0,0,0,0,0",
+        "3;2,2,2,2,1,1,1,0",
+        "1;2,0,0,0,0,0,0,0",
+        "1;0,0,0,0,0,0,0,0",
+    ]
+
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["reduce"],
+            ["classify"],
+            ["decompose", "--cone", "nef"],
+            ["decompose", "--cone", "eff"],
+            ["decompose", "--cone", "mov"],
+            ["check-minus-one"],
+        ],
+        ids=" ".join,
+    )
+    def test_file_matches_inline(self, capsys, tmp_path, command, fmt):
+        source, target = tmp_path / "classes.txt", tmp_path / "out.txt"
+        source.write_text("\n".join(self.BATCH) + "\n", encoding="utf-8")
+        argv = [*command, "--format", fmt]
+        code, inline, _ = run(capsys, *argv, *self.BATCH)
+        assert code == 0
+        assert len(inline.splitlines()) == len(self.BATCH)
+        code, out, err = run(capsys, *argv, "--input", str(source), "--output", str(target))
+        assert (code, out, err) == (0, "", "")
+        assert target.read_text(encoding="utf-8") == inline

@@ -12,7 +12,6 @@ from blowupcones import (
     CertificateError,
     CurveClass,
     DivisorClass,
-    GeneratorSets,
     HypothesisViolated,
     NotEffective,
     NotMovable,
@@ -22,6 +21,7 @@ from blowupcones import (
     apply_word,
     curve_decompose,
     curve_generators,
+    curve_intersection,
     effective_decompose,
     effective_seed,
     exceptional_line,
@@ -73,8 +73,11 @@ class TestGeneratorSets:
         assert len(effective_seed()) == 9
 
     def test_standard_passes_invariants(self):
-        sets = GeneratorSets.standard()
-        assert len(sets.nef_gens) == 228
+        assert len(nef_generators()) == 228
+        for curve in curve_generators():
+            assert curve_intersection(H, curve) >= 0
+        for generator in pi_generators():
+            assert is_nef(generator)[0] or movable_decompose(generator).cone == "mov"
 
     def test_all_nef_generators_are_nef(self):
         for generator in nef_generators():
