@@ -92,14 +92,29 @@ def _per_line(args, answer) -> int:
     """Answer every input class, in input order, with one output line each.
 
     `answer(args, text)` returns the class's JSON record and a thunk for its
-    human line, so the JSON format never builds a human line.
+    human line, so the JSON format never builds a human line.  A class whose
+    reduction hits the step cap gets an "unknown" record with the reason, the
+    reason also goes to stderr, and the batch exits 3 once all lines are out.
     """
     lines = []
+    status = EXIT_OK
     for text in _gather_inputs(args):
-        record, human = answer(args, text)
+        try:
+            record, human = answer(args, text)
+        except StepLimitExceeded as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            status = EXIT_CAP
+            record, human = _unknown(text, exc)
         lines.append(json.dumps(record, sort_keys=True) if args.format == "json" else human())
     _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return status
+
+
+def _unknown(text: str, exc: StepLimitExceeded):
+    # The record of a class whose verdict the step cap left open; `input` is
+    # the text as given.
+    record = {"input": text, "unknown": True, "reason": str(exc)}
+    return record, lambda: f"{text}: unknown: {exc}"
 
 
 def _emit_csv(args, header, rows) -> int:
@@ -278,6 +293,17 @@ def _cmd_verify(args) -> int:
 
 # -- parser ------------------------------------------------------------------------
 
+def _step_cap(text: str) -> int:
+    """A --max-steps value: a non-negative int (argparse turns errors into exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 @functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -301,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write output to this path instead of stdout")
         p.add_argument(
             "--max-steps",
-            type=int,
+            type=_step_cap,
             default=DEFAULT_MAX_STEPS,
             help="cap on Cremona steps during reduction",
         )

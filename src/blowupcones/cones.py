@@ -6,13 +6,16 @@ the Weyl orbit of the exceptional classes together with the half-anticanonical
 class), and the movable cone (Weyl translates of a 17-generator rational
 polyhedral cone).  Every positive answer comes with a certificate that re-sums
 to the input by exact arithmetic, and re-summation is asserted inside the
-library before a certificate is returned.
+library before a certificate is returned.  The re-sum runs in integers: each
+generator as its integer vector, each coefficient p/q folded into one common
+denominator, compared with the reduced target scaled the same way.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -43,6 +46,7 @@ from .weyl import (  # noqa: F401
     _orbit_vectors,
     _reduce,
     _scaled,
+    _unscaled,
     apply_word,
     inverse_word,
     is_minus_one_divisor,
@@ -115,10 +119,23 @@ class Certificate:
         return apply_word(self.word, self.target)
 
     def resummation(self):
-        total = _zero_like(self.target)
+        return _from_ints(self.target, *self._resum())
+
+    def _resum(self) -> tuple[list[int], int]:
+        # The terms' sum as (ints, den) over one common denominator, with each
+        # generator a `_scaled` int vector.
+        scaled = []
         for generator, coefficient in self.terms:
-            total = total + _scale(generator, coefficient)
-        return total
+            if isinstance(generator, CurveClass) and coefficient.denominator != 1:
+                raise CertificateError(f"curve coefficient {coefficient} is not an integer")
+            ints, den = _ints(generator)
+            scaled.append((ints, coefficient.numerator, den * coefficient.denominator))
+        den = math.lcm(*(q for _, _, q in scaled))
+        total = [0] * (NUM_POINTS + 1)
+        for ints, p, q in scaled:
+            factor = p * (den // q)
+            total = [t + factor * x for t, x in zip(total, ints)]
+        return total, den
 
     def check(self) -> None:
         """Re-check the certificate by exact arithmetic; raise CertificateError."""
@@ -135,8 +152,10 @@ class Certificate:
             expected = self.reduced_target()
         except ValueError as exc:  # a word letter outside 0..7
             raise CertificateError(str(exc)) from None
-        total = self.resummation()
-        if total != expected:
+        total, den = self._resum()
+        ints, expected_den = _ints(expected)
+        if [x * expected_den for x in total] != [x * den for x in ints]:
+            total = _from_ints(self.target, total, den)
             raise CertificateError(f"terms sum to {total}, expected {expected}")
 
     # -- serialization ------------------------------------------------------
@@ -160,10 +179,11 @@ class Certificate:
         try:
             cone = data["cone"]
             parse = CurveClass.parse if cone == CONE_CURVES else DivisorClass.parse
-            target = parse(data["input"])
-            word = tuple(int(x) for x in data["word"])
+            target = parse(_json_str(data, "input"))
+            word = tuple(_json_int(x) for x in data["word"])
             terms = tuple(
-                (parse(item["gen"]), Fraction(item["coeff"])) for item in data["terms"]
+                (parse(_json_str(item, "gen")), Fraction(_json_str(item, "coeff")))
+                for item in data["terms"]
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed certificate: {exc}") from None
@@ -178,18 +198,33 @@ class Certificate:
         return cls.from_dict(data)
 
 
-def _zero_like(value):
+def _json_int(value) -> int:
+    # A word letter must be a JSON integer: not a float, a string or a bool.
+    if type(value) is not int:
+        raise TypeError(f"word letter {value!r} is not an integer")
+    return value
+
+
+def _json_str(item: dict, key: str) -> str:
+    # Classes and coefficients are strings such as "3/2", never JSON numbers.
+    value = item[key]
+    if not isinstance(value, str):
+        raise TypeError(f"{key} {value!r} is not a string")
+    return value
+
+
+def _ints(value) -> tuple[list[int], int]:
+    # A divisor or curve class as (ints, den) with ints = den * value.
     if isinstance(value, CurveClass):
-        return CurveClass(0, (0,) * NUM_POINTS)
-    return DivisorClass(0, (0,) * NUM_POINTS)
+        return [value.a, *value.c], 1
+    return _scaled(value)
 
 
-def _scale(generator, coefficient: Fraction):
-    if isinstance(generator, CurveClass):
-        if coefficient.denominator != 1:
-            raise CertificateError(f"curve coefficient {coefficient} is not an integer")
-        return generator * int(coefficient)
-    return generator * coefficient
+def _from_ints(like, ints: list[int], den: int):
+    # The class ints / den, of the same kind as `like`.
+    if isinstance(like, CurveClass):
+        return CurveClass(ints[0], tuple(ints[1:]))
+    return _unscaled(ints, den)
 
 
 def _freeze_terms(terms: dict) -> tuple:

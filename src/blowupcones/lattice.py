@@ -19,6 +19,8 @@ RationalLike = Fraction | int | str
 
 
 def _as_fraction(value) -> Fraction:
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("floating-point coefficients are not allowed; use Fraction")
     return Fraction(value)
@@ -145,13 +147,20 @@ def _as_int(value) -> int:
     return value
 
 
-def _parse_vector(text: str, width: int) -> tuple[Fraction, tuple[Fraction, ...]]:
+def _parse_rational(text: str) -> int | Fraction:
+    # An integer literal (an optional '-', then decimal digits) parses as an int;
+    # anything else, such as "p/q", "+3" or "1_0", is left to Fraction.
+    digits = text[1:] if text[:1] == "-" else text
+    return int(text) if digits.isdecimal() else Fraction(text)
+
+
+def _parse_vector(text: str, width: int) -> tuple[int | Fraction, tuple[int | Fraction, ...]]:
     head, sep, tail = text.strip().partition(";")
     if not sep:
         raise ValueError(f"missing ';' separator in class {text!r}")
     try:
-        lead = Fraction(head.strip())
-        rest = tuple(Fraction(part.strip()) for part in tail.split(","))
+        lead = _parse_rational(head.strip())
+        rest = tuple(_parse_rational(part.strip()) for part in tail.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse class {text!r}: {exc}") from None
     if len(rest) != width:

@@ -7,7 +7,11 @@ points.  Words are sequences of generator indices applied left to right.
 
 Reflections, words and reduction all run on one integer vector: the class
 times the lcm of its denominators (the action commutes with scaling).  A
-DivisorClass is built only for a result that leaves the module.
+DivisorClass is built only for a result that leaves the module.  Reduction
+sorts an arbitrary input once by adjacent reflections; after each Cremona move
+it re-sorts by merging the two descending runs s_0 leaves behind, which gives
+the same word as the full sort.  The (-1)-class test computes its two
+pairings on the same integer vector.
 """
 
 from __future__ import annotations
@@ -17,13 +21,13 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from .lattice import (
     EXCEPTIONALS,
     HALF_ANTICANONICAL,
     NUM_POINTS,
     DivisorClass,
-    pairing,
 )
 
 WeylWord = tuple[int, ...]
@@ -165,6 +169,23 @@ def _sort_descending(ints: list[int], word: list[int]) -> None:
                 swapped = True
 
 
+def _merge_runs(ints: list[int], word: list[int]) -> None:
+    # The re-sort after s_0 acts on a sorted vector: m_1..m_4 and m_5..m_8 are
+    # then two descending runs.  On them the bubble sort above moves m_4, m_3,
+    # m_2, m_1 in turn, each right past every later entry strictly larger than
+    # it, so this writes the same word; once one entry stays, all before it do.
+    for j in range(4, 0, -1):
+        value = ints[j]
+        k = j
+        while k < NUM_POINTS and ints[k + 1] > value:
+            ints[k] = ints[k + 1]
+            k += 1
+        if k == j:
+            return
+        ints[k] = value
+        word.extend(range(j, k))
+
+
 def _reduce(
     ints: list[int], den: int, max_steps: int, nonnegative: bool = False
 ) -> ReductionResult:
@@ -179,10 +200,11 @@ def _reduce(
     """
     word: list[int] = []
     steps = 0
+    sort = _sort_descending  # an arbitrary input; after each s_0, two runs
     while True:
         if nonnegative and ints[0] < 0:
             raise _DegreeWentNegative(_unscaled(ints, den), tuple(word))
-        _sort_descending(ints, word)
+        sort(ints, word)
         if 2 * ints[0] >= ints[1] + ints[2] + ints[3] + ints[4]:
             return ReductionResult(_unscaled(ints, den), tuple(word), steps)
         if steps >= max_steps:
@@ -195,6 +217,7 @@ def _reduce(
         _act((0,), ints)
         word.append(0)
         steps += 1
+        sort = _merge_runs
 
 
 def to_standard_form(
@@ -306,19 +329,20 @@ def minus_one_certificate(
 ) -> WeylWord | None:
     """A word carrying the class to a reduced exceptional class, or None.
 
-    Fast necessary filter first: (D, D) = -1 and (D, Q) = 1 against the
-    half-anticanonical class Q.  Survivors are reduced to standard form;
-    the class is a (-1)-class exactly when the standard form is the reduced
-    exceptional class.  StepLimitExceeded propagates from the reduction.
+    Fast necessary filter first, in integers: (D, D) = -1 and (D, Q) = 1
+    against the half-anticanonical class Q.  Survivors are reduced to
+    standard form; the class is a (-1)-class exactly when the standard form
+    is the reduced exceptional class.  StepLimitExceeded propagates from the
+    reduction.
     """
-    if not divisor.is_integral():
+    ints, den = _scaled(divisor)
+    if den != 1:
         raise ValueError(f"integral class required, got {divisor}")
-    if pairing(divisor, divisor) != -1 or pairing(divisor, HALF_ANTICANONICAL) != 1:
+    d, m = ints[0], ints[1:]
+    if 2 * d * d - sum(map(mul, m, m)) != -1 or 4 * d - sum(m) != 1:
         return None
     result = to_standard_form(divisor, max_steps)
-    if result.standard == REDUCED_EXCEPTIONAL:
-        return result.word
-    return None
+    return result.word if result.standard == REDUCED_EXCEPTIONAL else None
 
 
 def is_minus_one_divisor(divisor: DivisorClass, max_steps: int = DEFAULT_MAX_STEPS) -> bool:

@@ -90,7 +90,7 @@ class TestClassify:
 
 class TestStepCap:
     # The class reaches standard form in two Cremona steps; a cap of one
-    # leaves its verdict unknown, which is exit 3 and no record.
+    # leaves its verdict unknown: an "unknown" record, and exit 3.
     @pytest.mark.parametrize(
         "command", [("decompose", "--cone", "eff"), ("decompose", "--cone", "mov"), ("classify",)]
     )
@@ -99,8 +99,63 @@ class TestStepCap:
             capsys, *command, "--max-steps", "1", "--format", "json", "3;2,2,2,2,1,1,1,0"
         )
         assert code == 3
-        assert out == ""
+        assert json.loads(out) == {
+            "input": "3;2,2,2,2,1,1,1,0",
+            "unknown": True,
+            "reason": "reduction exceeded 1 Cremona steps",
+        }
         assert "exceeded 1 Cremona steps" in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [("reduce",), ("classify",), ("decompose", "--cone", "eff"),
+         ("decompose", "--cone", "mov"), ("check-minus-one",)],
+    )
+    def test_capped_line_keeps_the_batch(self, capsys, command):
+        texts = ["1;0,0,0,0,0,0,0,0", "3;2,2,2,2,1,1,1,0", "0;0,0,0,0,0,0,0,-1"]
+        code, out, _ = run(capsys, *command, "--max-steps", "1", "--format", "json", *texts)
+        assert code == 3
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == 3
+        assert records[1] == {
+            "input": texts[1],
+            "unknown": True,
+            "reason": records[1]["reason"],
+        }
+        assert "1 Cremona steps" in records[1]["reason"]
+        for text, record in zip(texts[::2], records[::2]):
+            assert "unknown" not in record
+            alone = json.dumps(record, sort_keys=True) + "\n"
+            assert run(capsys, *command, "--format", "json", text) == (0, alone, "")
+
+    def test_capped_line_human_and_output_file(self, capsys, tmp_path):
+        path = tmp_path / "out.txt"
+        texts = ["1;0,0,0,0,0,0,0,0", "3;2,2,2,2,1,1,1,0"]
+        code, out, err = run(capsys, "classify", "--max-steps", "1", "--output", str(path), *texts)
+        assert (code, out) == (3, "")
+        assert err == "error: reduction exceeded 1 Cremona steps\n"
+        assert path.read_text(encoding="utf-8").splitlines() == [
+            "1;0,0,0,0,0,0,0,0: nef=true movable=true effective=true verdict=nef",
+            "3;2,2,2,2,1,1,1,0: unknown: reduction exceeded 1 Cremona steps",
+        ]
+
+    @pytest.mark.parametrize("value", ["-1", "-100"])
+    def test_negative_cap_is_an_input_error(self, capsys, value):
+        with pytest.raises(SystemExit) as info:
+            main(["classify", "--max-steps", value, "3;2,2,2,2,1,1,1,0"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --max-steps: must be non-negative, got {value}" in err
+
+    def test_cap_must_be_an_int(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["reduce", "--max-steps", "1.5", "3;2,2,2,2,1,1,1,0"])
+        assert info.value.code == 2
+        assert "argument --max-steps: invalid int value: '1.5'" in capsys.readouterr().err
+
+    def test_zero_cap_answers_reduced_classes(self, capsys):
+        code, out, _ = run(capsys, "reduce", "--max-steps", "0", "2;1,1,1,1,1,1,1,1")
+        assert code == 0 and "cremona steps: 0" in out
 
 
 class TestDecompose:
@@ -213,6 +268,35 @@ class TestDecompose:
         cert_path.write_text("{}")
         code, _, err = run(capsys, "verify", str(cert_path))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "change, reason",
+        [
+            ({"word": [4.9, 0.9]}, "word letter 4.9 is not an integer"),
+            ({"word": [True, False]}, "word letter True is not an integer"),
+            ({"coeff": 1.0}, "coeff 1.0 is not a string"),
+            ({"input": 8}, "input 8 is not a string"),
+        ],
+        ids=["float-letters", "bool-letters", "number-coefficient", "number-input"],
+    )
+    def test_json_numbers_of_the_wrong_kind_are_malformed(
+        self, capsys, tmp_path, change, reason
+    ):
+        # Read as int() and Fraction(), [4.9, 0.9] was the word [4, 0] and 1.0 was 1,
+        # so a certificate nobody wrote verified as valid.
+        cert_path = tmp_path / "cert.json"
+        run(capsys, "decompose", "--cone", "mov", "--format", "json", "--output",
+            str(cert_path), "8;5,5,4,2,4,1,1,0")
+        data = json.loads(cert_path.read_text())
+        assert data["word"] == [4, 0]
+        if "coeff" in change:
+            data["terms"][0]["coeff"] = change["coeff"]
+        else:
+            data.update(change)
+        cert_path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", str(cert_path))
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed certificate: {reason}\n"
 
 
 class TestOrbitCommands:

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,7 @@ from blowupcones import (
     pi_generators,
     ray_distance,
 )
+from blowupcones.cones import CONE_TAGS, _generator_allowed
 
 from conftest import int_divisors, rational_divisors, words
 
@@ -539,3 +542,153 @@ class TestCertificateSerialization:
     def test_malformed_json_rejected(self):
         with pytest.raises(ValueError):
             Certificate.from_json("{not json")
+
+
+class TestCertificateTypes:
+    # verify reads certificates written by anyone: word letters must be JSON
+    # integers and coefficients strings, or the certificate is malformed.
+    def movable_data(self):
+        return movable_decompose(DivisorClass(8, (5, 5, 4, 2, 4, 1, 1, 0))).to_dict()
+
+    @pytest.mark.parametrize("word", [[4.9, 0.9], [4.0, 0.0], [True, False], ["4", "0"]])
+    def test_word_letters_must_be_ints(self, word):
+        data = self.movable_data()
+        assert data["word"] == [4, 0]
+        with pytest.raises(ValueError, match="malformed certificate: word letter"):
+            Certificate.from_dict({**data, "word": word})
+
+    @pytest.mark.parametrize("coeff", [1.0, 1, True, None])
+    def test_coefficients_must_be_strings(self, coeff):
+        data = effective_decompose(HALF_ANTICANONICAL).to_dict()
+        data["terms"][0]["coeff"] = coeff
+        with pytest.raises(ValueError, match="malformed certificate: coeff"):
+            Certificate.from_dict(data)
+
+    @pytest.mark.parametrize("key", ["input", "gen"])
+    def test_classes_must_be_strings(self, key):
+        data = effective_decompose(HALF_ANTICANONICAL).to_dict()
+        if key == "input":
+            data["input"] = 5
+        else:
+            data["terms"][0]["gen"] = [2, 1, 1, 1, 1, 1, 1, 1, 1]
+        with pytest.raises(ValueError, match=f"malformed certificate: {key}"):
+            Certificate.from_dict(data)
+
+    def test_json_ints_and_strings_still_parse(self):
+        data = self.movable_data()
+        Certificate.from_dict(data).check()
+        Certificate.from_dict({**data, "word": [4, 0]}).check()
+
+
+# -- the integer re-sum against a reference copy of the Fraction re-sum ------------
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+#: Every certificate the golden corpus hands to `verify`: 52 valid, 32 tampered.
+GOLDEN_CERTIFICATES = [
+    Certificate.from_json(case["certificate"])
+    for case in json.loads(GOLDEN.read_text(encoding="utf-8"))
+    if "certificate" in case
+]
+
+
+def reference_check(cert):
+    """Certificate.check as it was: the terms re-summed as Fraction classes."""
+    if cert.cone not in CONE_TAGS:
+        raise CertificateError(f"unknown cone tag {cert.cone!r}")
+    if isinstance(cert.target, CurveClass) and cert.word:
+        raise CertificateError("curve certificates carry no Weyl word")
+    for generator, coefficient in cert.terms:
+        if coefficient < 0:
+            raise CertificateError(f"negative coefficient {coefficient} on {generator}")
+        if not _generator_allowed(cert.cone, generator):
+            raise CertificateError(f"{generator} is not a generator of the {cert.cone} cone")
+    try:
+        expected = cert.reduced_target()
+    except ValueError as exc:
+        raise CertificateError(str(exc)) from None
+    total = reference_resummation(cert)
+    if total != expected:
+        raise CertificateError(f"terms sum to {total}, expected {expected}")
+
+
+def reference_resummation(cert):
+    curve = isinstance(cert.target, CurveClass)
+    total = CurveClass(0, (0,) * 8) if curve else DivisorClass(0, (0,) * 8)
+    for generator, coefficient in cert.terms:
+        if isinstance(generator, CurveClass):
+            if coefficient.denominator != 1:
+                raise CertificateError(f"curve coefficient {coefficient} is not an integer")
+            total = total + generator * int(coefficient)
+        else:
+            total = total + generator * coefficient
+    return total
+
+
+def check_outcome(check, cert):
+    try:
+        check(cert)
+    except CertificateError as exc:
+        return str(exc)
+    return "valid"
+
+
+def one_entry_tamperings(cert):
+    # The target with one entry moved, and each term's coefficient moved.
+    if isinstance(cert.target, CurveClass):
+        vector, deltas = [cert.target.a, *cert.target.c], (1, -1)
+    else:
+        vector, deltas = list(cert.target.vector()), (1, Fraction(-1, 2))
+    for i in range(9):
+        for delta in deltas:
+            moved = list(vector)
+            moved[i] += delta
+            target = type(cert.target)(moved[0], tuple(moved[1:]))
+            yield Certificate(cert.cone, target, cert.word, cert.terms)
+    for k, (generator, coefficient) in enumerate(cert.terms):
+        terms = list(cert.terms)
+        terms[k] = (generator, coefficient + Fraction(1, 3))
+        yield Certificate(cert.cone, cert.target, cert.word, tuple(terms))
+
+
+class TestIntegerResum:
+    def test_golden_certificates(self):
+        outcomes = [check_outcome(Certificate.check, cert) for cert in GOLDEN_CERTIFICATES]
+        assert outcomes == [check_outcome(reference_check, c) for c in GOLDEN_CERTIFICATES]
+        assert len(outcomes) == 84 and outcomes.count("valid") == 52
+
+    def test_golden_resummations(self):
+        for cert in GOLDEN_CERTIFICATES:
+            assert cert.resummation() == reference_resummation(cert)
+
+    def test_one_entry_tamperings(self):
+        checked = 0
+        for cert in GOLDEN_CERTIFICATES:
+            for tampered in one_entry_tamperings(cert):
+                outcome = check_outcome(Certificate.check, tampered)
+                assert outcome == check_outcome(reference_check, tampered)
+                if outcome.startswith("terms sum to"):
+                    checked += 1
+        assert checked > 1000
+
+    def test_rational_certificates(self):
+        for text in ("1/2;1/2,0,0,0,0,0,0,0", "5/3;2/3,2/3,1/3,1/3,1/3,0,0,-1/3"):
+            cert = effective_decompose(DivisorClass.parse(text))
+            assert check_outcome(Certificate.check, cert) == "valid"
+            for tampered in one_entry_tamperings(cert):
+                assert check_outcome(Certificate.check, tampered) == check_outcome(
+                    reference_check, tampered)
+
+    def test_curve_coefficient_must_be_an_integer(self):
+        cert = curve_decompose(CurveClass(2, (-1, -1, -1, -1, 0, 0, 0, 0)))
+        generator, coefficient = cert.terms[0]
+        half = Certificate(cert.cone, cert.target, (), ((generator, Fraction(1, 2)),))
+        with pytest.raises(CertificateError, match="curve coefficient 1/2 is not an integer"):
+            half.check()
+        assert check_outcome(Certificate.check, half) == check_outcome(reference_check, half)
+
+    def test_empty_terms(self):
+        zero = Certificate("nef", DivisorClass(0, (0,) * 8), (), ())
+        zero.check()
+        lone = Certificate("nef", H, (), ())
+        with pytest.raises(CertificateError, match=r"terms sum to 0;0,0,0,0,0,0,0,0, expected 1;"):
+            lone.check()

@@ -219,3 +219,64 @@ class TestTextForms:
     def test_curve_must_be_integral(self):
         with pytest.raises(ValueError):
             CurveClass.parse("1/2;0,0,0,0,0,0,0,0")
+
+
+def reference_parse_vector(text, width=8):
+    """The class parser as it was: every entry through Fraction()."""
+    head, sep, tail = text.strip().partition(";")
+    if not sep:
+        raise ValueError(f"missing ';' separator in class {text!r}")
+    try:
+        lead = Fraction(head.strip())
+        rest = tuple(Fraction(part.strip()) for part in tail.split(","))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot parse class {text!r}: {exc}") from None
+    if len(rest) != width:
+        raise ValueError(f"expected {width} entries after ';' in {text!r}, got {len(rest)}")
+    return lead, rest
+
+
+def parsed(parse, text):
+    """The parsed class with the type of every entry, or the error's type and text."""
+    try:
+        divisor = parse(text)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return divisor, [type(x) for x in divisor.vector()]
+
+
+def reference_parse(text):
+    return DivisorClass(*reference_parse_vector(text))
+
+
+class TestIntegerLiterals:
+    # Integer literals parse through int(); values and error texts must not move.
+    ENTRIES = ["-0", "05", " 7 ", "+3", "1_0", "--5", "-", "1/0", "²", "0", "-12", "3/6",
+               "-4/2", "1.5", "", " ", "٣", "-٣", "1e3", "0x10", "9" * 60, "-" + "9" * 60]
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_matches_fraction_parsing(self, entry):
+        for text in (f"{entry};0,0,0,0,0,0,0,0", f"1;0,0,0,{entry},0,0,0,0",
+                     f"{entry};{entry},{entry},{entry},{entry},{entry},{entry},{entry},{entry}"):
+            assert parsed(DivisorClass.parse, text) == parsed(reference_parse, text)
+
+    def test_error_texts(self):
+        assert parsed(DivisorClass.parse, "--5;0,0,0,0,0,0,0,0")[1] == (
+            "cannot parse class '--5;0,0,0,0,0,0,0,0': Invalid literal for Fraction: '--5'")
+        assert parsed(DivisorClass.parse, "1;1/0,0,0,0,0,0,0,0")[1] == (
+            "cannot parse class '1;1/0,0,0,0,0,0,0,0': Fraction(1, 0)")
+
+    @given(rational_divisors)
+    def test_random_classes(self, d):
+        assert parsed(DivisorClass.parse, str(d)) == parsed(reference_parse, str(d))
+
+    @pytest.mark.parametrize("text", ["1;-1,-1,0,0,0,0,0,0", "-0;05,+3,1_0,0,0,0,0,0"])
+    def test_curves(self, text):
+        curve = CurveClass.parse(text)
+        a, c = reference_parse_vector(text)
+        assert curve == CurveClass(int(a), tuple(int(x) for x in c))
+        assert all(type(x) is int for x in (curve.a, *curve.c))
+
+    def test_fractions_pass_through(self):
+        half = Fraction(1, 2)
+        assert DivisorClass(half, (half,) * 8).d is half

@@ -26,7 +26,17 @@ from blowupcones import (
     to_standard_form,
 )
 
-from blowupcones.weyl import _OrbitTable
+from blowupcones.weyl import (
+    DEFAULT_MAX_STEPS,
+    REDUCED_EXCEPTIONAL,
+    ReductionResult,
+    _act,
+    _merge_runs,
+    _OrbitTable,
+    _scaled,
+    _sort_descending,
+    _unscaled,
+)
 
 from conftest import generator_letters, int_divisors, rational_divisors, words
 
@@ -319,6 +329,128 @@ class TestMinusOne:
     def test_requires_integral(self):
         with pytest.raises(ValueError):
             minus_one_certificate(DivisorClass("1/2", (0,) * 8))
+
+
+# -- the integer paths against reference copies of the routines they replaced -------
+
+def reference_to_standard_form(divisor, max_steps=DEFAULT_MAX_STEPS):
+    """The reduction loop as it was: a full bubble sort after every s_0."""
+    ints, den = _scaled(divisor)
+    word, steps = [], 0
+    while True:
+        _sort_descending(ints, word)
+        if 2 * ints[0] >= ints[1] + ints[2] + ints[3] + ints[4]:
+            return ReductionResult(_unscaled(ints, den), tuple(word), steps)
+        if steps >= max_steps:
+            message = f"no standard form within {max_steps} Cremona steps"
+            raise StepLimitExceeded(message, steps, _unscaled(ints, den))
+        _act((0,), ints)
+        word.append(0)
+        steps += 1
+
+
+def reference_minus_one_certificate(divisor, max_steps=DEFAULT_MAX_STEPS):
+    """The (-1)-class test as it was: the filter by `pairing` in Fractions."""
+    if not divisor.is_integral():
+        raise ValueError(f"integral class required, got {divisor}")
+    if pairing(divisor, divisor) != -1 or pairing(divisor, HALF_ANTICANONICAL) != 1:
+        return None
+    result = reference_to_standard_form(divisor, max_steps)
+    if result.standard == REDUCED_EXCEPTIONAL:
+        return result.word
+    return None
+
+
+def outcome(call, *args):
+    """A call's result, or the type and text of what it raised."""
+    try:
+        return call(*args)
+    except (StepLimitExceeded, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "steps", None), getattr(exc, "last", None)
+
+
+def descending_runs(low=-3, high=5):
+    return [tuple(sorted(c, reverse=True))
+            for c in itertools.combinations_with_replacement(range(low, high + 1), 4)]
+
+
+class TestMergeRuns:
+    def test_matches_bubble_sort_on_every_pair_of_runs(self):
+        runs = descending_runs()
+        assert len(runs) == 495
+        for a in runs:
+            for b in runs:
+                merged, merged_word = [0, *a, *b], []
+                _merge_runs(merged, merged_word)
+                bubbled, bubbled_word = [0, *a, *b], []
+                _sort_descending(bubbled, bubbled_word)
+                assert (merged, merged_word) == (bubbled, bubbled_word), (a, b)
+
+    def test_ties_stay_in_place(self):
+        ints, word = [0, 2, 1, 1, 1, 1, 1, 0, 0], []
+        _merge_runs(ints, word)
+        assert ints == [0, 2, 1, 1, 1, 1, 1, 0, 0] and word == []
+        ints, word = [0, 1, 1, 1, 0, 2, 1, 1, 1], []
+        _merge_runs(ints, word)
+        assert ints == [0, 2, 1, 1, 1, 1, 1, 1, 0] and word == [4, 5, 6, 7, 3, 2, 1]
+
+    @given(int_divisors)
+    @settings(max_examples=150)
+    def test_reduction_matches_the_full_sort(self, d):
+        assert outcome(to_standard_form, d, 40) == outcome(reference_to_standard_form, d, 40)
+
+    @given(rational_divisors)
+    @settings(max_examples=100)
+    def test_rational_reduction_matches_the_full_sort(self, d):
+        assert outcome(to_standard_form, d, 40) == outcome(reference_to_standard_form, d, 40)
+
+    def test_deep_classes(self):
+        deep = DivisorClass(2066, (1083, 1083, 1082, 1082, 982, 981, 981, 980))
+        result = to_standard_form(deep)
+        assert result == reference_to_standard_form(deep)
+        assert result.steps == 20
+        # Deep (-1)-classes: exceptional classes pulled back along that word.
+        for e in EXCEPTIONALS:
+            pulled = apply_word(inverse_word(result.word), e)
+            assert pulled.d > 100
+            assert outcome(minus_one_certificate, pulled) == outcome(
+                reference_minus_one_certificate, pulled)
+            assert outcome(minus_one_certificate, pulled, 5) == outcome(
+                reference_minus_one_certificate, pulled, 5)
+
+
+class TestMinusOneAgainstReference:
+    def test_orbit_to_degree_eight(self):
+        for x in exceptional_orbit(8):
+            word = minus_one_certificate(x)
+            assert word is not None and word == reference_minus_one_certificate(x)
+
+    def test_orbit_under_a_small_cap(self):
+        for x in exceptional_orbit(6):
+            for cap in (0, 1, 2):
+                assert outcome(minus_one_certificate, x, cap) == outcome(
+                    reference_minus_one_certificate, x, cap)
+
+    def test_near_misses(self):
+        # One entry off by one, the negative, and the sum with -K/2 or H.
+        checked = 0
+        for x in exceptional_orbit(3):
+            vector = list(x.vector())
+            variants = [-x, x + HALF_ANTICANONICAL, x + H]
+            for i, delta in itertools.product(range(9), (-1, 1)):
+                near = list(vector)
+                near[i] += delta
+                variants.append(DivisorClass(near[0], tuple(near[1:])))
+            for near in variants:
+                assert outcome(minus_one_certificate, near) == outcome(
+                    reference_minus_one_certificate, near)
+                checked += 1
+        assert checked == 568 * 21
+
+    def test_rational_and_small_classes(self):
+        for x in (DivisorClass("1/2", (0,) * 8), DivisorClass(0, ("-1/3",) + (0,) * 7), MINUS_H,
+                  SCRATCH, HALF_ANTICANONICAL, H, DivisorClass(0, (0,) * 8)):
+            assert outcome(minus_one_certificate, x) == outcome(reference_minus_one_certificate, x)
 
 
 class TestCanonicalShape:
