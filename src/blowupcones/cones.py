@@ -9,6 +9,10 @@ to the input by exact arithmetic, and re-summation is asserted inside the
 library before a certificate is returned.  The re-sum runs in integers: each
 generator as its integer vector, each coefficient p/q folded into one common
 denominator, compared with the reduced target scaled the same way.
+
+`effective_decompose` and `movable_decompose` share one split of the reduced
+integer class over the 17 movable generators (`_pi_split`); the effective one
+expands the split by a fixed table of (-1)-classes and -K/2.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -227,11 +232,13 @@ def _from_ints(like, ints: list[int], den: int):
     return _unscaled(ints, den)
 
 
-def _freeze_terms(terms: dict) -> tuple:
+def _freeze_terms(terms: dict, scale: int = 1) -> tuple:
+    # The non-zero terms in generator-vector order, each integer coefficient
+    # divided by the scale once.
     return tuple(
-        (generator, coefficient)
+        (generator, Fraction(coefficient, scale))
         for generator, coefficient in sorted(terms.items(), key=lambda kv: kv[0].vector())
-        if coefficient != 0
+        if coefficient
     )
 
 
@@ -243,11 +250,6 @@ def _through(degree: int, indices) -> DivisorClass:
     for i in indices:
         m[i - 1] = 1
     return DivisorClass(degree, tuple(m))
-
-
-def _cubic(a: int) -> DivisorClass:
-    """M_a = (3; 3, 1^(a-1)), the cubic with a triple point and a-1 simple ones."""
-    return DivisorClass(3, (3,) + (1,) * (a - 1) + (0,) * (NUM_POINTS - a))
 
 
 @lru_cache(maxsize=1)
@@ -281,7 +283,8 @@ def pi_generators() -> tuple[DivisorClass, ...]:
     gens.extend(_through(1, (i,)) for i in (1, 2, 3))
     gens.extend(_through(1, pair) for pair in itertools.combinations((1, 2, 3), 2))
     gens.extend(_through(2, range(1, k + 1)) for k in range(4, NUM_POINTS + 1))
-    gens.extend(_cubic(a) for a in range(4, NUM_POINTS + 1))
+    gens.extend(DivisorClass(3, (3,) + (1,) * (a - 1) + (0,) * (NUM_POINTS - a))
+                for a in range(4, NUM_POINTS + 1))
     return tuple(gens)
 
 
@@ -322,12 +325,7 @@ def curve_decompose(curve: CurveClass) -> Certificate:
     0 <= b_i <= a and 2a >= sum b_i (with pure e_i combinations when a = 0);
     anything else raises HypothesisViolated.
     """
-    terms: dict[CurveClass, Fraction] = {}
-
-    def add(generator: CurveClass, coefficient: int) -> None:
-        if coefficient:
-            terms[generator] = terms.get(generator, Fraction(0)) + coefficient
-
+    terms: Counter[CurveClass] = Counter()
     current = curve
     while True:
         a = current.a
@@ -338,7 +336,7 @@ def curve_decompose(curve: CurveClass) -> Certificate:
             if any(x > 0 for x in b):
                 raise HypothesisViolated("a >= b_i", curve)
             for i, coefficient in enumerate(current.c):
-                add(exceptional_line(i + 1), coefficient)
+                terms[exceptional_line(i + 1)] += coefficient
             break
         if any(x < 0 for x in b):
             raise HypothesisViolated("b_i >= 0", curve)
@@ -350,19 +348,19 @@ def curve_decompose(curve: CurveClass) -> Certificate:
         if len(positive) >= 2:
             i1, i2 = sorted(positive, key=lambda i: (-b[i], i))[:2]
             line = line_between(i1 + 1, i2 + 1)
-            add(line, 1)
+            terms[line] += 1
             current = current - line
         elif len(positive) == 1:
             i1 = positive[0]
             k = 0 if i1 != 0 else 1
-            add(exceptional_line(i1 + 1), a - b[i1])
-            add(exceptional_line(k + 1), a)
-            add(line_between(i1 + 1, k + 1), a)
+            terms[exceptional_line(i1 + 1)] += a - b[i1]
+            terms[exceptional_line(k + 1)] += a
+            terms[line_between(i1 + 1, k + 1)] += a
             break
         else:
-            add(exceptional_line(1), a)
-            add(exceptional_line(2), a)
-            add(line_between(1, 2), a)
+            terms[exceptional_line(1)] += a
+            terms[exceptional_line(2)] += a
+            terms[line_between(1, 2)] += a
             break
 
     certificate = Certificate(CONE_CURVES, curve, (), _freeze_terms(terms))
@@ -396,24 +394,67 @@ def nef_decompose(divisor: DivisorClass) -> Certificate:
     if not ok:
         assert witness is not None
         raise NotNef(divisor, witness)
-    order = sorted(range(NUM_POINTS), key=lambda i: (-divisor.m[i], i))
-    sorted_m = [divisor.m[i] for i in order] + [Fraction(0)]
-
-    terms: dict[DivisorClass, Fraction] = {}
-
-    def add(generator: DivisorClass, coefficient: Fraction) -> None:
-        if coefficient:
-            terms[generator] = terms.get(generator, Fraction(0)) + coefficient
-
-    add(H, divisor.d - sorted_m[0] - sorted_m[1])
-    add(_through(1, (order[0] + 1,)), sorted_m[0] - sorted_m[1])
+    (d, *m), scale = _scaled(divisor)
+    order = sorted(range(NUM_POINTS), key=lambda i: (-m[i], i))
+    sorted_m = [m[i] for i in order] + [0]
+    terms = {
+        H: d - sorted_m[0] - sorted_m[1],
+        _through(1, (order[0] + 1,)): sorted_m[0] - sorted_m[1],
+    }
     for k in range(2, NUM_POINTS + 1):
-        indices = tuple(order[i] + 1 for i in range(k))
-        add(_through(2, indices), sorted_m[k - 1] - sorted_m[k])
+        terms[_through(2, (order[i] + 1 for i in range(k)))] = sorted_m[k - 1] - sorted_m[k]
 
-    certificate = Certificate(CONE_NEF, divisor, (), _freeze_terms(terms))
+    certificate = Certificate(CONE_NEF, divisor, (), _freeze_terms(terms, scale))
     certificate.check()
     return certificate
+
+
+# -- the split of a reduced class over Pi ------------------------------------------
+
+#: L_k = (2;1^k) is pi_generators()[_QUADRICS + k] and M_a is [_CUBICS + a].
+_QUADRICS, _CUBICS = 3, 8
+
+
+def _pi_split(ints: list[int]) -> tuple[list[int], list[int]]:
+    # A reduced class (d; m) with 0 <= m_i <= d as counts over pi_generators(),
+    # set on the L_k and M_a, plus a three-point rest [d; m_1, m_2, m_3] with
+    # 2d >= m_1 + m_2 + m_3 and 0 <= m_j <= d.  The cubics go in closed form:
+    # subtracting M_a, a the last non-zero position, keeps 0 <= m_i <= d and
+    # lowers the defect m_1 + m_4 - d by one; round t takes one from each
+    # m_j > t (j >= 2), so M_a goes min(m_a, defect) - min(m_{a+1}, defect)
+    # times, and m_1 <= d gives m_4 >= defect, so a >= 4.  After the cubics
+    # the class is sum_k (m_k - m_{k+1}) L_k + (d - 2m_4; m_j - m_4, j <= 3).
+    d, m = ints[0], ints[1:] + [0]
+    defect = max(0, m[0] + m[3] - d)
+    peeled = [min(x, defect) for x in m]
+    counts = [0] * len(pi_generators())
+    for a in range(4, NUM_POINTS + 1):
+        counts[_CUBICS + a] = peeled[a - 1] - peeled[a]
+    d -= 3 * defect
+    m = [x - p for x, p in zip(m, peeled)]
+    m[0] -= 2 * defect
+    for k in range(4, NUM_POINTS + 1):
+        counts[_QUADRICS + k] = m[k - 1] - m[k]
+    m4 = m[3]
+    return counts, [d - 2 * m4, m[0] - m4, m[1] - m4, m[2] - m4]
+
+
+#: What an effective certificate is built from, each a (-1)-class or -K/2:
+#: E_1..E_8 (indices 0-7), -K/2, the plane through the first three points,
+#: (2;2,1^5,0,0) and (1;1,0^5,1,1).
+_PIECES = EXCEPTIONALS + (HALF_ANTICANONICAL, _through(1, (1, 2, 3)),
+                          DivisorClass(2, (2, 1, 1, 1, 1, 1, 0, 0)),
+                          DivisorClass(1, (1, 0, 0, 0, 0, 0, 1, 1)))
+_Q, _PLANE, _DOUBLE_QUADRIC, _CUBIC_COMPLEMENT = 8, 9, 10, 11
+
+#: Each L_k and M_a as a sum of pieces (indices into _PIECES):
+#: L_k = (2;2,1^5,0,0) + E_1 + E_{k+1} + ... + E_6 for k <= 6, L_7 = -K/2 + E_8,
+#: L_8 = -K/2, and M_a = (2;2,1^5,0,0) + (1;1,0^5,1,1) + E_{a+1} + ... + E_8.
+_EXPANSIONS = {
+    _QUADRICS + 4: (_DOUBLE_QUADRIC, 0, 4, 5), _QUADRICS + 5: (_DOUBLE_QUADRIC, 0, 5),
+    _QUADRICS + 6: (_DOUBLE_QUADRIC, 0), _QUADRICS + 7: (_Q, 7), _QUADRICS + 8: (_Q,),
+} | {_CUBICS + a: (_DOUBLE_QUADRIC, _CUBIC_COMPLEMENT, *range(a, NUM_POINTS))
+     for a in range(4, NUM_POINTS + 1)}
 
 
 # -- effective cone ----------------------------------------------------------------
@@ -426,24 +467,19 @@ def effective_decompose(
     Pipeline: reduce to standard form while splitting off exceptional
     components for negative multiplicities; reject when the degree turns
     negative or a multiplicity exceeds the degree (both are supporting
-    half-spaces of the effective cone).  Then peel (3;3,1^(a-1)) pieces while
-    d < m1+m4, split off quadrics through the k largest points, and expand
-    what remains over planes and exceptional classes.  Every generator of the
-    result is pulled back to the input frame, so the terms sum to the input.
+    half-spaces of the effective cone).  Then split the reduced class over
+    the movable generators as `movable_decompose` does (`_pi_split`), expand
+    each quadric and cubic by a fixed table of (-1)-classes and -K/2, and
+    write the three-point rest (d; m_1, m_2, m_3) as d times the plane through
+    the first three points plus (d - m_j) * E_j.  Each distinct piece is
+    pulled back to the input frame once, so the terms sum to the input.
     Rational classes are handled by clearing denominators, which scales the
     certificate exactly.  A reduction that exceeds `max_steps` raises
     StepLimitExceeded.
     """
     ints, scale = _scaled(divisor)
-    terms: dict[DivisorClass, Fraction] = {}
-    word_acc: list[int] = []
-
-    def add(generator: DivisorClass, coefficient) -> None:
-        coefficient = Fraction(coefficient, scale)
-        if coefficient:
-            pulled = apply_word(inverse_word(word_acc), generator)
-            terms[pulled] = terms.get(pulled, Fraction(0)) + coefficient
-
+    terms: Counter[DivisorClass] = Counter()
+    word: list[int] = []
     while True:
         try:
             result = _reduce(ints, 1, max_steps, nonnegative=True)
@@ -452,83 +488,38 @@ def effective_decompose(
                 f"degree became negative under reduction (reached {floor.last})",
                 floor.last,
             ) from None
-        word_acc.extend(result.word)
+        word += result.word
         negatives = [i for i in range(1, NUM_POINTS + 1) if ints[i] < 0]
         if not negatives:
             break
+        back = inverse_word(word)
         for i in negatives:
-            add(EXCEPTIONALS[i - 1], -ints[i])
+            terms[apply_word(back, EXCEPTIONALS[i - 1])] -= ints[i]
             ints[i] = 0
-    current = result.standard
 
-    if current.m[0] > current.d:
+    if ints[1] > ints[0]:
         raise NotEffective(
-            f"multiplicity exceeds degree in standard form ({current}); "
+            f"multiplicity exceeds degree in standard form ({result.standard}); "
             "every effective class satisfies m_i <= d",
-            current,
+            result.standard,
         )
 
-    def add_cubic(a: int) -> None:
-        # M_a = (2;2,1^5) + (1;1,0^5,1,1) + E_{a+1} + ... + E_8.
-        add(_DOUBLE_QUADRIC, 1)
-        add(_CUBIC_COMPLEMENT, 1)
-        for i in range(a, NUM_POINTS):
-            add(EXCEPTIONALS[i], 1)
+    counts, (d, *m) = _pi_split(ints)
+    pieces = [0] * len(_PIECES)
+    for index, row in _EXPANSIONS.items():
+        for piece in row:
+            pieces[piece] += counts[index]
+    pieces[_PLANE] += d
+    for j in range(3):
+        pieces[j] += d - m[j]
+    back = inverse_word(word)
+    for piece, count in zip(_PIECES, pieces):
+        if count:
+            terms[apply_word(back, piece)] += count
 
-    current = _peel_cubics(current, add_cubic)
-    _expand_standard(current, add)
-
-    certificate = Certificate(CONE_EFF, divisor, (), _freeze_terms(terms))
+    certificate = Certificate(CONE_EFF, divisor, (), _freeze_terms(terms, scale))
     certificate.check()
     return certificate
-
-
-#: (2; 2,1,1,1,1,1,0,0), the degree-2 shape of the exceptional orbit.
-_DOUBLE_QUADRIC = DivisorClass(2, (2, 1, 1, 1, 1, 1, 0, 0))
-#: (1; 1,0,0,0,0,0,1,1), the plane completing (3;3,1^7) with the quadric above.
-_CUBIC_COMPLEMENT = DivisorClass(1, (1, 0, 0, 0, 0, 0, 1, 1))
-
-
-def _peel_cubics(current: DivisorClass, add_cubic) -> DivisorClass:
-    # While d < m1 + m4, subtract M_a = (3;3,1^(a-1)) with a the last non-zero
-    # position, handing a to add_cubic; the difference stays in standard form
-    # with 0 <= m_i <= d and the defect m1 + m4 - d drops by one each round.
-    while current.d < current.m[0] + current.m[3]:
-        a = max(i + 1 for i in range(NUM_POINTS) if current.m[i] != 0)
-        assert a >= 4
-        add_cubic(a)
-        m = list(current.m)
-        m[0] -= 3
-        for i in range(1, a):
-            m[i] -= 1
-        current = DivisorClass(current.d - 3, tuple(m))
-    return current
-
-
-def _expand_standard(current: DivisorClass, add) -> None:
-    # Standard form with d >= m1 + m4 and 0 <= m_i <= d splits as
-    # D' + sum_{k=4..8} (m_k - m_{k+1}) * (2;1^k) with
-    # D' = (d - 2*m4; m1-m4, m2-m4, m3-m4), and D' expands over the plane
-    # through the first three points and exceptional classes.
-    m = list(current.m) + [Fraction(0)]
-    m4 = m[3]
-    add(_through(1, (1, 2, 3)), current.d - 2 * m4)
-    for i in range(3):
-        add(EXCEPTIONALS[i], current.d - m4 - m[i])
-    for k in range(4, NUM_POINTS + 1):
-        coefficient = m[k - 1] - m[k]
-        if not coefficient:
-            continue
-        if k == 8:
-            add(HALF_ANTICANONICAL, coefficient)
-        elif k == 7:
-            add(HALF_ANTICANONICAL, coefficient)
-            add(EXCEPTIONALS[7], coefficient)
-        else:
-            add(_DOUBLE_QUADRIC, coefficient)
-            add(EXCEPTIONALS[0], coefficient)
-            for j in range(k, 6):
-                add(EXCEPTIONALS[j], coefficient)
 
 
 # -- movable cone --------------------------------------------------------------------
@@ -540,11 +531,11 @@ def movable_decompose(
 
     The class is reduced to standard form (the word is recorded in the
     certificate); membership requires 0 <= m_i <= d afterwards.  The reduced
-    class is then decomposed over the 17 movable generators: peel
-    M_a = (3;3,1^(a-1)) while d < m1+m4, split off the quadrics L_k, and run
-    the three-point induction on what remains.  Rational classes are handled
-    by clearing denominators, which scales the certificate exactly.  A
-    reduction that exceeds `max_steps` raises StepLimitExceeded.
+    class is then split over the 17 movable generators (`_pi_split`: the
+    cubics M_a in closed form, then the quadrics L_k), and the three-point
+    induction finishes the rest.  Rational classes are handled by clearing
+    denominators, which scales the certificate exactly.  A reduction that
+    exceeds `max_steps` raises StepLimitExceeded.
     """
     if divisor in _generator_set(CONE_MOV):
         certificate = Certificate(CONE_MOV, divisor, (), ((divisor, Fraction(1)),))
@@ -562,8 +553,7 @@ def movable_decompose(
             floor.word,
         ) from None
     reduced = result.standard
-
-    bad_negative = [i + 1 for i in range(NUM_POINTS) if reduced.m[i] < 0]
+    bad_negative = [i for i in range(1, NUM_POINTS + 1) if ints[i] < 0]
     if bad_negative:
         raise NotMovable(
             f"negative multiplicity at points {bad_negative} in standard form ({reduced}); "
@@ -571,54 +561,44 @@ def movable_decompose(
             reduced,
             result.word,
         )
-    if reduced.m[0] > reduced.d:
+    if ints[1] > ints[0]:
         raise NotMovable(
             f"multiplicity exceeds degree in standard form ({reduced})",
             reduced,
             result.word,
         )
 
-    terms: dict[DivisorClass, Fraction] = {}
-    fraction = Fraction(1, scale)
-
-    def add(generator: DivisorClass, coefficient) -> None:
-        coefficient = Fraction(coefficient) * fraction
-        if coefficient:
-            terms[generator] = terms.get(generator, Fraction(0)) + coefficient
-
-    current = _peel_cubics(reduced, lambda a: add(_cubic(a), 1))
-    m = list(current.m) + [Fraction(0)]
-    m4 = m[3]
-    for k in range(4, NUM_POINTS + 1):
-        add(_through(2, range(1, k + 1)), m[k - 1] - m[k])
-    _three_point_decompose(current.d - 2 * m4, [m[0] - m4, m[1] - m4, m[2] - m4], add)
-
-    certificate = Certificate(CONE_MOV, divisor, result.word, _freeze_terms(terms))
+    counts, rest = _pi_split(ints)
+    _three_point_decompose(rest, counts)
+    terms = dict(zip(pi_generators(), counts))
+    certificate = Certificate(CONE_MOV, divisor, result.word, _freeze_terms(terms, scale))
     certificate.check()
     return certificate
 
 
-def _three_point_decompose(d: Fraction, m: list[Fraction], add) -> None:
-    # Induction on d for (d; m1, m2, m3) with 2d >= m1+m2+m3 and 0 <= m_i <= d:
-    # strip multiples of H and H-E_j, otherwise subtract the plane through the
-    # two points of non-minimal multiplicity; the invariant is preserved.
+def _three_point_decompose(rest: list[int], counts: list[int]) -> None:
+    # Induction on d for (d; m1, m2, m3) with 2d >= m1+m2+m3 and 0 <= m_i <= d,
+    # adding to `counts` over pi_generators(): strip multiples of H and H-E_j,
+    # otherwise subtract the plane through the two points of non-minimal
+    # multiplicity (index 6 - j_min); the invariant is preserved.
+    d, *m = rest
     while True:
         assert d >= 0 and 2 * d >= sum(m) and all(0 <= x <= d for x in m)
         nonzero = [j for j in range(3) if m[j] != 0]
         if not nonzero:
-            add(H, d)
+            counts[0] += d
             return
         if len(nonzero) == 1:
             j = nonzero[0]
-            add(_through(1, (j + 1,)), m[j])
-            add(H, d - m[j])
+            counts[1 + j] += m[j]
+            counts[0] += d - m[j]
             return
         j_min = min(range(3), key=lambda j: (m[j], j))
-        p, q = sorted(set(range(3)) - {j_min})
-        add(_through(1, (p + 1, q + 1)), 1)
+        counts[6 - j_min] += 1
         d -= 1
-        m[p] -= 1
-        m[q] -= 1
+        for j in range(3):
+            if j != j_min:
+                m[j] -= 1
 
 
 # -- chamber and region tests -----------------------------------------------------

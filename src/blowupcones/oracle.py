@@ -53,6 +53,10 @@ MAX_GENERATORS = 60_000
 # 103 pivots, so passing this many means the pricing is at fault: it fails
 # instead of looping.
 MAX_PIVOTS = 10_000
+# effective_membership truncates the orbit at degree ceil(d) + EXTRA_DEGREE and
+# re-checks an Infeasible verdict at WINDOW further degrees.
+EXTRA_DEGREE = 3
+WINDOW = 2
 
 
 class ScaleExceeded(ValueError):
@@ -364,8 +368,8 @@ class MembershipReport:
 
     ``conclusive`` is True for Feasible outcomes (the coefficients are a proof)
     and False for Infeasible ones: infeasibility is proven only against the
-    truncated generator set, and stability of the verdict across the window of
-    truncation degrees is evidence, not proof, for the full cone.
+    truncated generator set, and stability of the verdict across the WINDOW
+    further truncation degrees is evidence, not proof, for the full cone.
     """
 
     outcome: Feasible | Infeasible
@@ -420,28 +424,39 @@ def _nonnegative_on(phi, rows) -> bool:
     return min(reduce(partial(map, add), terms)) >= 0
 
 
-def effective_membership(
-    divisor: DivisorClass, *, extra_degree: int = 3, window: int = 2
-) -> MembershipReport:
+def _generator_count(degree: int) -> int:
+    # The orbit to the degree plus -K/2, counted while the table grows one
+    # degree at a time, so a class beyond desk scale is refused at the first
+    # degree over MAX_GENERATORS rather than after enumerating its own.
+    for bound in range(min(_orbit_vectors.degree + 1, degree), degree + 1):
+        count = _orbit_vectors.prefix(bound) + 1
+        if count > MAX_GENERATORS:
+            raise ScaleExceeded(f"{count} generators exceed {MAX_GENERATORS}")
+    return count
+
+
+def effective_membership(divisor: DivisorClass) -> MembershipReport:
     """Truncated LP membership in the effective cone, stabilized over a window.
 
-    The generator set is the exceptional orbit up to degree d + extra_degree
-    plus the half-anticanonical class.  Feasibility is monotone in the
-    truncation degree, so a Feasible outcome is final; an Infeasible outcome
-    is re-checked at `window` further degrees and reported with
+    The generator set is the exceptional orbit up to degree ceil(d) +
+    EXTRA_DEGREE plus the half-anticanonical class.  Feasibility is monotone
+    in the truncation degree, so a Feasible outcome is final; an Infeasible
+    outcome is re-checked at WINDOW further degrees and reported with
     ``conclusive=False`` (see MembershipReport).  A separating functional
     found at one degree is carried to the next and re-verified against the
     newly added generators only, so widening the window rarely needs a new LP.
+    A truncation over MAX_GENERATORS raises ScaleExceeded before the orbit
+    table grows past the first degree that exceeds it.
     """
     target = divisor.vector()
-    base = max(0, math.ceil(divisor.d)) + extra_degree
+    base = max(0, math.ceil(divisor.d)) + EXTRA_DEGREE
     checked: list[int] = []
     outcome: Feasible | Infeasible | None = None
     count = 0
     carried: tuple[Fraction, ...] | None = None
     carried_degree = -1
-    for degree in range(base, base + window + 1):
-        count = _orbit_vectors.prefix(degree) + 1
+    for degree in range(base, base + WINDOW + 1):
+        count = _generator_count(degree)
         if _orbit_vectors.checked < count - 1:
             _effective_cone(degree)  # validates the new orbit columns
         checked.append(degree)

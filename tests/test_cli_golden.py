@@ -161,6 +161,11 @@ def _cases():
             cases.append(["decompose", "--cone", "mov", "--max-steps", "1", "--format", fmt, text])
             cases.append(["check-minus-one", "--max-steps", "1", "--format", fmt, text])
     cases.append(["reduce", "3;1,2"])
+    for fmt in FORMATS:
+        # A mixed batch: one line is answered, the cap cuts the other short.
+        batch = ["--max-steps", "1", "--format", fmt, "1;0,0,0,0,0,0,0,0", "3;2,2,2,2,1,1,1,0"]
+        cases += [["reduce", *batch], ["classify", *batch], ["decompose", "--cone", "eff", *batch],
+                  ["decompose", "--cone", "mov", *batch], ["check-minus-one", *batch]]
     return [{"argv": argv} for argv in cases]
 
 

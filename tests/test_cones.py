@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -41,7 +42,22 @@ from blowupcones import (
     pi_generators,
     ray_distance,
 )
-from blowupcones.cones import CONE_TAGS, _generator_allowed
+from blowupcones.cones import (
+    _CUBICS,
+    _EXPANSIONS,
+    _PIECES,
+    _QUADRICS,
+    CONE_TAGS,
+    _generator_allowed,
+    _pi_split,
+)
+from blowupcones.weyl import (
+    DEFAULT_MAX_STEPS,
+    _DegreeWentNegative,
+    _reduce,
+    _scaled,
+    inverse_word,
+)
 
 from conftest import int_divisors, rational_divisors, words
 
@@ -692,3 +708,267 @@ class TestIntegerResum:
         lone = Certificate("nef", H, (), ())
         with pytest.raises(CertificateError, match=r"terms sum to 0;0,0,0,0,0,0,0,0, expected 1;"):
             lone.check()
+
+
+# -- the shared split against a reference copy of the two routines it replaced -----
+
+REF_DOUBLE_QUADRIC = DivisorClass(2, (2, 1, 1, 1, 1, 1, 0, 0))
+REF_CUBIC_COMPLEMENT = DivisorClass(1, (1, 0, 0, 0, 0, 0, 1, 1))
+REF_PLANE = DivisorClass(1, (1, 1, 1, 0, 0, 0, 0, 0))
+
+
+def ref_through(degree, indices):
+    m = [0] * 8
+    for i in indices:
+        m[i - 1] = 1
+    return DivisorClass(degree, tuple(m))
+
+
+def ref_cubic(a):
+    return DivisorClass(3, (3,) + (1,) * (a - 1) + (0,) * (8 - a))
+
+
+def ref_freeze(terms):
+    return tuple(
+        (generator, coefficient)
+        for generator, coefficient in sorted(terms.items(), key=lambda kv: kv[0].vector())
+        if coefficient != 0
+    )
+
+
+def ref_peel_cubics(current, add_cubic):
+    while current.d < current.m[0] + current.m[3]:
+        a = max(i + 1 for i in range(8) if current.m[i] != 0)
+        assert a >= 4
+        add_cubic(a)
+        m = list(current.m)
+        m[0] -= 3
+        for i in range(1, a):
+            m[i] -= 1
+        current = DivisorClass(current.d - 3, tuple(m))
+    return current
+
+
+def ref_expand_standard(current, add):
+    m = list(current.m) + [Fraction(0)]
+    m4 = m[3]
+    add(REF_PLANE, current.d - 2 * m4)
+    for i in range(3):
+        add(EXCEPTIONALS[i], current.d - m4 - m[i])
+    for k in range(4, 9):
+        coefficient = m[k - 1] - m[k]
+        if not coefficient:
+            continue
+        if k == 8:
+            add(HALF_ANTICANONICAL, coefficient)
+        elif k == 7:
+            add(HALF_ANTICANONICAL, coefficient)
+            add(EXCEPTIONALS[7], coefficient)
+        else:
+            add(REF_DOUBLE_QUADRIC, coefficient)
+            add(EXCEPTIONALS[0], coefficient)
+            for j in range(k, 6):
+                add(EXCEPTIONALS[j], coefficient)
+
+
+def ref_effective_decompose(divisor, max_steps=DEFAULT_MAX_STEPS):
+    """effective_decompose as it was: peel loop, Fraction closures, a pull-back per add."""
+    ints, scale = _scaled(divisor)
+    terms = {}
+    word_acc = []
+
+    def add(generator, coefficient):
+        coefficient = Fraction(coefficient, scale)
+        if coefficient:
+            pulled = apply_word(inverse_word(word_acc), generator)
+            terms[pulled] = terms.get(pulled, Fraction(0)) + coefficient
+
+    while True:
+        try:
+            result = _reduce(ints, 1, max_steps, nonnegative=True)
+        except _DegreeWentNegative as floor:
+            raise NotEffective(
+                f"degree became negative under reduction (reached {floor.last})", floor.last
+            ) from None
+        word_acc.extend(result.word)
+        negatives = [i for i in range(1, 9) if ints[i] < 0]
+        if not negatives:
+            break
+        for i in negatives:
+            add(EXCEPTIONALS[i - 1], -ints[i])
+            ints[i] = 0
+    current = result.standard
+    if current.m[0] > current.d:
+        raise NotEffective(
+            f"multiplicity exceeds degree in standard form ({current}); "
+            "every effective class satisfies m_i <= d",
+            current,
+        )
+
+    def add_cubic(a):
+        add(REF_DOUBLE_QUADRIC, 1)
+        add(REF_CUBIC_COMPLEMENT, 1)
+        for i in range(a, 8):
+            add(EXCEPTIONALS[i], 1)
+
+    current = ref_peel_cubics(current, add_cubic)
+    ref_expand_standard(current, add)
+    return Certificate("eff", divisor, (), ref_freeze(terms))
+
+
+def ref_three_point_decompose(d, m, add):
+    while True:
+        nonzero = [j for j in range(3) if m[j] != 0]
+        if not nonzero:
+            add(H, d)
+            return
+        if len(nonzero) == 1:
+            j = nonzero[0]
+            add(ref_through(1, (j + 1,)), m[j])
+            add(H, d - m[j])
+            return
+        j_min = min(range(3), key=lambda j: (m[j], j))
+        p, q = sorted(set(range(3)) - {j_min})
+        add(ref_through(1, (p + 1, q + 1)), 1)
+        d -= 1
+        m[p] -= 1
+        m[q] -= 1
+
+
+def ref_movable_decompose(divisor, max_steps=DEFAULT_MAX_STEPS):
+    """movable_decompose as it was: peel loop and Fraction closures."""
+    if divisor in pi_generators():
+        return Certificate("mov", divisor, (), ((divisor, Fraction(1)),))
+    ints, scale = _scaled(divisor)
+    try:
+        result = _reduce(ints, 1, max_steps, nonnegative=True)
+    except _DegreeWentNegative as floor:
+        raise NotMovable(
+            f"degree became negative under reduction (reached {floor.last}); "
+            "the class is not even effective",
+            floor.last,
+            floor.word,
+        ) from None
+    reduced = result.standard
+    bad_negative = [i + 1 for i in range(8) if reduced.m[i] < 0]
+    if bad_negative:
+        raise NotMovable(
+            f"negative multiplicity at points {bad_negative} in standard form ({reduced}); "
+            "the corresponding exceptional divisors are fixed components",
+            reduced,
+            result.word,
+        )
+    if reduced.m[0] > reduced.d:
+        raise NotMovable(
+            f"multiplicity exceeds degree in standard form ({reduced})", reduced, result.word
+        )
+    terms = {}
+    fraction = Fraction(1, scale)
+
+    def add(generator, coefficient):
+        coefficient = Fraction(coefficient) * fraction
+        if coefficient:
+            terms[generator] = terms.get(generator, Fraction(0)) + coefficient
+
+    current = ref_peel_cubics(reduced, lambda a: add(ref_cubic(a), 1))
+    m = list(current.m) + [Fraction(0)]
+    m4 = m[3]
+    for k in range(4, 9):
+        add(ref_through(2, range(1, k + 1)), m[k - 1] - m[k])
+    ref_three_point_decompose(current.d - 2 * m4, [m[0] - m4, m[1] - m4, m[2] - m4], add)
+    return Certificate("mov", divisor, result.word, ref_freeze(terms))
+
+
+def decompose_outcome(decompose, divisor):
+    """The certificate as a dict, or everything a refusal or a step cap reports."""
+    try:
+        return decompose(divisor, max_steps=200).to_dict()
+    except NotEffective as exc:
+        return ("not effective", str(exc), str(exc.last))
+    except NotMovable as exc:
+        return ("not movable", str(exc), str(exc.reduced), exc.word)
+    except StepLimitExceeded as exc:
+        return ("step cap", str(exc), exc.steps, str(exc.last))
+
+
+def pushed_sums():
+    """Sums of Pi and orbit generators, some scaled by p/q, pushed by a random word."""
+    pool = pi_generators() + exceptional_orbit(2) + (HALF_ANTICANONICAL,)
+    return st.builds(
+        lambda picks, scale, word: apply_word(
+            word, scale * _combination([pool[i] for i, _ in picks], [c for _, c in picks])),
+        st.lists(st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 4)),
+                 min_size=1, max_size=5),
+        st.sampled_from([Fraction(1), Fraction(1), Fraction(1, 2), Fraction(2, 3)]),
+        st.lists(st.integers(0, 7), max_size=40).map(tuple),
+    )
+
+
+def ref_split(ints):
+    """The split over Pi by the cubic-peeling loop, on a reduced integer class."""
+    d, m = ints[0], list(ints[1:])
+    counts = [0] * 17
+    while d < m[0] + m[3]:
+        a = max(i + 1 for i in range(8) if m[i] != 0)
+        assert a >= 4
+        counts[_CUBICS + a] += 1
+        m[0] -= 3
+        for i in range(1, a):
+            m[i] -= 1
+        d -= 3
+    m.append(0)
+    for k in range(4, 9):
+        counts[_QUADRICS + k] = m[k - 1] - m[k]
+    m4 = m[3]
+    return counts, [d - 2 * m4, m[0] - m4, m[1] - m4, m[2] - m4]
+
+
+class TestPiSplit:
+    @given(st.one_of(int_divisors, rational_divisors, pushed_sums()))
+    @settings(max_examples=300, deadline=None)
+    def test_effective_matches_reference(self, divisor):
+        assert decompose_outcome(effective_decompose, divisor) == decompose_outcome(
+            ref_effective_decompose, divisor)
+
+    @given(st.one_of(int_divisors, rational_divisors, pushed_sums()))
+    @settings(max_examples=300, deadline=None)
+    def test_movable_matches_reference(self, divisor):
+        assert decompose_outcome(movable_decompose, divisor) == decompose_outcome(
+            ref_movable_decompose, divisor)
+
+    def test_table_rows_sum_to_their_generators(self):
+        assert sorted(_EXPANSIONS) == list(range(7, 17))
+        for index, row in _EXPANSIONS.items():
+            total = DivisorClass(0, (0,) * 8)
+            for piece in row:
+                total = total + _PIECES[piece]
+            assert total == pi_generators()[index]
+
+    def test_pieces_are_effective_generators(self):
+        assert _PIECES[:8] == EXCEPTIONALS and _PIECES[9] == REF_PLANE
+        for piece in _PIECES:
+            assert piece == HALF_ANTICANONICAL or is_minus_one_divisor(piece)
+
+    def test_closed_form_peel_matches_loop(self):
+        # Every standard-form class with 0 <= m_i <= d <= 12.
+        checked = 0
+        for d in range(13):
+            for m in itertools.combinations_with_replacement(range(d, -1, -1), 8):
+                if 2 * d >= sum(m[:4]):
+                    assert _pi_split([d, *m]) == ref_split([d, *m])
+                    checked += 1
+        assert checked == 30122
+
+    @pytest.mark.parametrize("text", [
+        "3;3,1,1,1,0,0,0,0",
+        "7;4,3,3,2,2,1,1,0",
+        "3;2,2,2,2,1,1,1,0",
+        "4;-1,2,3,0,-2,1,1,1",
+        "5/3;2/3,2/3,1/3,1/3,1/3,0,0,-1/3",
+        "9;7,3,3,3,3,2,2,0",
+    ])
+    def test_homogeneous_in_a_million(self, text):
+        divisor = DivisorClass.parse(text)
+        k = 10**6
+        cert = effective_decompose(k * divisor)
+        assert cert.terms == tuple((g, k * c) for g, c in effective_decompose(divisor).terms)

@@ -822,3 +822,25 @@ class TestEffectiveConeValidation:
             assert cone[:-1] == _orbit_vectors(degree)
             assert cone[-1] == _HALF_ANTICANONICAL_INTS
         assert _orbit_vectors.checked == _orbit_vectors.prefix(13)
+
+
+class TestMembershipScale:
+    """A truncation over MAX_GENERATORS is refused before the table grows past it."""
+
+    def test_degree_hundred_refused_early(self, fresh_oracle_caches):
+        with pytest.raises(ScaleExceeded):
+            effective_membership(DivisorClass(100, (0,) * 8))
+        assert _orbit_vectors.degree <= 16
+
+    def test_refused_at_the_first_degree_over_the_cap(self, monkeypatch, fresh_oracle_caches):
+        counts = [_orbit_vectors.prefix(k) + 1 for k in range(8)]
+        _orbit_vectors.cache_clear()
+        monkeypatch.setattr(oracle, "MAX_GENERATORS", counts[5])
+        with pytest.raises(ScaleExceeded, match=f"^{counts[6]} generators exceed {counts[5]}$"):
+            effective_membership(DivisorClass(10, (0,) * 8))
+        assert _orbit_vectors.degree == 6
+        # A window that fits is answered in full: degrees 3, 4 and 5.
+        report = effective_membership(-EXCEPTIONALS[0])
+        assert report.checked_degrees == (3, 4, 5)
+        assert report.generator_count == counts[5]
+
