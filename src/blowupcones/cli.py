@@ -4,7 +4,9 @@ Every subcommand reads classes in the canonical text forms (``d;m1,...,m8``
 for divisors, ``a;c1,...,c8`` for curves), writes to stdout or ``--output``,
 and is deterministic: identical inputs and flags produce byte-identical
 structured output.  Exit status: 0 when a verdict was computed (whatever it
-is), 2 on input errors, 3 when a step or scale cap was hit.
+is), 2 on input errors, 3 when a cap was hit: the step cap left a line of a
+per-line command "unknown" (every line is still written), or `orbit` or
+`accumulation` passed the orbit table's scale cap (`--max-degree` 16 and up).
 """
 
 from __future__ import annotations

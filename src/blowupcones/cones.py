@@ -50,8 +50,6 @@ from .weyl import (  # noqa: F401
     _HALF_ANTICANONICAL_INTS,
     _orbit_vectors,
     _reduce,
-    _scaled,
-    _unscaled,
     apply_word,
     inverse_word,
     is_minus_one_divisor,
@@ -124,16 +122,16 @@ class Certificate:
         return apply_word(self.word, self.target)
 
     def resummation(self):
-        return _from_ints(self.target, *self._resum())
+        return type(self.target).from_scaled(*self._resum())
 
     def _resum(self) -> tuple[list[int], int]:
         # The terms' sum as (ints, den) over one common denominator, with each
-        # generator a `_scaled` int vector.
+        # generator its `scaled()` int vector.
         scaled = []
         for generator, coefficient in self.terms:
             if isinstance(generator, CurveClass) and coefficient.denominator != 1:
                 raise CertificateError(f"curve coefficient {coefficient} is not an integer")
-            ints, den = _ints(generator)
+            ints, den = generator.scaled()
             scaled.append((ints, coefficient.numerator, den * coefficient.denominator))
         den = math.lcm(*(q for _, _, q in scaled))
         total = [0] * (NUM_POINTS + 1)
@@ -158,9 +156,9 @@ class Certificate:
         except ValueError as exc:  # a word letter outside 0..7
             raise CertificateError(str(exc)) from None
         total, den = self._resum()
-        ints, expected_den = _ints(expected)
+        ints, expected_den = expected.scaled()
         if [x * expected_den for x in total] != [x * den for x in ints]:
-            total = _from_ints(self.target, total, den)
+            total = type(self.target).from_scaled(total, den)
             raise CertificateError(f"terms sum to {total}, expected {expected}")
 
     # -- serialization ------------------------------------------------------
@@ -216,20 +214,6 @@ def _json_str(item: dict, key: str) -> str:
     if not isinstance(value, str):
         raise TypeError(f"{key} {value!r} is not a string")
     return value
-
-
-def _ints(value) -> tuple[list[int], int]:
-    # A divisor or curve class as (ints, den) with ints = den * value.
-    if isinstance(value, CurveClass):
-        return [value.a, *value.c], 1
-    return _scaled(value)
-
-
-def _from_ints(like, ints: list[int], den: int):
-    # The class ints / den, of the same kind as `like`.
-    if isinstance(like, CurveClass):
-        return CurveClass(ints[0], tuple(ints[1:]))
-    return _unscaled(ints, den)
 
 
 def _freeze_terms(terms: dict, scale: int = 1) -> tuple:
@@ -394,7 +378,7 @@ def nef_decompose(divisor: DivisorClass) -> Certificate:
     if not ok:
         assert witness is not None
         raise NotNef(divisor, witness)
-    (d, *m), scale = _scaled(divisor)
+    (d, *m), scale = divisor.scaled()
     order = sorted(range(NUM_POINTS), key=lambda i: (-m[i], i))
     sorted_m = [m[i] for i in order] + [0]
     terms = {
@@ -477,7 +461,7 @@ def effective_decompose(
     certificate exactly.  A reduction that exceeds `max_steps` raises
     StepLimitExceeded.
     """
-    ints, scale = _scaled(divisor)
+    ints, scale = divisor.scaled()
     terms: Counter[DivisorClass] = Counter()
     word: list[int] = []
     while True:
@@ -542,7 +526,7 @@ def movable_decompose(
         certificate.check()
         return certificate
 
-    ints, scale = _scaled(divisor)
+    ints, scale = divisor.scaled()
     try:
         result = _reduce(ints, 1, max_steps, nonnegative=True)
     except _DegreeWentNegative as floor:
@@ -577,28 +561,24 @@ def movable_decompose(
 
 
 def _three_point_decompose(rest: list[int], counts: list[int]) -> None:
-    # Induction on d for (d; m1, m2, m3) with 2d >= m1+m2+m3 and 0 <= m_i <= d,
-    # adding to `counts` over pi_generators(): strip multiples of H and H-E_j,
-    # otherwise subtract the plane through the two points of non-minimal
-    # multiplicity (index 6 - j_min); the invariant is preserved.
+    # (d; m1, m2, m3) with 2d >= S = m1+m2+m3 and 0 <= m_j <= d, added to `counts`
+    # as the induction subtracting the plane through the two points of non-minimal
+    # multiplicity would: if 2m_t >= S for the largest m_t, H-E_t takes r_t = 2m_t - S,
+    # else H-E_1 takes r_1 = S % 2; with R = sum r, the plane missing point l takes
+    # (S - 2m_l - R + 2r_l) / 2, and H takes the rest of d.
     d, *m = rest
-    while True:
-        assert d >= 0 and 2 * d >= sum(m) and all(0 <= x <= d for x in m)
-        nonzero = [j for j in range(3) if m[j] != 0]
-        if not nonzero:
-            counts[0] += d
-            return
-        if len(nonzero) == 1:
-            j = nonzero[0]
-            counts[1 + j] += m[j]
-            counts[0] += d - m[j]
-            return
-        j_min = min(range(3), key=lambda j: (m[j], j))
-        counts[6 - j_min] += 1
-        d -= 1
-        for j in range(3):
-            if j != j_min:
-                m[j] -= 1
+    total = sum(m)
+    r = [0, 0, 0]
+    t = max(range(3), key=m.__getitem__)
+    if 2 * m[t] >= total:
+        r[t] = 2 * m[t] - total
+    else:
+        r[0] = total % 2
+    spare = sum(r)
+    for j in range(3):
+        counts[6 - j] += (total - 2 * m[j] - spare + 2 * r[j]) // 2
+        counts[1 + j] += r[j]
+    counts[0] += d - (total + spare) // 2
 
 
 # -- chamber and region tests -----------------------------------------------------
@@ -655,7 +635,7 @@ def ray_distance(divisor: DivisorClass) -> Fraction:
     inner product on coefficient vectors and kappa = (2; 1, ..., 1); zero iff
     the class is proportional to the half-anticanonical class.
     """
-    return _ray_distance(_scaled(divisor)[0])
+    return _ray_distance(divisor.scaled()[0])
 
 
 def accumulation_report(max_degree: int) -> tuple[tuple[int, Fraction], ...]:

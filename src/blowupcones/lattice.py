@@ -6,10 +6,15 @@ meaning d*H - sum_i m_i*E_i.  Curve classes live in the dual rank-9 lattice
 with basis (h, e_1, ..., e_8) and are stored as (a; c_1, ..., c_8) meaning
 a*h + sum_i c_i*e_i.  Every coefficient is an arbitrary-precision rational
 (integers for curves); nothing in this package ever stores a float.
+
+Integer code (the Weyl action, the decomposers, the certificate re-sum, the
+oracle) reads a class through `scaled()`: its coefficient vector times the
+lcm of its denominators, with that lcm.  `from_scaled` builds the class back.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -69,6 +74,19 @@ class DivisorClass:
         """Coefficient vector (d, m_1, ..., m_8)."""
         return (self.d, *self.m)
 
+    def scaled(self) -> tuple[list[int], int]:
+        """The class as (ints, den): den is the lcm of its denominators, ints = den * vector()."""
+        vector = self.vector()
+        den = math.lcm(*(x.denominator for x in vector))
+        return [x.numerator * (den // x.denominator) for x in vector], den
+
+    @classmethod
+    def from_scaled(cls, ints, den: int) -> "DivisorClass":
+        """The class ints / den, built back from `scaled`."""
+        if den == 1:
+            return cls(ints[0], tuple(ints[1:]))
+        return cls(Fraction(ints[0], den), tuple(Fraction(x, den) for x in ints[1:]))
+
     def is_integral(self) -> bool:
         return self.d.denominator == 1 and all(x.denominator == 1 for x in self.m)
 
@@ -125,6 +143,17 @@ class CurveClass:
 
     def vector(self) -> tuple[Fraction, ...]:
         return (Fraction(self.a), *(Fraction(x) for x in self.c))
+
+    def scaled(self) -> tuple[list[int], int]:
+        """The class as (ints, 1), as `DivisorClass.scaled`: curve classes are integral."""
+        return [self.a, *self.c], 1
+
+    @classmethod
+    def from_scaled(cls, ints, den: int) -> "CurveClass":
+        """The class ints / den, built back from `scaled`; den must be 1."""
+        if den != 1:
+            raise ValueError(f"curve classes must be integral, got denominator {den}")
+        return cls(ints[0], tuple(ints[1:]))
 
     def is_zero(self) -> bool:
         return self.a == 0 and all(x == 0 for x in self.c)

@@ -11,9 +11,13 @@ in integer arithmetic before they are returned.
 Two generator sets are prepared: validated once and kept as integer columns
 (`PreparedCone`), so a query checks only its target.  An effective-cone
 truncation is the orbit table up to a degree plus -K/2; only the last one
-built is kept.  `divisor_problem` (and its alias `curve_problem`) keeps the
-last integral generator *tuple* it was given with its cone, such as
-`nef_generators()` or `curve_generators()`, which return one cached tuple.
+built is kept.  The table itself refuses a truncation over MAX_GENERATORS
+classes (`weyl.ScaleExceeded`), so an oversized query fails before its LP is
+built, and `_check_shape` stays the LP's own guard on any generator set.
+`divisor_problem` (and its alias `curve_problem`) reads each generator's
+integer frame (`scaled()`) and keeps the last integral generator *tuple* it
+was given with its cone, such as `nef_generators()` or `curve_generators()`,
+which return one cached tuple.
 The memo is matched by identity, not by value: holding the tuple keeps its id
 from being reused, and a tuple of frozen classes cannot change.  Lists can
 change between calls, and rational sets need row scaling, so both are built
@@ -43,12 +47,9 @@ from itertools import chain, compress, count, repeat
 from operator import add, gt, lt, mul
 
 from .lattice import HALF_ANTICANONICAL, CurveClass, DivisorClass
-from .weyl import _HALF_ANTICANONICAL_INTS, _orbit_vectors
+from .weyl import _HALF_ANTICANONICAL_INTS, MAX_GENERATORS, ScaleExceeded, _orbit_vectors
 
 MAX_DIMENSION = 10
-# Desk scale with headroom for the effective-cone truncations: stabilizing a
-# degree-8 target checks the exceptional orbit up to degree 13 (37480 classes).
-MAX_GENERATORS = 60_000
 # Bland's rule cannot cycle, and no LP of the acceptance suite takes more than
 # 103 pivots, so passing this many means the pricing is at fault: it fails
 # instead of looping.
@@ -57,10 +58,6 @@ MAX_PIVOTS = 10_000
 # re-checks an Infeasible verdict at WINDOW further degrees.
 EXTRA_DEGREE = 3
 WINDOW = 2
-
-
-class ScaleExceeded(ValueError):
-    """The problem is beyond the desk scale this oracle is meant for."""
 
 
 def _check_exact(value) -> None:
@@ -154,11 +151,10 @@ def divisor_problem(target: DivisorClass | CurveClass, generators) -> ConeProble
     if type(generators) is tuple and generators:
         held, cone = _memo
         if generators is not held:
-            vectors = [g.vector() for g in generators]
-            entries = chain.from_iterable(vectors)
-            if not all(type(x) is Fraction and x.denominator == 1 for x in entries):
-                return ConeProblem(target.vector(), tuple(vectors))
-            cone = PreparedCone(tuple(x.numerator for x in v) for v in vectors)
+            frames = [g.scaled() for g in generators]
+            if any(den != 1 for _, den in frames):
+                return ConeProblem(target.vector(), tuple(g.vector() for g in generators))
+            cone = PreparedCone(tuple(ints) for ints, _ in frames)
             _memo = (generators, cone)
         return ConeProblem(target.vector(), cone)
     return ConeProblem(target.vector(), tuple(g.vector() for g in generators))
@@ -424,17 +420,6 @@ def _nonnegative_on(phi, rows) -> bool:
     return min(reduce(partial(map, add), terms)) >= 0
 
 
-def _generator_count(degree: int) -> int:
-    # The orbit to the degree plus -K/2, counted while the table grows one
-    # degree at a time, so a class beyond desk scale is refused at the first
-    # degree over MAX_GENERATORS rather than after enumerating its own.
-    for bound in range(min(_orbit_vectors.degree + 1, degree), degree + 1):
-        count = _orbit_vectors.prefix(bound) + 1
-        if count > MAX_GENERATORS:
-            raise ScaleExceeded(f"{count} generators exceed {MAX_GENERATORS}")
-    return count
-
-
 def effective_membership(divisor: DivisorClass) -> MembershipReport:
     """Truncated LP membership in the effective cone, stabilized over a window.
 
@@ -445,22 +430,21 @@ def effective_membership(divisor: DivisorClass) -> MembershipReport:
     ``conclusive=False`` (see MembershipReport).  A separating functional
     found at one degree is carried to the next and re-verified against the
     newly added generators only, so widening the window rarely needs a new LP.
-    A truncation over MAX_GENERATORS raises ScaleExceeded before the orbit
-    table grows past the first degree that exceeds it.
+    The orbit table raises ScaleExceeded at the first degree over its cap, so
+    a class beyond desk scale is refused without enumerating its truncation.
     """
-    target = divisor.vector()
+    target, cleared = divisor.vector(), divisor.scaled()[0]
     base = max(0, math.ceil(divisor.d)) + EXTRA_DEGREE
     checked: list[int] = []
     outcome: Feasible | Infeasible | None = None
-    count = 0
     carried: tuple[Fraction, ...] | None = None
     carried_degree = -1
     for degree in range(base, base + WINDOW + 1):
-        count = _generator_count(degree)
+        count = _orbit_vectors.prefix(degree) + 1
         if _orbit_vectors.checked < count - 1:
             _effective_cone(degree)  # validates the new orbit columns
         checked.append(degree)
-        shortcut = _separating_shortcut(_cleared(target), degree)
+        shortcut = _separating_shortcut(cleared, degree)
         if shortcut is not None:
             outcome = shortcut
             continue

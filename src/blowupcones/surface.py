@@ -71,9 +71,10 @@ def surface_pairing(gamma1: SurfaceClass, gamma2: SurfaceClass) -> int:
 
 def restrict_to_surface(divisor: DivisorClass) -> SurfaceClass:
     """Restriction of an integral threefold class: (d; m) maps to (d, d; m)."""
-    if not divisor.is_integral():
+    (d, *m), den = divisor.scaled()
+    if den != 1:
         raise ValueError(f"integral class required, got {divisor}")
-    return SurfaceClass(int(divisor.d), int(divisor.d), tuple(int(x) for x in divisor.m))
+    return SurfaceClass(d, d, tuple(m))
 
 
 def is_minus_one_curve(gamma: SurfaceClass) -> bool:

@@ -5,21 +5,22 @@ reflection s_i swaps the multiplicities m_i and m_{i+1}; s_0 is the lattice
 action of the standard Cremona transformation centered at the first four
 points.  Words are sequences of generator indices applied left to right.
 
-Reflections, words and reduction all run on one integer vector: the class
-times the lcm of its denominators (the action commutes with scaling).  A
-DivisorClass is built only for a result that leaves the module.  Reduction
+Reflections, words and reduction all run on one integer vector, the class's
+`scaled()` frame (the action commutes with scaling); `from_scaled` builds a
+DivisorClass only for a result that leaves the module.  Reduction
 sorts an arbitrary input once by adjacent reflections; after each Cremona move
 it re-sorts by merging the two descending runs s_0 leaves behind, which gives
 the same word as the full sort.  The (-1)-class test computes its two
 pairings on the same integer vector.
+
+The exceptional orbit is one table, grown a degree at a time; its own cap
+(ScaleExceeded past MAX_GENERATORS classes) bounds every reader of the orbit.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from operator import mul
 
@@ -53,20 +54,6 @@ class StepLimitExceeded(RuntimeError):
         self.last = last
 
 
-def _scaled(divisor: DivisorClass) -> tuple[list[int], int]:
-    """The class as (ints, den): den is the lcm of its denominators, ints = den * D."""
-    vector = divisor.vector()
-    den = math.lcm(*(x.denominator for x in vector))
-    return [x.numerator * (den // x.denominator) for x in vector], den
-
-
-def _unscaled(ints: list[int], den: int) -> DivisorClass:
-    """The class ints / den, built back from `_scaled`."""
-    if den == 1:
-        return DivisorClass(ints[0], tuple(ints[1:]))
-    return DivisorClass(Fraction(ints[0], den), tuple(Fraction(x, den) for x in ints[1:]))
-
-
 def _act(word, ints: list[int]) -> None:
     # The Weyl action on a coefficient vector (d, m_1, ..., m_8), in place:
     # s_0 adds t = 2d - m_1 - m_2 - m_3 - m_4 to d and m_1..m_4, s_i swaps m_i
@@ -87,9 +74,9 @@ def _act(word, ints: list[int]) -> None:
 
 def reflect(i: int, divisor: DivisorClass) -> DivisorClass:
     """Apply the simple reflection s_i(D) = D + (alpha_i, D) * alpha_i."""
-    ints, den = _scaled(divisor)
+    ints, den = divisor.scaled()
     _act((i,), ints)
-    return _unscaled(ints, den)
+    return DivisorClass.from_scaled(ints, den)
 
 
 def cremona(indices, divisor: DivisorClass) -> DivisorClass:
@@ -103,18 +90,18 @@ def cremona(indices, divisor: DivisorClass) -> DivisorClass:
         isinstance(i, int) and 1 <= i <= NUM_POINTS for i in index_set
     ):
         raise ValueError(f"need four distinct point indices in 1..{NUM_POINTS}, got {indices!r}")
-    ints, den = _scaled(divisor)
+    ints, den = divisor.scaled()
     t = 2 * ints[0] - sum(ints[i] for i in index_set)
     for i in (0, *index_set):
         ints[i] += t
-    return _unscaled(ints, den)
+    return DivisorClass.from_scaled(ints, den)
 
 
 def apply_word(word, divisor: DivisorClass) -> DivisorClass:
     """Apply a word of generator indices left to right."""
-    ints, den = _scaled(divisor)
+    ints, den = divisor.scaled()
     _act(word, ints)
-    return _unscaled(ints, den)
+    return DivisorClass.from_scaled(ints, den)
 
 
 def inverse_word(word) -> WeylWord:
@@ -203,17 +190,17 @@ def _reduce(
     sort = _sort_descending  # an arbitrary input; after each s_0, two runs
     while True:
         if nonnegative and ints[0] < 0:
-            raise _DegreeWentNegative(_unscaled(ints, den), tuple(word))
+            raise _DegreeWentNegative(DivisorClass.from_scaled(ints, den), tuple(word))
         sort(ints, word)
         if 2 * ints[0] >= ints[1] + ints[2] + ints[3] + ints[4]:
-            return ReductionResult(_unscaled(ints, den), tuple(word), steps)
+            return ReductionResult(DivisorClass.from_scaled(ints, den), tuple(word), steps)
         if steps >= max_steps:
             message = (
                 f"reduction exceeded {max_steps} Cremona steps"
                 if nonnegative
                 else f"no standard form within {max_steps} Cremona steps"
             )
-            raise StepLimitExceeded(message, steps, _unscaled(ints, den))
+            raise StepLimitExceeded(message, steps, DivisorClass.from_scaled(ints, den))
         _act((0,), ints)
         word.append(0)
         steps += 1
@@ -229,13 +216,13 @@ def to_standard_form(
     form is reached; the step cap guards against inputs whose degree diverges
     (see StepLimitExceeded).
     """
-    return _reduce(*_scaled(divisor), max_steps)
+    return _reduce(*divisor.scaled(), max_steps)
 
 
 # -- orbit enumeration --------------------------------------------------------
 
 #: The half-anticanonical class as an integer vector.
-_HALF_ANTICANONICAL_INTS = tuple(_scaled(HALF_ANTICANONICAL)[0])
+_HALF_ANTICANONICAL_INTS = tuple(HALF_ANTICANONICAL.scaled()[0])
 
 
 def _arrangements(values: tuple[int, ...], memo: dict) -> list[tuple[int, ...]]:
@@ -246,12 +233,23 @@ def _arrangements(values: tuple[int, ...], memo: dict) -> list[tuple[int, ...]]:
     return memo.get(values, [values])
 
 
+class ScaleExceeded(ValueError):
+    """The problem is beyond the desk scale this package is meant for."""
+
+
+# Desk scale with headroom for the effective-cone truncations: a degree-8
+# target checks the orbit to degree 13 (37 480 classes); degree 16 has 72 760.
+MAX_GENERATORS = 60_000
+
+
 class _OrbitTable:
     """The exceptional orbit up to a degree bound, sorted by coefficient vector.
 
     The sort puts the degree first, so each truncation is a prefix of `vectors`
     (and of the classes, each built once).  Enumeration reaches the largest
-    bound so far and resumes from the shapes the last bound pruned.
+    bound so far one degree at a time, resuming from the shapes the last degree
+    pruned, and raises ScaleExceeded at the first truncation over
+    MAX_GENERATORS classes, so no reader of the orbit runs unbounded.
     """
 
     def __init__(self) -> None:
@@ -276,17 +274,24 @@ class _OrbitTable:
         return tuple(self._classes[:count])
 
     def prefix(self, max_degree: int) -> int:
-        # Closure of the shapes (d; multiplicities ascending) under s_0 at any
-        # four points, pruning anything above the degree bound; each new shape
-        # adds its distinct permutations.  Pruning is complete: every orbit
-        # element reduces to an exceptional class through degree non-increasing
-        # moves, so the reverse path stays within the bound.  New classes lie
-        # above the old bound, so they sort after the old table.
-        if max_degree > self.degree:
+        # One degree at a time: close the shapes (d; multiplicities ascending)
+        # under s_0 at any four points, pruning those above the degree, and add
+        # each new shape's distinct permutations, which sort after the table.
+        # Pruning is complete: every orbit element reduces to an exceptional
+        # class by degree non-increasing moves, so the reverse path stays in.
+        while True:
+            degree = min(max_degree, self.degree)
+            count = bisect_left(self.vectors, (degree + 1,))
+            if count > MAX_GENERATORS:
+                raise ScaleExceeded(f"the orbit to degree {degree} has {count} classes, "
+                                    f"more than MAX_GENERATORS = {MAX_GENERATORS}")
+            if degree == max_degree:
+                return count
+            self.degree += 1
             queue, self._pruned, added, memo = list(self._pruned), set(), [], {}
             while queue:
                 shape = queue.pop()
-                if shape[0] > max_degree:
+                if shape[0] > self.degree:
                     self._pruned.add(shape)
                 elif shape not in self._shapes:
                     self._shapes.add(shape)
@@ -298,8 +303,6 @@ class _OrbitTable:
                         _act((0,), ints)
                         queue.append((ints[0], *sorted(ints[1:])))
             self.vectors += tuple(sorted(added))
-            self.degree = max_degree
-        return bisect_left(self.vectors, (max_degree + 1,))
 
 
 _orbit_vectors = _OrbitTable()
@@ -335,10 +338,9 @@ def minus_one_certificate(
     is the reduced exceptional class.  StepLimitExceeded propagates from the
     reduction.
     """
-    ints, den = _scaled(divisor)
+    (d, *m), den = divisor.scaled()
     if den != 1:
         raise ValueError(f"integral class required, got {divisor}")
-    d, m = ints[0], ints[1:]
     if 2 * d * d - sum(map(mul, m, m)) != -1 or 4 * d - sum(m) != 1:
         return None
     result = to_standard_form(divisor, max_steps)

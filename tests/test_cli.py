@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from blowupcones.cli import build_parser, main
+from blowupcones.weyl import _orbit_vectors
 
 DATA = Path(__file__).parent / "data"
 #: Recorded `oracle --format json` outputs over two generator files (the nef
@@ -338,6 +339,22 @@ class TestOrbitCommands:
     def test_accumulation_golden(self, capsys):
         golden = ORBIT_GOLDEN["accumulation"]
         assert run(capsys, *golden["argv"]) == (0, golden["stdout"], "")
+
+    @pytest.mark.parametrize("command", ["orbit", "accumulation"])
+    def test_over_the_orbit_cap_exits_3(self, capsys, tmp_path, command):
+        # Degree 16 holds 72 760 orbit classes, over MAX_GENERATORS (60 000).
+        target = tmp_path / "out.csv"
+        _orbit_vectors.cache_clear()
+        try:
+            code, out, err = run(capsys, command, "--max-degree", "16")
+            assert (code, out) == (3, "")
+            assert err.startswith("error: the orbit to degree 16 has 72760 classes, ")
+            code, out, err = run(capsys, command, "--max-degree", "40", "--output", str(target))
+            assert (code, out) == (3, "")
+            assert err.startswith("error: the orbit to degree 16 has 72760 classes, ")
+            assert not target.exists()
+        finally:
+            _orbit_vectors.cache_clear()
 
 
 class TestCheckMinusOne:

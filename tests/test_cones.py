@@ -50,12 +50,12 @@ from blowupcones.cones import (
     CONE_TAGS,
     _generator_allowed,
     _pi_split,
+    _three_point_decompose,
 )
 from blowupcones.weyl import (
     DEFAULT_MAX_STEPS,
     _DegreeWentNegative,
     _reduce,
-    _scaled,
     inverse_word,
 )
 
@@ -773,7 +773,7 @@ def ref_expand_standard(current, add):
 
 def ref_effective_decompose(divisor, max_steps=DEFAULT_MAX_STEPS):
     """effective_decompose as it was: peel loop, Fraction closures, a pull-back per add."""
-    ints, scale = _scaled(divisor)
+    ints, scale = divisor.scaled()
     terms = {}
     word_acc = []
 
@@ -839,7 +839,7 @@ def ref_movable_decompose(divisor, max_steps=DEFAULT_MAX_STEPS):
     """movable_decompose as it was: peel loop and Fraction closures."""
     if divisor in pi_generators():
         return Certificate("mov", divisor, (), ((divisor, Fraction(1)),))
-    ints, scale = _scaled(divisor)
+    ints, scale = divisor.scaled()
     try:
         result = _reduce(ints, 1, max_steps, nonnegative=True)
     except _DegreeWentNegative as floor:
@@ -972,3 +972,39 @@ class TestPiSplit:
         k = 10**6
         cert = effective_decompose(k * divisor)
         assert cert.terms == tuple((g, k * c) for g, c in effective_decompose(divisor).terms)
+
+
+def ref_three_point_counts(d, m):
+    """The induction's counts over pi_generators() for the rest (d; m)."""
+    index = {generator: i for i, generator in enumerate(pi_generators())}
+    counts = [0] * len(index)
+
+    def add(generator, coefficient):
+        counts[index[generator]] += coefficient
+
+    ref_three_point_decompose(d, list(m), add)
+    return counts
+
+
+class TestThreePointRest:
+    """The three-point rest of `movable_decompose`, in closed form."""
+
+    def test_closed_form_matches_induction(self):
+        # Every rest (d; m1, m2, m3) with 0 <= m_j <= d <= 12 and 2d >= m1 + m2 + m3.
+        checked = 0
+        for d in range(13):
+            for m in itertools.product(range(d + 1), repeat=3):
+                if 2 * d >= sum(m):
+                    counts = [0] * len(pi_generators())
+                    _three_point_decompose([d, *m], counts)
+                    assert counts == ref_three_point_counts(d, m), (d, m)
+                    checked += 1
+        assert checked == 6916
+
+    def test_million_class(self):
+        divisor = DivisorClass.parse("1000000;500000,500000,500000,0,0,0,0,0")
+        cert = movable_decompose(divisor)
+        planes = [ref_through(1, pair) for pair in ((1, 2), (1, 3), (2, 3))]
+        assert cert.word == ()
+        assert terms_as_dict(cert) == {H: 250000, **{plane: 250000 for plane in planes}}
+        assert cert.resummation() == divisor

@@ -171,6 +171,18 @@ class TestDivisorClassBasics:
         with pytest.raises(ValueError):
             exceptional(9)
 
+    def test_scaled_frame(self):
+        divisor = DivisorClass.parse("3/2;1/3,0,-5/6,1,0,0,0,2")
+        assert divisor.scaled() == ([9, 2, 0, -5, 6, 0, 0, 0, 12], 6)
+        assert HALF_ANTICANONICAL.scaled() == ([2] + [1] * 8, 1)
+
+    @given(rational_divisors)
+    def test_from_scaled_round_trip(self, divisor):
+        ints, den = divisor.scaled()
+        assert all(type(x) is int for x in ints) and den >= 1
+        assert [x * den for x in divisor.vector()] == ints
+        assert DivisorClass.from_scaled(ints, den) == divisor
+
 
 class TestCurveClassBasics:
     def test_line_between_normalizes(self):
@@ -185,6 +197,13 @@ class TestCurveClassBasics:
     def test_integer_only(self):
         with pytest.raises(TypeError):
             CurveClass(Fraction(1, 2), (0,) * 8)
+
+    def test_scaled_frame(self):
+        curve = line_between(1, 2)
+        assert curve.scaled() == ([1, -1, -1, 0, 0, 0, 0, 0, 0], 1)
+        assert CurveClass.from_scaled(*curve.scaled()) == curve
+        with pytest.raises(ValueError):
+            CurveClass.from_scaled([1] * 9, 2)
 
 
 class TestTextForms:

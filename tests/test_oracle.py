@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from blowupcones import oracle
+from blowupcones import oracle, weyl
 from blowupcones.oracle import PreparedCone
 from blowupcones.weyl import _HALF_ANTICANONICAL_INTS, _orbit_vectors
 from blowupcones import (
@@ -825,7 +825,7 @@ class TestEffectiveConeValidation:
 
 
 class TestMembershipScale:
-    """A truncation over MAX_GENERATORS is refused before the table grows past it."""
+    """A truncation over the table's cap is refused before the table grows past it."""
 
     def test_degree_hundred_refused_early(self, fresh_oracle_caches):
         with pytest.raises(ScaleExceeded):
@@ -833,14 +833,16 @@ class TestMembershipScale:
         assert _orbit_vectors.degree <= 16
 
     def test_refused_at_the_first_degree_over_the_cap(self, monkeypatch, fresh_oracle_caches):
-        counts = [_orbit_vectors.prefix(k) + 1 for k in range(8)]
+        counts = [_orbit_vectors.prefix(k) for k in range(8)]
         _orbit_vectors.cache_clear()
-        monkeypatch.setattr(oracle, "MAX_GENERATORS", counts[5])
-        with pytest.raises(ScaleExceeded, match=f"^{counts[6]} generators exceed {counts[5]}$"):
+        monkeypatch.setattr(weyl, "MAX_GENERATORS", counts[5])
+        message = f"^the orbit to degree 6 has {counts[6]} classes, more than MAX_GENERATORS = "
+        message += f"{counts[5]}$"
+        with pytest.raises(ScaleExceeded, match=message):
             effective_membership(DivisorClass(10, (0,) * 8))
         assert _orbit_vectors.degree == 6
-        # A window that fits is answered in full: degrees 3, 4 and 5.
+        # A window that fits is answered in full: degrees 3, 4 and 5, plus -K/2.
         report = effective_membership(-EXCEPTIONALS[0])
         assert report.checked_degrees == (3, 4, 5)
-        assert report.generator_count == counts[5]
+        assert report.generator_count == counts[5] + 1
 

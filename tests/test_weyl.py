@@ -11,7 +11,9 @@ from blowupcones import (
     HALF_ANTICANONICAL,
     ROOT_SYSTEM,
     DivisorClass,
+    ScaleExceeded,
     StepLimitExceeded,
+    accumulation_report,
     apply_word,
     canonical_shape,
     cremona,
@@ -33,9 +35,8 @@ from blowupcones.weyl import (
     _act,
     _merge_runs,
     _OrbitTable,
-    _scaled,
+    _orbit_vectors,
     _sort_descending,
-    _unscaled,
 )
 
 from conftest import generator_letters, int_divisors, rational_divisors, words
@@ -301,6 +302,41 @@ class TestOrbitTable:
         assert sorted(counts) == list(range(14))
         assert sum(counts.values()) == 37480
 
+    def test_grown_degree_by_degree(self):
+        table = _OrbitTable()
+        for degree in range(9):
+            table.prefix(degree)
+            assert table.degree == degree
+        assert table.vectors == breadth_first_orbit(8)
+
+
+@pytest.fixture
+def fresh_table():
+    """Empty the shared orbit table before and after a test."""
+    _orbit_vectors.cache_clear()
+    yield _orbit_vectors
+    _orbit_vectors.cache_clear()
+
+
+class TestOrbitCap:
+    """The table's own cap, MAX_GENERATORS classes, bounds every reader of the orbit."""
+
+    @pytest.mark.parametrize("read", [exceptional_orbit, orbit_degree_counts, accumulation_report])
+    def test_every_reader_refused_at_degree_sixteen(self, fresh_table, read):
+        with pytest.raises(ScaleExceeded, match="^the orbit to degree 16 has 72760 classes, "):
+            read(16)
+        assert fresh_table.degree == 16
+
+    def test_far_bound_stops_growing_at_the_cap(self, fresh_table):
+        with pytest.raises(ScaleExceeded):
+            exceptional_orbit(40)
+        assert fresh_table.degree == 16
+        # Truncations under the cap are still answered; one over it stays refused.
+        assert fresh_table.prefix(15) == 59096
+        with pytest.raises(ScaleExceeded):
+            fresh_table.prefix(16)
+        assert fresh_table.degree == 16
+
 
 class TestMinusOne:
     def test_exceptional(self):
@@ -335,15 +371,15 @@ class TestMinusOne:
 
 def reference_to_standard_form(divisor, max_steps=DEFAULT_MAX_STEPS):
     """The reduction loop as it was: a full bubble sort after every s_0."""
-    ints, den = _scaled(divisor)
+    ints, den = divisor.scaled()
     word, steps = [], 0
     while True:
         _sort_descending(ints, word)
         if 2 * ints[0] >= ints[1] + ints[2] + ints[3] + ints[4]:
-            return ReductionResult(_unscaled(ints, den), tuple(word), steps)
+            return ReductionResult(DivisorClass.from_scaled(ints, den), tuple(word), steps)
         if steps >= max_steps:
             message = f"no standard form within {max_steps} Cremona steps"
-            raise StepLimitExceeded(message, steps, _unscaled(ints, den))
+            raise StepLimitExceeded(message, steps, DivisorClass.from_scaled(ints, den))
         _act((0,), ints)
         word.append(0)
         steps += 1
