@@ -48,6 +48,7 @@ from .weyl import (  # noqa: F401
     WeylWord,
     _DegreeWentNegative,
     _HALF_ANTICANONICAL_INTS,
+    _act,
     _orbit_vectors,
     _reduce,
     apply_word,
@@ -216,24 +217,36 @@ def _json_str(item: dict, key: str) -> str:
     return value
 
 
-def _freeze_terms(terms: dict, scale: int = 1) -> tuple:
-    # The non-zero terms in generator-vector order, each integer coefficient
-    # divided by the scale once.
+def _key(generator) -> tuple[int, ...]:
+    # The int vector of an integral class: the key of its term.
+    return tuple(generator.scaled()[0])
+
+
+def _freeze_terms(terms: dict, scale: int = 1, kind=DivisorClass) -> tuple:
+    # Terms keyed by generator int vectors, as (generator, coefficient) pairs:
+    # the non-zero ones in key order, which is vector() order since every
+    # generator is integral, each generator built once and each integer
+    # coefficient divided by the scale once.
     return tuple(
-        (generator, Fraction(coefficient, scale))
-        for generator, coefficient in sorted(terms.items(), key=lambda kv: kv[0].vector())
+        (kind.from_scaled(key, 1), Fraction(coefficient, scale))
+        for key, coefficient in sorted(terms.items())
         if coefficient
     )
 
 
 # -- generating sets -----------------------------------------------------------
 
-def _through(degree: int, indices) -> DivisorClass:
-    # The plane (degree 1) or quadric (degree 2) through the points, simply.
-    m = [0] * NUM_POINTS
+def _through_ints(degree: int, indices) -> tuple[int, ...]:
+    # The plane (degree 1) or quadric (degree 2) through the points, simply, as
+    # an int vector; H is the plane through no point.
+    ints = [degree] + [0] * NUM_POINTS
     for i in indices:
-        m[i - 1] = 1
-    return DivisorClass(degree, tuple(m))
+        ints[i] = 1
+    return tuple(ints)
+
+
+def _through(degree: int, indices) -> DivisorClass:
+    return DivisorClass.from_scaled(_through_ints(degree, indices), 1)
 
 
 @lru_cache(maxsize=1)
@@ -292,8 +305,8 @@ def _generator_set(cone: str) -> frozenset:
 
 def _generator_allowed(cone: str, generator) -> bool:
     if cone == CONE_EFF:
-        return isinstance(generator, DivisorClass) and (generator == HALF_ANTICANONICAL or (
-            generator.is_integral() and is_minus_one_divisor(generator)))
+        return isinstance(generator, DivisorClass) and (
+            generator == HALF_ANTICANONICAL or is_minus_one_divisor(generator))
     kind = CurveClass if cone == CONE_CURVES else DivisorClass
     return cone in CONE_TAGS and isinstance(generator, kind) and generator in _generator_set(cone)
 
@@ -309,7 +322,7 @@ def curve_decompose(curve: CurveClass) -> Certificate:
     0 <= b_i <= a and 2a >= sum b_i (with pure e_i combinations when a = 0);
     anything else raises HypothesisViolated.
     """
-    terms: Counter[CurveClass] = Counter()
+    terms: Counter[tuple[int, ...]] = Counter()
     current = curve
     while True:
         a = current.a
@@ -320,7 +333,7 @@ def curve_decompose(curve: CurveClass) -> Certificate:
             if any(x > 0 for x in b):
                 raise HypothesisViolated("a >= b_i", curve)
             for i, coefficient in enumerate(current.c):
-                terms[exceptional_line(i + 1)] += coefficient
+                terms[_key(exceptional_line(i + 1))] += coefficient
             break
         if any(x < 0 for x in b):
             raise HypothesisViolated("b_i >= 0", curve)
@@ -332,22 +345,22 @@ def curve_decompose(curve: CurveClass) -> Certificate:
         if len(positive) >= 2:
             i1, i2 = sorted(positive, key=lambda i: (-b[i], i))[:2]
             line = line_between(i1 + 1, i2 + 1)
-            terms[line] += 1
+            terms[_key(line)] += 1
             current = current - line
         elif len(positive) == 1:
             i1 = positive[0]
             k = 0 if i1 != 0 else 1
-            terms[exceptional_line(i1 + 1)] += a - b[i1]
-            terms[exceptional_line(k + 1)] += a
-            terms[line_between(i1 + 1, k + 1)] += a
+            terms[_key(exceptional_line(i1 + 1))] += a - b[i1]
+            terms[_key(exceptional_line(k + 1))] += a
+            terms[_key(line_between(i1 + 1, k + 1))] += a
             break
         else:
-            terms[exceptional_line(1)] += a
-            terms[exceptional_line(2)] += a
-            terms[line_between(1, 2)] += a
+            terms[_key(exceptional_line(1))] += a
+            terms[_key(exceptional_line(2))] += a
+            terms[_key(line_between(1, 2))] += a
             break
 
-    certificate = Certificate(CONE_CURVES, curve, (), _freeze_terms(terms))
+    certificate = Certificate(CONE_CURVES, curve, (), _freeze_terms(terms, kind=CurveClass))
     certificate.check()
     return certificate
 
@@ -382,11 +395,11 @@ def nef_decompose(divisor: DivisorClass) -> Certificate:
     order = sorted(range(NUM_POINTS), key=lambda i: (-m[i], i))
     sorted_m = [m[i] for i in order] + [0]
     terms = {
-        H: d - sorted_m[0] - sorted_m[1],
-        _through(1, (order[0] + 1,)): sorted_m[0] - sorted_m[1],
+        _through_ints(1, ()): d - sorted_m[0] - sorted_m[1],
+        _through_ints(1, (order[0] + 1,)): sorted_m[0] - sorted_m[1],
     }
     for k in range(2, NUM_POINTS + 1):
-        terms[_through(2, (order[i] + 1 for i in range(k)))] = sorted_m[k - 1] - sorted_m[k]
+        terms[_through_ints(2, (order[i] + 1 for i in range(k)))] = sorted_m[k - 1] - sorted_m[k]
 
     certificate = Certificate(CONE_NEF, divisor, (), _freeze_terms(terms, scale))
     certificate.check()
@@ -397,6 +410,9 @@ def nef_decompose(divisor: DivisorClass) -> Certificate:
 
 #: L_k = (2;1^k) is pi_generators()[_QUADRICS + k] and M_a is [_CUBICS + a].
 _QUADRICS, _CUBICS = 3, 8
+
+#: The indices of pi_generators() in vector() order: a movable certificate's term order.
+_PI_ORDER = sorted(range(len(pi_generators())), key=lambda i: pi_generators()[i].vector())
 
 
 def _pi_split(ints: list[int]) -> tuple[list[int], list[int]]:
@@ -430,6 +446,7 @@ _PIECES = EXCEPTIONALS + (HALF_ANTICANONICAL, _through(1, (1, 2, 3)),
                           DivisorClass(2, (2, 1, 1, 1, 1, 1, 0, 0)),
                           DivisorClass(1, (1, 0, 0, 0, 0, 0, 1, 1)))
 _Q, _PLANE, _DOUBLE_QUADRIC, _CUBIC_COMPLEMENT = 8, 9, 10, 11
+_PIECE_INTS = tuple(_key(piece) for piece in _PIECES)
 
 #: Each L_k and M_a as a sum of pieces (indices into _PIECES):
 #: L_k = (2;2,1^5,0,0) + E_1 + E_{k+1} + ... + E_6 for k <= 6, L_7 = -K/2 + E_8,
@@ -442,6 +459,13 @@ _EXPANSIONS = {
 
 
 # -- effective cone ----------------------------------------------------------------
+
+def _pulled_back(back: WeylWord, ints: tuple[int, ...]) -> tuple[int, ...]:
+    # A piece's int vector carried by the word `back` into the input's frame.
+    pulled = list(ints)
+    _act(back, pulled)
+    return tuple(pulled)
+
 
 def effective_decompose(
     divisor: DivisorClass, max_steps: int = DEFAULT_MAX_STEPS
@@ -462,7 +486,7 @@ def effective_decompose(
     StepLimitExceeded.
     """
     ints, scale = divisor.scaled()
-    terms: Counter[DivisorClass] = Counter()
+    terms: Counter[tuple[int, ...]] = Counter()
     word: list[int] = []
     while True:
         try:
@@ -478,7 +502,7 @@ def effective_decompose(
             break
         back = inverse_word(word)
         for i in negatives:
-            terms[apply_word(back, EXCEPTIONALS[i - 1])] -= ints[i]
+            terms[_pulled_back(back, _PIECE_INTS[i - 1])] -= ints[i]  # E_i
             ints[i] = 0
 
     if ints[1] > ints[0]:
@@ -497,9 +521,9 @@ def effective_decompose(
     for j in range(3):
         pieces[j] += d - m[j]
     back = inverse_word(word)
-    for piece, count in zip(_PIECES, pieces):
+    for piece, count in zip(_PIECE_INTS, pieces):
         if count:
-            terms[apply_word(back, piece)] += count
+            terms[_pulled_back(back, piece)] += count
 
     certificate = Certificate(CONE_EFF, divisor, (), _freeze_terms(terms, scale))
     certificate.check()
@@ -554,8 +578,9 @@ def movable_decompose(
 
     counts, rest = _pi_split(ints)
     _three_point_decompose(rest, counts)
-    terms = dict(zip(pi_generators(), counts))
-    certificate = Certificate(CONE_MOV, divisor, result.word, _freeze_terms(terms, scale))
+    generators = pi_generators()
+    terms = tuple((generators[i], Fraction(counts[i], scale)) for i in _PI_ORDER if counts[i])
+    certificate = Certificate(CONE_MOV, divisor, result.word, terms)
     certificate.check()
     return certificate
 

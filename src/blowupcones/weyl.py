@@ -10,18 +10,40 @@ Reflections, words and reduction all run on one integer vector, the class's
 DivisorClass only for a result that leaves the module.  Reduction
 sorts an arbitrary input once by adjacent reflections; after each Cremona move
 it re-sorts by merging the two descending runs s_0 leaves behind, which gives
-the same word as the full sort.  The (-1)-class test computes its two
-pairings on the same integer vector.
+the same word as the full sort.
 
-The exceptional orbit is one table, grown a degree at a time; its own cap
-(ScaleExceeded past MAX_GENERATORS classes) bounds every reader of the orbit.
+The exceptional orbit is a lattice-point set.  Let Q = -K/2 = (2;1^8).  The
+group is affine (type T_{2,4,4}, which is affine E_7) and Q is its null
+vector: (Q, Q) = 0 and Q is orthogonal to every simple root, so W fixes Q.
+
+Lemma.  An integral class D lies in W.E_8 iff (D, D) = -1 and (D, Q) = 1.
+
+Proof.  "Only if": W preserves the form and fixes Q, and E_8 meets both.
+"If": write e_i = m_i - d/2.  The equations say sum e_i = -1 and
+|e|^2 = d + 1, so d >= -1.  Both equations and integrality hold all along the
+reduction of D, and each Cremona step of it lowers d, so the reduction ends,
+after at most d + 1 Cremona steps, at a class in the chamber: e sorted
+descending and s = e_1 + ... + e_4 <= 0 (this is 2d >= m_1 + ... + m_4).
+From e_5, ..., e_8 <= e_4 <= s/4 it follows that -1 - s <= s, so s >= -1/2.
+If d is odd, every e_i lies in Z + 1/2, so e_5 + ... + e_8 <= -2 < -1 - s, a
+contradiction.  If d is even, s = 0, and e_5..e_8 are integers <= 0 with sum
+-1; so e = (0^7, -1), d = |e|^2 - 1 = 0, and the reduced class is E_8.  The
+reduction word then carries D to E_8.  (Kac, "Infinite-dimensional Lie
+algebras", 3rd ed., ch. 5-6: real roots of affine type.)
+
+So the (-1)-class test is the two equations on the integer vector, with no
+reduction; `minus_one_certificate` still reduces, for the word it returns.
+The orbit table lists each degree d as lattice points: in f = 2m - d
+coordinates, f_i has the parity of d, sum f = -2 and |f|^2 = 4(d + 1).  Its
+own cap (ScaleExceeded past MAX_GENERATORS classes) bounds every reader of the
+orbit.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
 from operator import mul
 
 from .lattice import (
@@ -242,13 +264,41 @@ class ScaleExceeded(ValueError):
 MAX_GENERATORS = 60_000
 
 
+def _lattice_shapes(d: int) -> list[tuple[int, ...]]:
+    """The degree-d orbit classes with ascending multiplicities, by the lemma.
+
+    These are the ascending f in Z^8 with f_i of the parity of d, sum f = -2 and
+    |f|^2 = 4(d + 1), each read back as m = (f + d) / 2.
+    """
+    shapes = []
+    bound = math.isqrt(4 * (d + 1))
+    start = -bound if (bound - d) % 2 == 0 else 1 - bound
+
+    def extend(prefix: tuple[int, ...], low: int, k: int, total: int, square: int) -> None:
+        # k more entries, each >= low, summing to total with squares summing to square.
+        if k == 1:
+            if total >= low and total * total == square:
+                shapes.append(tuple((x + d) // 2 for x in prefix + (total,)))
+            return
+        v = low
+        while k * v <= total:
+            rest = square - v * v
+            # Cauchy-Schwarz: k - 1 entries summing to total - v need this much square.
+            if rest >= 0 and (k - 1) * rest >= (total - v) ** 2:
+                extend(prefix + (v,), v, k - 1, total - v, rest)
+            v += 2
+
+    extend((), start, NUM_POINTS, -2, 4 * (d + 1))
+    return shapes
+
+
 class _OrbitTable:
     """The exceptional orbit up to a degree bound, sorted by coefficient vector.
 
     The sort puts the degree first, so each truncation is a prefix of `vectors`
     (and of the classes, each built once).  Enumeration reaches the largest
-    bound so far one degree at a time, resuming from the shapes the last degree
-    pruned, and raises ScaleExceeded at the first truncation over
+    bound so far one degree at a time, each degree as the lattice points of
+    the lemma, and raises ScaleExceeded at the first truncation over
     MAX_GENERATORS classes, so no reader of the orbit runs unbounded.
     """
 
@@ -257,8 +307,6 @@ class _OrbitTable:
         self.degree = -1
         self.checked = 0  # leading vectors oracle._effective_cone has validated
         self.packed: dict[int, list] = {}  # oracle's pricing blocks per degree slice
-        self._shapes: set[tuple[int, ...]] = set()
-        self._pruned = {(0, -1) + (0,) * (NUM_POINTS - 1)}  # the exceptional shape
         self._classes: list[DivisorClass] = []
 
     cache_clear = __init__
@@ -274,11 +322,8 @@ class _OrbitTable:
         return tuple(self._classes[:count])
 
     def prefix(self, max_degree: int) -> int:
-        # One degree at a time: close the shapes (d; multiplicities ascending)
-        # under s_0 at any four points, pruning those above the degree, and add
-        # each new shape's distinct permutations, which sort after the table.
-        # Pruning is complete: every orbit element reduces to an exceptional
-        # class by degree non-increasing moves, so the reverse path stays in.
+        # One degree at a time: each shape's distinct permutations, sorted, go
+        # after the table, whose degrees are all lower.
         while True:
             degree = min(max_degree, self.degree)
             count = bisect_left(self.vectors, (degree + 1,))
@@ -288,20 +333,8 @@ class _OrbitTable:
             if degree == max_degree:
                 return count
             self.degree += 1
-            queue, self._pruned, added, memo = list(self._pruned), set(), [], {}
-            while queue:
-                shape = queue.pop()
-                if shape[0] > self.degree:
-                    self._pruned.add(shape)
-                elif shape not in self._shapes:
-                    self._shapes.add(shape)
-                    d, m = shape[0], shape[1:]
-                    added += [(d,) + p for p in _arrangements(m, memo)]
-                    for four in combinations(range(NUM_POINTS), 4):
-                        rest = (x for i, x in enumerate(m) if i not in four)
-                        ints = [d, *(m[i] for i in four), *rest]
-                        _act((0,), ints)
-                        queue.append((ints[0], *sorted(ints[1:])))
+            d, memo = self.degree, {}
+            added = [(d,) + p for m in _lattice_shapes(d) for p in _arrangements(m, memo)]
             self.vectors += tuple(sorted(added))
 
 
@@ -332,21 +365,24 @@ def minus_one_certificate(
 ) -> WeylWord | None:
     """A word carrying the class to a reduced exceptional class, or None.
 
-    Fast necessary filter first, in integers: (D, D) = -1 and (D, Q) = 1
-    against the half-anticanonical class Q.  Survivors are reduced to
-    standard form; the class is a (-1)-class exactly when the standard form
-    is the reduced exceptional class.  StepLimitExceeded propagates from the
-    reduction.
+    The class must be integral.  A (-1)-class (`is_minus_one_divisor`) is
+    reduced to standard form, which by the lemma is the reduced exceptional
+    class; the reduction's word is the certificate.  StepLimitExceeded
+    propagates from the reduction.
     """
-    (d, *m), den = divisor.scaled()
-    if den != 1:
+    if not divisor.is_integral():
         raise ValueError(f"integral class required, got {divisor}")
-    if 2 * d * d - sum(map(mul, m, m)) != -1 or 4 * d - sum(m) != 1:
+    if not is_minus_one_divisor(divisor):
         return None
     result = to_standard_form(divisor, max_steps)
     return result.word if result.standard == REDUCED_EXCEPTIONAL else None
 
 
-def is_minus_one_divisor(divisor: DivisorClass, max_steps: int = DEFAULT_MAX_STEPS) -> bool:
-    """Whether the class lies in the Weyl orbit of an exceptional divisor."""
-    return minus_one_certificate(divisor, max_steps) is not None
+def is_minus_one_divisor(divisor: DivisorClass) -> bool:
+    """Whether the class lies in the Weyl orbit of an exceptional divisor.
+
+    By the lemma: the class is integral, (D, D) = -1 and (D, Q) = 1 for the
+    half-anticanonical class Q, computed on the integer vector.
+    """
+    (d, *m), den = divisor.scaled()
+    return den == 1 and 2 * d * d - sum(map(mul, m, m)) == -1 and 4 * d - sum(m) == 1

@@ -52,14 +52,17 @@ from blowupcones.cones import (
     _pi_split,
     _three_point_decompose,
 )
+from blowupcones import weyl
+from blowupcones.cli import main
 from blowupcones.weyl import (
     DEFAULT_MAX_STEPS,
     _DegreeWentNegative,
     _reduce,
     inverse_word,
+    minus_one_certificate,
 )
 
-from conftest import int_divisors, rational_divisors, words
+from conftest import curves, int_divisors, rational_divisors, words
 
 MINUS_H = DivisorClass(-1, (0,) * 8)
 
@@ -1008,3 +1011,103 @@ class TestThreePointRest:
         assert cert.word == ()
         assert terms_as_dict(cert) == {H: 250000, **{plane: 250000 for plane in planes}}
         assert cert.resummation() == divisor
+
+
+# -- effective certificates are checked by the two equations alone ---------------------
+
+def deep_minus_one_class(n):
+    """E_8 + n(E_1 - E_2) + n^2 (-K/2): both equations hold, and reduction takes 2n steps."""
+    return DivisorClass(2 * n * n, (n * n - n, n * n + n) + (n * n,) * 5 + (n * n - 1,))
+
+
+class TestEffectiveCheckWithoutReduction:
+    def test_golden_certificates_verify_without_reduction(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a certificate check reduced a class")
+
+        monkeypatch.setattr(weyl, "_reduce", refuse)
+        monkeypatch.setattr(weyl, "to_standard_form", refuse)
+        cases = [case for case in json.loads(GOLDEN.read_text(encoding="utf-8"))
+                 if "certificate" in case and json.loads(case["certificate"])["cone"] == "eff"]
+        valid = 0
+        for case in cases:
+            outcome = check_outcome(Certificate.check, Certificate.from_json(case["certificate"]))
+            assert case["stdout"].startswith("valid") == (outcome == "valid")
+            valid += outcome == "valid"
+        assert (len(cases), valid) == (42, 24)
+
+    def test_deep_generator_past_the_step_cap(self, capsys, tmp_path):
+        deep = deep_minus_one_class(50_001)
+        assert deep.d > 5 * 10**9
+        with pytest.raises(StepLimitExceeded):
+            minus_one_certificate(deep)  # 100 002 Cremona steps, over DEFAULT_MAX_STEPS
+        certificate = Certificate(
+            "eff", deep + HALF_ANTICANONICAL, (),
+            ((HALF_ANTICANONICAL, Fraction(1)), (deep, Fraction(1))))
+        certificate.check()
+        path = tmp_path / "deep.json"
+        path.write_text(certificate.to_json(), encoding="utf-8")
+        assert main(["verify", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("valid eff certificate for ") and err == ""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_deep_classes_reduce_to_the_exceptional(self, n):
+        word = minus_one_certificate(deep_minus_one_class(n))
+        assert word is not None and word.count(0) == 2 * n
+
+
+# -- every decomposer's terms: vector() order, no zero coefficient ---------------------
+
+def assert_terms_in_order(certificate):
+    vectors = [generator.vector() for generator, _ in certificate.terms]
+    assert vectors == sorted(set(vectors))
+    assert all(coefficient > 0 for _, coefficient in certificate.terms)
+
+
+@st.composite
+def region_curves(draw):
+    """Curves with 0 <= b_i <= a and sum b_i <= 2a, the region curve_decompose covers."""
+    a = draw(st.integers(0, 6))
+    budget, multiplicities = 2 * a, []
+    for _ in range(8):
+        value = draw(st.integers(0, min(a, budget)))
+        budget -= value
+        multiplicities.append(value)
+    return CurveClass(a, tuple(-b for b in draw(st.permutations(multiplicities))))
+
+
+def rescaled(strategy):
+    return st.builds(lambda divisor, scale: scale * divisor, strategy,
+                     st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2, 3)]))
+
+
+class TestTermOrder:
+    @given(st.one_of(int_divisors, rational_divisors, pushed_sums(), rescaled(pi_combinations())))
+    @settings(max_examples=200, deadline=None)
+    def test_effective_and_movable(self, divisor):
+        for decompose, refusal in ((effective_decompose, NotEffective),
+                                   (movable_decompose, NotMovable)):
+            try:
+                certificate = decompose(divisor, max_steps=200)
+            except (refusal, StepLimitExceeded):
+                continue
+            assert_terms_in_order(certificate)
+
+    @given(st.one_of(int_divisors, rescaled(nef_combinations())))
+    @settings(max_examples=150, deadline=None)
+    def test_nef(self, divisor):
+        try:
+            certificate = nef_decompose(divisor)
+        except NotNef:
+            return
+        assert_terms_in_order(certificate)
+
+    @given(st.one_of(curves, region_curves()))
+    @settings(max_examples=150, deadline=None)
+    def test_curves(self, curve):
+        try:
+            certificate = curve_decompose(curve)
+        except HypothesisViolated:
+            return
+        assert_terms_in_order(certificate)

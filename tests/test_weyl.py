@@ -1,5 +1,10 @@
+import csv
+import hashlib
+import io
 import itertools
-from collections import deque
+import json
+from collections import Counter, deque
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +38,7 @@ from blowupcones.weyl import (
     REDUCED_EXCEPTIONAL,
     ReductionResult,
     _act,
+    _lattice_shapes,
     _merge_runs,
     _OrbitTable,
     _orbit_vectors,
@@ -310,6 +316,60 @@ class TestOrbitTable:
         assert table.vectors == breadth_first_orbit(8)
 
 
+ORBIT_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "orbit_golden.json").read_text(encoding="utf-8"))
+
+
+def both_equations(d, m):
+    """(D, D) = -1 and (D, -K/2) = 1, computed here from the definitions."""
+    return 2 * d * d - sum(x * x for x in m) == -1 and 4 * d - sum(m) == 1
+
+
+class TestLemma:
+    """An integral class is in W.E_8 iff (D, D) = -1 and (D, -K/2) = 1 (weyl docstring)."""
+
+    def test_chamber_step(self):
+        # With e_i = m_i - d/2, a chamber class meeting both equations has
+        # s = e_1 + ... + e_4 in [-1/2, 0]; so e_5..e_8 lie in [-1, 0] (they are
+        # <= s/4 and sum to -1 - s >= -1), e_4 >= e_5 >= -1 and e_1 <= s + 3 <= 3.
+        # The box e_i in [-1, 3], -1 <= d = |e|^2 - 1 <= 71 covers every one of them.
+        found, checked = [], 0
+        for d in range(-1, 72):
+            values = range(-((2 - d) // 2), (d + 6) // 2 + 1)  # ceil(d/2 - 1)..floor(d/2 + 3)
+            for m in itertools.combinations_with_replacement(reversed(values), 8):
+                checked += 1
+                if both_equations(d, m) and is_standard_form(DivisorClass(d, m)):
+                    found.append(DivisorClass(d, m))
+        assert checked == 36 * 495 + 37 * 165  # even d: 5 values per entry; odd d: 4
+        assert found == [REDUCED_EXCEPTIONAL]
+
+    def test_shapes_are_the_lattice_points(self):
+        # Every ascending integral (d; m) meeting both equations, by brute force over
+        # |2m_i - d| <= 2 sqrt(d + 1), against the enumerator.
+        for d in range(10):
+            bound = int((4 * (d + 1)) ** 0.5)
+            values = [(f + d) // 2 for f in range(-bound, bound + 1) if (f - d) % 2 == 0]
+            brute = [m for m in itertools.combinations_with_replacement(values, 8)
+                     if both_equations(d, m)]
+            assert sorted(_lattice_shapes(d)) == brute, d
+
+    def test_orbit_to_degree_fifteen(self):
+        table = _OrbitTable()
+        assert table(15) == breadth_first_orbit(15)
+        counts = Counter(v[0] for v in table(15))
+        assert sorted(counts) == list(range(16)) and sum(counts.values()) == 59096
+        assert counts[15] == 11200
+        # The `orbit --max-degree 13` CSV, as recorded in the golden corpus.
+        golden = ORBIT_GOLDEN["orbit"]
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["class", "degree"])
+        writer.writerows([f"{v[0]};{','.join(map(str, v[1:]))}", v[0]] for v in table(13))
+        text = buffer.getvalue()
+        assert text.count("\n") == golden["lines"]
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == golden["sha256"]
+
+
 @pytest.fixture
 def fresh_table():
     """Empty the shared orbit table before and after a test."""
@@ -365,6 +425,12 @@ class TestMinusOne:
     def test_requires_integral(self):
         with pytest.raises(ValueError):
             minus_one_certificate(DivisorClass("1/2", (0,) * 8))
+
+    def test_rational_class_is_not_one(self):
+        # Both equations hold, but a (-1)-class is integral.
+        rational = DivisorClass("1/2", (1, "1/2", "-1/2", 0, 0, 0, 0, 0))
+        assert pairing(rational, rational) == -1 and pairing(rational, HALF_ANTICANONICAL) == 1
+        assert not is_minus_one_divisor(rational)
 
 
 # -- the integer paths against reference copies of the routines they replaced -------
@@ -460,6 +526,7 @@ class TestMinusOneAgainstReference:
         for x in exceptional_orbit(8):
             word = minus_one_certificate(x)
             assert word is not None and word == reference_minus_one_certificate(x)
+            assert is_minus_one_divisor(x)
 
     def test_orbit_under_a_small_cap(self):
         for x in exceptional_orbit(6):
@@ -478,8 +545,9 @@ class TestMinusOneAgainstReference:
                 near[i] += delta
                 variants.append(DivisorClass(near[0], tuple(near[1:])))
             for near in variants:
-                assert outcome(minus_one_certificate, near) == outcome(
-                    reference_minus_one_certificate, near)
+                expected = outcome(reference_minus_one_certificate, near)
+                assert outcome(minus_one_certificate, near) == expected
+                assert is_minus_one_divisor(near) == (expected is not None)
                 checked += 1
         assert checked == 568 * 21
 
