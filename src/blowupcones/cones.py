@@ -49,11 +49,11 @@ from .weyl import (  # noqa: F401
     _DegreeWentNegative,
     _HALF_ANTICANONICAL_INTS,
     _act,
+    _is_minus_one_frame,
     _orbit_vectors,
     _reduce,
     apply_word,
     inverse_word,
-    is_minus_one_divisor,
     reflect,
     to_standard_form,
 )
@@ -125,14 +125,15 @@ class Certificate:
     def resummation(self):
         return type(self.target).from_scaled(*self._resum())
 
-    def _resum(self) -> tuple[list[int], int]:
+    def _resum(self, frames=None) -> tuple[list[int], int]:
         # The terms' sum as (ints, den) over one common denominator, with each
-        # generator its `scaled()` int vector.
+        # generator its `scaled()` frame, read here unless `frames` holds them.
+        if frames is None:
+            frames = [generator.scaled() for generator, _ in self.terms]
         scaled = []
-        for generator, coefficient in self.terms:
+        for (generator, coefficient), (ints, den) in zip(self.terms, frames):
             if isinstance(generator, CurveClass) and coefficient.denominator != 1:
                 raise CertificateError(f"curve coefficient {coefficient} is not an integer")
-            ints, den = generator.scaled()
             scaled.append((ints, coefficient.numerator, den * coefficient.denominator))
         den = math.lcm(*(q for _, _, q in scaled))
         total = [0] * (NUM_POINTS + 1)
@@ -147,16 +148,20 @@ class Certificate:
             raise CertificateError(f"unknown cone tag {self.cone!r}")
         if isinstance(self.target, CurveClass) and self.word:
             raise CertificateError("curve certificates carry no Weyl word")
+        frames = []  # each generator's `scaled()` frame, read once
         for generator, coefficient in self.terms:
             if coefficient < 0:
                 raise CertificateError(f"negative coefficient {coefficient} on {generator}")
-            if not _generator_allowed(self.cone, generator):
+            is_class = isinstance(generator, (DivisorClass, CurveClass))
+            frame = generator.scaled() if is_class else None
+            if not _generator_allowed(self.cone, generator, frame):
                 raise CertificateError(f"{generator} is not a generator of the {self.cone} cone")
+            frames.append(frame)
         try:
             expected = self.reduced_target()
         except ValueError as exc:  # a word letter outside 0..7
             raise CertificateError(str(exc)) from None
-        total, den = self._resum()
+        total, den = self._resum(frames)
         ints, expected_den = expected.scaled()
         if [x * expected_den for x in total] != [x * den for x in ints]:
             total = type(self.target).from_scaled(total, den)
@@ -303,10 +308,15 @@ def _generator_set(cone: str) -> frozenset:
     return frozenset(nef_generators()) | frozenset(_through(2, pair) for pair in pairs)
 
 
-def _generator_allowed(cone: str, generator) -> bool:
+def _generator_allowed(cone: str, generator, frame=None) -> bool:
+    # frame is the generator's `scaled()` pair when the caller has it.
     if cone == CONE_EFF:
-        return isinstance(generator, DivisorClass) and (
-            generator == HALF_ANTICANONICAL or is_minus_one_divisor(generator))
+        if not isinstance(generator, DivisorClass):
+            return False
+        ints, den = frame or generator.scaled()
+        if den == 1 and tuple(ints) == _HALF_ANTICANONICAL_INTS:
+            return True
+        return _is_minus_one_frame(ints, den)
     kind = CurveClass if cone == CONE_CURVES else DivisorClass
     return cone in CONE_TAGS and isinstance(generator, kind) and generator in _generator_set(cone)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 NUM_POINTS = 8
 
@@ -318,20 +319,31 @@ class RootSystem:
         return system
 
     def _check_gram(self) -> None:
-        for i, alpha in enumerate(self.roots):
-            if pairing(alpha, alpha) != -2:
-                raise ValueError(f"root {i} has self-pairing {pairing(alpha, alpha)}, want -2")
-            if pairing(CANONICAL, alpha) != 0:
+        # In integers, on `scaled()` frames: (x, y) = _form(x_ints, y_ints) /
+        # (x_den * y_den).  A message reads its value back through `pairing`.
+        roots = [alpha.scaled() for alpha in self.roots]
+        weights = [weight.scaled() for weight in self.weights]
+        canonical, _ = CANONICAL.scaled()
+        for i, (alpha, den) in enumerate(roots):
+            if _form(alpha, alpha) != -2 * den * den:
+                value = pairing(self.roots[i], self.roots[i])
+                raise ValueError(f"root {i} has self-pairing {value}, want -2")
+            if _form(canonical, alpha) != 0:
                 raise ValueError(f"root {i} is not orthogonal to the canonical class")
-            for j, beta in enumerate(self.roots):
-                if i != j and pairing(alpha, beta) not in (0, 1):
-                    raise ValueError(f"roots {i},{j} pair to {pairing(alpha, beta)}, want 0 or 1")
-            for j, weight in enumerate(self.weights):
+            for j, (beta, beta_den) in enumerate(roots):
+                if i != j and _form(alpha, beta) not in (0, den * beta_den):
+                    value = pairing(self.roots[i], self.roots[j])
+                    raise ValueError(f"roots {i},{j} pair to {value}, want 0 or 1")
+            for j, (weight, weight_den) in enumerate(weights):
                 expected = 1 if i == j else 0
-                if pairing(weight, alpha) != expected:
-                    raise ValueError(
-                        f"(f_{j}, alpha_{i}) = {pairing(weight, alpha)}, want {expected}"
-                    )
+                if _form(weight, alpha) != expected * weight_den * den:
+                    value = pairing(self.weights[j], self.roots[i])
+                    raise ValueError(f"(f_{j}, alpha_{i}) = {value}, want {expected}")
+
+
+def _form(a, b) -> int:
+    # The bilinear form of `pairing` on two int vectors (d, m_1, ..., m_8).
+    return 2 * a[0] * b[0] - sum(map(mul, a[1:], b[1:]))
 
 
 ROOT_SYSTEM = RootSystem.standard()

@@ -14,6 +14,15 @@ truncation is the orbit table up to a degree plus -K/2; only the last one
 built is kept.  The table itself refuses a truncation over MAX_GENERATORS
 classes (`weyl.ScaleExceeded`), so an oversized query fails before its LP is
 built, and `_check_shape` stays the LP's own guard on any generator set.
+
+`effective_membership` first tries a few fixed functionals (the shortcut).
+Each is verified on the orbit's shapes, not its columns: every degree slice
+is closed under permuting the points, so `_OrbitTable.minimum` gives a
+functional's exact least value on a slice with one sort per shape.  A query
+the shortcut settles enumerates no column.  The LP certificates are still
+checked column by column, and every column an LP or a carried functional
+reads is validated first.
+
 `divisor_problem` (and its alias `curve_problem`) reads each generator's
 integer frame (`scaled()`) and keeps the last integral generator *tuple* it
 was given with its cone, such as `nef_generators()` or `curve_generators()`,
@@ -42,9 +51,9 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, lru_cache
 from itertools import chain, compress, count, repeat
-from operator import add, gt, lt, mul
+from operator import gt, lt, mul
 
 from .lattice import HALF_ANTICANONICAL, CurveClass, DivisorClass
 from .weyl import _HALF_ANTICANONICAL_INTS, MAX_GENERATORS, ScaleExceeded, _orbit_vectors
@@ -403,21 +412,20 @@ _CANDIDATE_FUNCTIONALS = ((1,) + (0,) * 8, (4,) + (-1,) * 8) + tuple(
 
 @lru_cache(maxsize=None)
 def _verified_functionals(truncation_degree: int) -> tuple[tuple[int, ...], ...]:
-    # Each truncation adds one degree slice to the one below it, so a
-    # generator is checked once per candidate, in whatever order degrees come.
+    # Each truncation adds one degree slice to the one below it, so a slice is
+    # checked once per candidate, in whatever order degrees come: exactly, by
+    # phi's least value on the slice's shapes (`_OrbitTable.minimum`).
     if truncation_degree < 0:
-        candidates, added = _CANDIDATE_FUNCTIONALS, [_HALF_ANTICANONICAL_INTS]
-    else:
-        candidates = _verified_functionals(truncation_degree - 1)
-        added = _orbit_vectors(truncation_degree)[_orbit_vectors.prefix(truncation_degree - 1) :]
-    rows = tuple(zip(*added))
-    return tuple(phi for phi in candidates if not rows or _nonnegative_on(phi, rows))
+        return tuple(phi for phi in _CANDIDATE_FUNCTIONALS
+                     if sum(map(mul, phi, _HALF_ANTICANONICAL_INTS)) >= 0)
+    return tuple(phi for phi in _verified_functionals(truncation_degree - 1)
+                 if _orbit_vectors.minimum(phi, truncation_degree, truncation_degree) >= 0)
 
 
-def _nonnegative_on(phi, rows) -> bool:
-    # phi . column >= 0 for every column, summed row-wise over phi's non-zero rows.
-    terms = (map(mul, repeat(c), row) for c, row in zip(phi, rows) if c)
-    return min(reduce(partial(map, add), terms)) >= 0
+@lru_cache(maxsize=None)
+def _shortcut_certificate(phi: tuple[int, ...]) -> Infeasible:
+    # Reports are immutable, so every query a candidate separates shares one.
+    return Infeasible(tuple(map(Fraction, phi)))
 
 
 def effective_membership(divisor: DivisorClass) -> MembershipReport:
@@ -430,8 +438,11 @@ def effective_membership(divisor: DivisorClass) -> MembershipReport:
     ``conclusive=False`` (see MembershipReport).  A separating functional
     found at one degree is carried to the next and re-verified against the
     newly added generators only, so widening the window rarely needs a new LP.
-    The orbit table raises ScaleExceeded at the first degree over its cap, so
-    a class beyond desk scale is refused without enumerating its truncation.
+    The shortcut functionals are tried first and read only the table's
+    shapes; the orbit columns are enumerated and validated only when an LP
+    or a carried functional reads them.  The table's count raises
+    ScaleExceeded at the first degree over its cap, so a class beyond desk
+    scale is refused without enumerating anything.
     """
     target, cleared = divisor.vector(), divisor.scaled()[0]
     base = max(0, math.ceil(divisor.d)) + EXTRA_DEGREE
@@ -440,16 +451,16 @@ def effective_membership(divisor: DivisorClass) -> MembershipReport:
     carried: tuple[Fraction, ...] | None = None
     carried_degree = -1
     for degree in range(base, base + WINDOW + 1):
-        count = _orbit_vectors.prefix(degree) + 1
-        if _orbit_vectors.checked < count - 1:
-            _effective_cone(degree)  # validates the new orbit columns
+        count = _orbit_vectors.count(degree) + 1
         checked.append(degree)
         shortcut = _separating_shortcut(cleared, degree)
         if shortcut is not None:
             outcome = shortcut
             continue
         if carried is not None:
-            added = _orbit_vectors.vectors[_orbit_vectors.prefix(carried_degree) : count - 1]
+            if _orbit_vectors.checked < count - 1:
+                _effective_cone(degree)  # validates the new orbit columns
+            added = _orbit_vectors.vectors[_orbit_vectors.count(carried_degree) : count - 1]
             if not any(map(gt, repeat(0), _dots(carried_psi, added))):
                 carried_degree = degree
                 outcome = Infeasible(carried)
@@ -468,5 +479,5 @@ def effective_membership(divisor: DivisorClass) -> MembershipReport:
 def _separating_shortcut(cleared_target, truncation_degree: int) -> Infeasible | None:
     for phi in _verified_functionals(truncation_degree):
         if sum(map(mul, phi, cleared_target)) < 0:
-            return Infeasible(tuple(Fraction(p) for p in phi))
+            return _shortcut_certificate(phi)
     return None

@@ -37,13 +37,24 @@ The orbit table lists each degree d as lattice points: in f = 2m - d
 coordinates, f_i has the parity of d, sum f = -2 and |f|^2 = 4(d + 1).  Its
 own cap (ScaleExceeded past MAX_GENERATORS classes) bounds every reader of the
 orbit.
+
+Both equations are symmetric in m_1, ..., m_8, so each degree slice of the
+orbit is closed under permuting the points: it is the permutations of its
+shapes, the lattice points with m ascending (46 of them up to degree 13, for
+37 480 classes).  So the table counts a slice as a sum of multinomials
+8! / prod(multiplicity!) without listing it, and finds a functional's least
+value on a slice shape by shape: by the rearrangement inequality (Hardy,
+Littlewood and Polya, "Inequalities", 1934, section 10.2), the least value of
+phi_0 d + sum phi_i m_i over the permutations of m pairs phi_1..phi_8 sorted
+descending with m ascending.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import groupby
 from operator import mul
 
 from .lattice import (
@@ -292,14 +303,23 @@ def _lattice_shapes(d: int) -> list[tuple[int, ...]]:
     return shapes
 
 
+def _arrangement_count(values: tuple[int, ...]) -> int:
+    """The number of distinct permutations of an ascending tuple: a multinomial."""
+    return math.factorial(len(values)) // math.prod(
+        math.factorial(len(list(run))) for _, run in groupby(values))
+
+
 class _OrbitTable:
     """The exceptional orbit up to a degree bound, sorted by coefficient vector.
 
     The sort puts the degree first, so each truncation is a prefix of `vectors`
     (and of the classes, each built once).  Enumeration reaches the largest
     bound so far one degree at a time, each degree as the lattice points of
-    the lemma, and raises ScaleExceeded at the first truncation over
-    MAX_GENERATORS classes, so no reader of the orbit runs unbounded.
+    the lemma.  Each degree's shapes and the cumulative class counts are kept
+    apart from the vectors and need none of them: `count` and `minimum` read
+    only the shapes.  `count` raises ScaleExceeded at the first truncation
+    over MAX_GENERATORS classes, and every reader goes through it, so no
+    reader of the orbit runs unbounded.
     """
 
     def __init__(self) -> None:
@@ -308,6 +328,8 @@ class _OrbitTable:
         self.checked = 0  # leading vectors oracle._effective_cone has validated
         self.packed: dict[int, list] = {}  # oracle's pricing blocks per degree slice
         self._classes: list[DivisorClass] = []
+        self._shapes: list[list[tuple[int, ...]]] = []  # per degree, ascending
+        self._ends = [0]  # _ends[k + 1]: the classes of degree at most k
 
     cache_clear = __init__
 
@@ -321,21 +343,58 @@ class _OrbitTable:
         self._classes += (DivisorClass(v[0], v[1:]) for v in new)
         return tuple(self._classes[:count])
 
+    def _grow(self) -> None:
+        # The next degree's shapes, and its count as a sum of multinomials.
+        shapes = _lattice_shapes(len(self._shapes))
+        self._shapes.append(shapes)
+        self._ends.append(self._ends[-1] + sum(map(_arrangement_count, shapes)))
+
+    def count(self, max_degree: int) -> int:
+        """The number of orbit classes of degree at most the bound, from the shapes alone.
+
+        Raises ScaleExceeded, naming the first degree over the cap, when that
+        is more than MAX_GENERATORS; shapes past that degree are never listed.
+        """
+        ends = self._ends
+        while len(ends) <= max_degree + 1 and ends[-1] <= MAX_GENERATORS:
+            self._grow()
+        total = ends[min(max_degree + 1, len(ends) - 1)]
+        if total > MAX_GENERATORS:
+            over = bisect_right(ends, MAX_GENERATORS)
+            raise ScaleExceeded(f"the orbit to degree {over - 1} has {ends[over]} classes, "
+                                f"more than MAX_GENERATORS = {MAX_GENERATORS}")
+        return total
+
     def prefix(self, max_degree: int) -> int:
-        # One degree at a time: each shape's distinct permutations, sorted, go
-        # after the table, whose degrees are all lower.
+        """The length of the truncation at the bound, enumerated up to it.
+
+        One degree at a time, each passed through `count` once it is listed:
+        each shape's distinct permutations, sorted, go after the table, whose
+        degrees are all lower.
+        """
         while True:
             degree = min(max_degree, self.degree)
-            count = bisect_left(self.vectors, (degree + 1,))
-            if count > MAX_GENERATORS:
-                raise ScaleExceeded(f"the orbit to degree {degree} has {count} classes, "
-                                    f"more than MAX_GENERATORS = {MAX_GENERATORS}")
+            count = self.count(degree)
             if degree == max_degree:
                 return count
             self.degree += 1
+            if len(self._shapes) == self.degree:
+                self._grow()
             d, memo = self.degree, {}
-            added = [(d,) + p for m in _lattice_shapes(d) for p in _arrangements(m, memo)]
+            added = [(d,) + p for m in self._shapes[d] for p in _arrangements(m, memo)]
             self.vectors += tuple(sorted(added))
+
+    def minimum(self, phi, low: int, high: int) -> int:
+        """The least value of the functional phi on the orbit classes of degree low..high.
+
+        By the rearrangement inequality, phi's least value over the
+        permutations of a shape pairs phi_1..phi_8 sorted descending with the
+        ascending shape, so each shape costs one dot product.
+        """
+        self.count(high)
+        weights = sorted(phi[1:], reverse=True)
+        return min(phi[0] * d + sum(map(mul, weights, shape))
+                   for d in range(low, high + 1) for shape in self._shapes[d])
 
 
 _orbit_vectors = _OrbitTable()
@@ -354,7 +413,7 @@ def exceptional_orbit(max_degree: int) -> tuple[DivisorClass, ...]:
 
 def orbit_degree_counts(max_degree: int) -> dict[int, int]:
     """Number of orbit classes of each exact degree up to the bound."""
-    ends = [_orbit_vectors.prefix(k) for k in range(-1, max_degree + 1)]
+    ends = [_orbit_vectors.count(k) for k in range(-1, max_degree + 1)]
     return {k: ends[k + 1] - ends[k] for k in range(max_degree + 1) if ends[k + 1] > ends[k]}
 
 
@@ -384,5 +443,10 @@ def is_minus_one_divisor(divisor: DivisorClass) -> bool:
     By the lemma: the class is integral, (D, D) = -1 and (D, Q) = 1 for the
     half-anticanonical class Q, computed on the integer vector.
     """
-    (d, *m), den = divisor.scaled()
+    return _is_minus_one_frame(*divisor.scaled())
+
+
+def _is_minus_one_frame(ints, den: int) -> bool:
+    # `is_minus_one_divisor` on a class's `scaled()` frame.
+    d, *m = ints
     return den == 1 and 2 * d * d - sum(map(mul, m, m)) == -1 and 4 * d - sum(m) == 1

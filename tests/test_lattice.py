@@ -136,6 +136,34 @@ class TestRootSystem:
     def test_construction_checks_run(self):
         assert RootSystem.standard() == ROOT_SYSTEM
 
+    @pytest.mark.parametrize(
+        "field, index, value, message",
+        [
+            ("roots", 0, DivisorClass(0, (0, 0, -1, 2, 0, 0, 0, 0)),
+             "root 0 has self-pairing -5, want -2"),
+            ("roots", 0, DivisorClass(Fraction(1, 2), (Fraction(1, 2),) + (0,) * 7),
+             "root 0 has self-pairing 1/4, want -2"),
+            ("roots", 0, DivisorClass(0, (1, 1, 0, 0, 0, 0, 0, 0)),
+             "root 0 is not orthogonal to the canonical class"),
+            ("roots", 1, DivisorClass(0, (1, -1, 0, 0, 0, 0, 0, 0)),
+             "roots 1,2 pair to -1, want 0 or 1"),
+            ("roots", 7, DivisorClass(0, (-1, 0, 0, 0, 0, 0, 0, 1)),
+             "roots 1,7 pair to -1, want 0 or 1"),
+            ("weights", 2, DivisorClass(Fraction(3, 2), (1, 1, 0, 0, 0, 0, 0, 0)),
+             "(f_2, alpha_0) = 1, want 0"),
+            ("weights", 0, DivisorClass(Fraction(1, 2), (Fraction(1, 2),) + (0,) * 7),
+             "(f_0, alpha_0) = 1/2, want 1"),
+        ],
+    )
+    def test_tampered_system_raises(self, field, index, value, message):
+        # The integer check raises the message the Fraction pairings gave.
+        parts = {"roots": list(ROOT_SYSTEM.roots), "weights": list(ROOT_SYSTEM.weights)}
+        parts[field][index] = value
+        system = RootSystem(tuple(parts["roots"]), tuple(parts["weights"]))
+        with pytest.raises(ValueError) as raised:
+            system._check_gram()
+        assert str(raised.value) == message
+
 
 class TestDivisorClassBasics:
     def test_wrong_length_rejected(self):

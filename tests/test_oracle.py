@@ -824,6 +824,48 @@ class TestEffectiveConeValidation:
         assert _orbit_vectors.checked == _orbit_vectors.prefix(13)
 
 
+class TestLazyTable:
+    """Shortcut queries read only the table's shapes; columns are listed for an LP."""
+
+    def test_shortcut_query_lists_no_column(self, fresh_oracle_caches):
+        divisor = DivisorClass(5, (6,) + (0,) * 7)  # d - m_1 < 0 at every degree
+        report = effective_membership(divisor)
+        assert _orbit_vectors.degree == -1
+        assert report.outcome == Infeasible((1, -1) + (0,) * 7)
+        assert report.checked_degrees == (8, 9, 10)
+        # The same report once the whole table is listed and validated.
+        oracle._effective_cone(13)
+        oracle._verified_functionals.cache_clear()
+        assert effective_membership(divisor) == report
+
+    def test_first_lp_lists_its_truncation(self, fresh_oracle_caches):
+        report = effective_membership(DivisorClass(2, (1, 1, 1, 1, 1, 1, 1, 0)))
+        assert isinstance(report.outcome, Feasible)
+        assert _orbit_vectors.degree == 5
+        assert _orbit_vectors.checked == report.generator_count - 1
+
+    def test_carried_check_validates_before_reading(self, monkeypatch, fresh_oracle_caches):
+        # One LP at degree 4; its functional is carried to degrees 5 and 6.
+        divisor = DivisorClass(1, (1, 1, 1, 1, 0, 0, 0, 0))
+        lps = []
+
+        def counted(problem):
+            lps.append(problem)
+            return cone_member(problem)
+
+        monkeypatch.setattr(oracle, "cone_member", counted)
+        assert effective_membership(divisor).checked_degrees == (4, 5, 6)
+        assert len(lps) == 1
+        # A float of the right value in a degree-5 column: the carried check
+        # would read it as it reads an int, so only validation catches it.
+        _orbit_vectors.cache_clear()
+        oracle._effective_cone.cache_clear()
+        oracle._effective_cone(4)
+        TestEffectiveConeValidation._poison(5, 5.0, low=4)
+        with pytest.raises(TypeError, match="integer generator entry required, got 5.0"):
+            effective_membership(divisor)
+
+
 class TestMembershipScale:
     """A truncation over the table's cap is refused before the table grows past it."""
 
@@ -840,7 +882,7 @@ class TestMembershipScale:
         message += f"{counts[5]}$"
         with pytest.raises(ScaleExceeded, match=message):
             effective_membership(DivisorClass(10, (0,) * 8))
-        assert _orbit_vectors.degree == 6
+        assert _orbit_vectors.degree == -1  # counted from the shapes, nothing enumerated
         # A window that fits is answered in full: degrees 3, 4 and 5, plus -K/2.
         report = effective_membership(-EXCEPTIONALS[0])
         assert report.checked_degrees == (3, 4, 5)

@@ -3,7 +3,9 @@ import hashlib
 import io
 import itertools
 import json
+import random
 from collections import Counter, deque
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -33,6 +35,8 @@ from blowupcones import (
     to_standard_form,
 )
 
+from blowupcones import weyl
+from blowupcones.oracle import _CANDIDATE_FUNCTIONALS
 from blowupcones.weyl import (
     DEFAULT_MAX_STEPS,
     REDUCED_EXCEPTIONAL,
@@ -385,7 +389,9 @@ class TestOrbitCap:
     def test_every_reader_refused_at_degree_sixteen(self, fresh_table, read):
         with pytest.raises(ScaleExceeded, match="^the orbit to degree 16 has 72760 classes, "):
             read(16)
-        assert fresh_table.degree == 16
+        # The counts come from the shapes alone; the readers of classes list
+        # degree 16 before they refuse it.
+        assert fresh_table.degree == (-1 if read is orbit_degree_counts else 16)
 
     def test_far_bound_stops_growing_at_the_cap(self, fresh_table):
         with pytest.raises(ScaleExceeded):
@@ -396,6 +402,66 @@ class TestOrbitCap:
         with pytest.raises(ScaleExceeded):
             fresh_table.prefix(16)
         assert fresh_table.degree == 16
+
+    def test_count_and_prefix_refuse_with_one_message(self, monkeypatch):
+        monkeypatch.setattr(weyl, "MAX_GENERATORS", 1000)
+        counted, listed = _OrbitTable(), _OrbitTable()
+        with pytest.raises(ScaleExceeded) as by_count:
+            counted.count(9)
+        with pytest.raises(ScaleExceeded) as by_prefix:
+            listed.prefix(9)
+        assert str(by_count.value) == str(by_prefix.value) == (
+            "the orbit to degree 4 has 1184 classes, more than MAX_GENERATORS = 1000")
+        assert (counted.degree, counted.vectors) == (-1, ())
+        assert counted.count(3) == listed.prefix(3) == 568
+
+
+def hand_built_functionals():
+    """The extra candidates of test_oracle's `test_failing_candidates_dropped_at_their_degree`."""
+    rng = random.Random(20250810)
+    extra = [(4 * a, 1 - a, -1 - a) + (-a,) * 6 for a in range(6)]
+    extra += [(c, -1, -1) + (0,) * 6 for c in range(1, 5)]
+    extra += [(1,) + (0,) * 7 + (-1,), (0,) * 8 + (-1,), (0,) * 3 + (1,) + (0,) * 5]
+    extra += [tuple(rng.randint(-2, 4) for _ in range(9)) for _ in range(20)]
+    return [v for v in extra if any(v)]
+
+
+class TestOrbitShapes:
+    """Counts and least values read from the shapes agree with the listed columns."""
+
+    def test_count_matches_prefix(self):
+        counted, listed = _OrbitTable(), _OrbitTable()
+        counts = [counted.count(d) for d in range(16)]
+        assert (counted.degree, counted.vectors) == (-1, ())
+        assert counts == [listed.prefix(d) for d in range(16)]
+        assert counts[13] == 37480
+
+    def test_shapes_per_degree(self):
+        table = _OrbitTable()
+        table.count(13)
+        assert [len(shapes) for shapes in table._shapes[:14]] == [
+            1, 1, 1, 2, 2, 2, 3, 4, 3, 5, 5, 4, 7, 6]
+
+    def test_minimum_matches_every_column(self):
+        # Each functional's least value over every degree window lo..hi <= 13,
+        # against a dot product with every column of the window.
+        rng = random.Random(614)
+        functionals = list(_CANDIDATE_FUNCTIONALS) + hand_built_functionals()
+        functionals += [tuple(rng.randint(-9, 9) for _ in range(9)) for _ in range(200)]
+        listed, counted = _OrbitTable(), _OrbitTable()
+        slices = [listed(d)[listed.prefix(d - 1):] for d in range(14)]
+        for phi in functionals:
+            least = [min(map(sum, map(map, itertools.repeat(mul), itertools.repeat(phi), c)))
+                     for c in slices]
+            for lo in range(14):
+                for hi in range(lo, 14):
+                    assert counted.minimum(phi, lo, hi) == min(least[lo : hi + 1]), (phi, lo, hi)
+        assert counted.degree == -1
+
+    def test_minimum_refuses_past_the_cap(self, monkeypatch):
+        monkeypatch.setattr(weyl, "MAX_GENERATORS", 1000)
+        with pytest.raises(ScaleExceeded, match="^the orbit to degree 4 has 1184 classes"):
+            _OrbitTable().minimum((1,) + (0,) * 8, 0, 5)
 
 
 class TestMinusOne:
