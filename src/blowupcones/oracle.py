@@ -19,9 +19,11 @@ built, and `_check_shape` stays the LP's own guard on any generator set.
 Each is verified on the orbit's shapes, not its columns: every degree slice
 is closed under permuting the points, so `_OrbitTable.minimum` gives a
 functional's exact least value on a slice with one sort per shape.  A query
-the shortcut settles enumerates no column.  The LP certificates are still
-checked column by column, and every column an LP or a carried functional
-reads is validated first.
+the shortcut settles enumerates no column.  An LP's functional, carried to
+the next degrees of the window, is checked on the new slices' shapes the
+same way, so the table is listed only up to the degree an LP prices.
+`_solve`'s own certificates are still checked column by column, and every
+column an LP reads is validated first.
 
 `divisor_problem` (and its alias `curve_problem`) reads each generator's
 integer frame (`scaled()`) and keeps the last integral generator *tuple* it
@@ -317,8 +319,12 @@ def _entering(price, columns) -> int:
     The packed blocks of a PreparedCone take 9 big-int multiply-adds each.
     The columns between and after them, a block whose fields this price could
     overflow, and all other columns are priced by `_dots`, in column order.
+    An all-zero price (the last pass of a feasible LP) makes no column
+    positive, so it returns -1 without reading one.
     """
     weight, start = sum(map(abs, price)), 0
+    if not weight:
+        return -1
     for low, high, bound, bias, rows in columns.blocks() if isinstance(columns, PreparedCone) else ():
         if weight * bound >= _GUARD:
             continue
@@ -436,11 +442,12 @@ def effective_membership(divisor: DivisorClass) -> MembershipReport:
     in the truncation degree, so a Feasible outcome is final; an Infeasible
     outcome is re-checked at WINDOW further degrees and reported with
     ``conclusive=False`` (see MembershipReport).  A separating functional
-    found at one degree is carried to the next and re-verified against the
-    newly added generators only, so widening the window rarely needs a new LP.
-    The shortcut functionals are tried first and read only the table's
-    shapes; the orbit columns are enumerated and validated only when an LP
-    or a carried functional reads them.  The table's count raises
+    found at one degree is carried to the next and re-verified on the shapes
+    of the newly added degree slices only (`_OrbitTable.minimum`), so
+    widening the window rarely needs a new LP; where it fails, a fresh LP
+    runs at that degree.  The shortcut functionals are tried first and read
+    only the table's shapes too; the orbit columns are enumerated and
+    validated only when an LP reads them.  The table's count raises
     ScaleExceeded at the first degree over its cap, so a class beyond desk
     scale is refused without enumerating anything.
     """
@@ -458,10 +465,7 @@ def effective_membership(divisor: DivisorClass) -> MembershipReport:
             outcome = shortcut
             continue
         if carried is not None:
-            if _orbit_vectors.checked < count - 1:
-                _effective_cone(degree)  # validates the new orbit columns
-            added = _orbit_vectors.vectors[_orbit_vectors.count(carried_degree) : count - 1]
-            if not any(map(gt, repeat(0), _dots(carried_psi, added))):
+            if _orbit_vectors.minimum(carried_psi, carried_degree + 1, degree) >= 0:
                 carried_degree = degree
                 outcome = Infeasible(carried)
                 continue

@@ -368,21 +368,18 @@ class _OrbitTable:
     def prefix(self, max_degree: int) -> int:
         """The length of the truncation at the bound, enumerated up to it.
 
-        One degree at a time, each passed through `count` once it is listed:
-        each shape's distinct permutations, sorted, go after the table, whose
-        degrees are all lower.
+        The bound goes through `count` first, so a truncation over the cap is
+        refused before anything is listed; `count` also grows the shapes up
+        to the bound.  Then one degree at a time: each shape's distinct
+        permutations, sorted, go after the table, whose degrees are all lower.
         """
-        while True:
-            degree = min(max_degree, self.degree)
-            count = self.count(degree)
-            if degree == max_degree:
-                return count
+        total = self.count(max_degree)
+        while self.degree < max_degree:
             self.degree += 1
-            if len(self._shapes) == self.degree:
-                self._grow()
             d, memo = self.degree, {}
             added = [(d,) + p for m in self._shapes[d] for p in _arrangements(m, memo)]
             self.vectors += tuple(sorted(added))
+        return total
 
     def minimum(self, phi, low: int, high: int) -> int:
         """The least value of the functional phi on the orbit classes of degree low..high.

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import struct
 from fractions import Fraction
@@ -50,7 +51,10 @@ def check_feasible(problem, outcome):
 
 
 def check_infeasible(problem, outcome):
-    phi = outcome.functional
+    # A positive multiple of phi has the same signs; in integers the check
+    # stays fast over the tens of thousands of columns of an orbit truncation.
+    lcm = math.lcm(*(Fraction(p).denominator for p in outcome.functional))
+    phi = [int(p * lcm) for p in outcome.functional]
     for vec in problem.generators:
         assert sum(p * v for p, v in zip(phi, vec)) >= 0
     assert sum(p * t for p, t in zip(phi, problem.target)) < 0
@@ -469,6 +473,31 @@ class TestPackedPricing:
             assert _unpacked(block) == cone[block[0] : block[1]]
         assert sum(b[1] - b[0] for b in blocks) == ends[-1] - ends[0]
 
+    def test_zero_price_reads_no_column(self):
+        class Sealed(PreparedCone):
+            # Once sealed, asking for the blocks or reading a column fails.
+            sealed = False
+
+            def blocks(self):
+                assert not self.sealed
+                return super().blocks()
+
+            def __getitem__(self, key):
+                assert not self.sealed
+                return super().__getitem__(key)
+
+            def __iter__(self):
+                assert not self.sealed
+                return super().__iter__()
+
+        rng = random.Random(3)
+        columns = tuple(tuple(rng.randint(-9, 9) for _ in range(9)) for _ in range(2500))
+        cone = Sealed(columns)
+        assert cone.blocks()  # packed, so a non-zero price would read them
+        cone.sealed = True
+        for zero in ([0] * 9, (0,) * 9):
+            assert oracle._entering(zero, cone) == _reference_entering(zero, columns) == -1
+
 
 class TestPivotCap:
     def test_pricing_fault_fails_fast(self, monkeypatch):
@@ -844,26 +873,68 @@ class TestLazyTable:
         assert _orbit_vectors.degree == 5
         assert _orbit_vectors.checked == report.generator_count - 1
 
-    def test_carried_check_validates_before_reading(self, monkeypatch, fresh_oracle_caches):
-        # One LP at degree 4; its functional is carried to degrees 5 and 6.
+    def test_carried_check_lists_no_column(self, monkeypatch, fresh_oracle_caches):
+        # One LP at degree 4; its functional is carried to degrees 5 and 6 on
+        # the shapes, so the table stays listed to the LP's degree only.
         divisor = DivisorClass(1, (1, 1, 1, 1, 0, 0, 0, 0))
         lps = []
 
         def counted(problem):
-            lps.append(problem)
+            lps.append(problem.generators.degree)
             return cone_member(problem)
 
         monkeypatch.setattr(oracle, "cone_member", counted)
-        assert effective_membership(divisor).checked_degrees == (4, 5, 6)
-        assert len(lps) == 1
-        # A float of the right value in a degree-5 column: the carried check
-        # would read it as it reads an int, so only validation catches it.
-        _orbit_vectors.cache_clear()
-        oracle._effective_cone.cache_clear()
-        oracle._effective_cone(4)
-        TestEffectiveConeValidation._poison(5, 5.0, low=4)
-        with pytest.raises(TypeError, match="integer generator entry required, got 5.0"):
-            effective_membership(divisor)
+        report = effective_membership(divisor)
+        assert report.checked_degrees == (4, 5, 6)
+        assert lps == [4]
+        assert _orbit_vectors.degree == 4
+        # The same report once the whole table is listed and validated.
+        oracle._effective_cone(13)
+        assert effective_membership(divisor) == report
+
+    def test_failing_carried_functional_runs_a_fresh_lp(self, monkeypatch, fresh_oracle_caches):
+        # The first LP (degree 11 for this degree-8 class) is made to answer
+        # with phi, which holds on the orbit to degree 11 and first fails at
+        # 12: so the carried check fails there and a fresh LP runs at 12.
+        phi = (16, -3, -5) + (-4,) * 6
+        assert _orbit_vectors.minimum(phi, 0, 11) >= 0 > _orbit_vectors.minimum(phi, 12, 12)
+        divisor = DivisorClass(8, (4, 3, -7, 5, 6, 1, -5, 7))
+        lps = []
+
+        def first_answer_phi(problem):
+            lps.append(problem.generators.degree)
+            if len(lps) == 1:
+                return Infeasible(tuple(map(Fraction, phi)))
+            return cone_member(problem)
+
+        monkeypatch.setattr(oracle, "cone_member", first_answer_phi)
+        report = effective_membership(divisor)
+        assert lps == [11, 12]
+        assert report.checked_degrees == (11, 12, 13)
+        assert report.outcome.functional != tuple(map(Fraction, phi))
+        problem = divisor_problem(divisor, effective_generators(report.truncation_degree))
+        check_infeasible(problem, report.outcome)
+
+    def test_infeasible_reports_hold_column_by_column(self, fresh_oracle_caches):
+        # Criterion-4 sampler: every "no" holds on every column of its
+        # truncation, shortcut and carried functionals included.  A
+        # functional is checked once per truncation, the target per report.
+        rng = random.Random(20250811)
+        cones, checked, from_lps = {}, set(), 0
+        for _ in range(300):
+            divisor = DivisorClass(rng.randint(0, 8), tuple(rng.randint(-8, 8) for _ in range(8)))
+            report = effective_membership(divisor)
+            if isinstance(report.outcome, Feasible):
+                continue
+            degree, phi = report.truncation_degree, report.outcome.functional
+            from_lps += phi not in oracle._CANDIDATE_FUNCTIONALS
+            if degree not in cones:
+                cones[degree] = divisor_problem(divisor, effective_generators(degree)).generators
+            if (degree, phi) not in checked:
+                check_infeasible(ConeProblem(divisor.vector(), cones[degree]), report.outcome)
+                checked.add((degree, phi))
+            assert sum(p * t for p, t in zip(phi, divisor.vector())) < 0
+        assert from_lps >= 3
 
 
 class TestMembershipScale:

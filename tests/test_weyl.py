@@ -389,19 +389,18 @@ class TestOrbitCap:
     def test_every_reader_refused_at_degree_sixteen(self, fresh_table, read):
         with pytest.raises(ScaleExceeded, match="^the orbit to degree 16 has 72760 classes, "):
             read(16)
-        # The counts come from the shapes alone; the readers of classes list
-        # degree 16 before they refuse it.
-        assert fresh_table.degree == (-1 if read is orbit_degree_counts else 16)
+        # Every reader counts the bound from the shapes before it lists anything.
+        assert fresh_table.degree == -1
 
     def test_far_bound_stops_growing_at_the_cap(self, fresh_table):
         with pytest.raises(ScaleExceeded):
             exceptional_orbit(40)
-        assert fresh_table.degree == 16
+        assert fresh_table.degree == -1
         # Truncations under the cap are still answered; one over it stays refused.
         assert fresh_table.prefix(15) == 59096
         with pytest.raises(ScaleExceeded):
             fresh_table.prefix(16)
-        assert fresh_table.degree == 16
+        assert fresh_table.degree == 15
 
     def test_count_and_prefix_refuse_with_one_message(self, monkeypatch):
         monkeypatch.setattr(weyl, "MAX_GENERATORS", 1000)
