@@ -24,20 +24,18 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter, mul
+from operator import mul
 
 from .lattice import (
     EXCEPTIONALS,
     H,
     HALF_ANTICANONICAL,
     NUM_POINTS,
-    ROOT_SYSTEM,
     CurveClass,
     DivisorClass,
     curve_intersection,
     exceptional_line,
     line_between,
-    pairing,
 )
 # reflect is unused here but stays importable from this module: the benchmark's
 # self-test (bench/run.py) checks that its tracer reaches cones.reflect.
@@ -49,6 +47,7 @@ from .weyl import (  # noqa: F401
     _DegreeWentNegative,
     _HALF_ANTICANONICAL_INTS,
     _act,
+    _chamber_margins,
     _is_minus_one_frame,
     _orbit_vectors,
     _reduce,
@@ -624,9 +623,8 @@ def in_fundamental_chamber(divisor: DivisorClass, strict: bool = False) -> bool:
     The closed chamber is exactly the set of classes in standard form:
     m_1 >= ... >= m_8 and 2d >= m_1 + m_2 + m_3 + m_4.
     """
-    if strict:
-        return all(pairing(divisor, alpha) > 0 for alpha in ROOT_SYSTEM.roots)
-    return all(pairing(divisor, alpha) >= 0 for alpha in ROOT_SYSTEM.roots)
+    least = min(_chamber_margins(divisor))
+    return least > 0 if strict else least >= 0
 
 
 def in_tits_cone(
@@ -676,13 +674,14 @@ def ray_distance(divisor: DivisorClass) -> Fraction:
 def accumulation_report(max_degree: int) -> tuple[tuple[int, Fraction], ...]:
     """Per-degree maximum ray distance of the exceptional orbit to the -K/2 ray.
 
-    Enumerates the orbit up to the degree bound and reports, for each exact
-    degree, the largest distance.  The maxima shrink as the degree grows: the
-    orbit rays accumulate only at the half-anticanonical ray.
+    Reports, for each exact degree up to the bound, the largest distance.  The
+    distance is symmetric in the points, so each degree's maximum is one over
+    its shapes, and no orbit class is listed.  The maxima shrink as the degree
+    grows: the orbit rays accumulate only at the half-anticanonical ray.
     """
     if not isinstance(max_degree, int) or max_degree < 2:
         raise ValueError(f"max_degree must be an integer >= 2, got {max_degree!r}")
     return tuple(
-        (degree, max(map(_ray_distance, vectors)))
-        for degree, vectors in itertools.groupby(_orbit_vectors(max_degree), itemgetter(0))
+        (degree, max(_ray_distance((degree, *shape)) for shape in _orbit_vectors.shapes(degree)))
+        for degree in range(max_degree + 1)
     )

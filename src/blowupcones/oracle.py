@@ -10,10 +10,11 @@ in integer arithmetic before they are returned.
 
 Two generator sets are prepared: validated once and kept as integer columns
 (`PreparedCone`), so a query checks only its target.  An effective-cone
-truncation is the orbit table up to a degree plus -K/2; only the last one
-built is kept.  The table itself refuses a truncation over MAX_GENERATORS
-classes (`weyl.ScaleExceeded`), so an oversized query fails before its LP is
-built, and `_check_shape` stays the LP's own guard on any generator set.
+truncation is the orbit table up to a degree plus -K/2; there is one cone per
+degree, each validated whole when it is built.  The table itself refuses a
+truncation over MAX_GENERATORS classes (`weyl.ScaleExceeded`), so an
+oversized query fails before its LP is built, and `_check_shape` stays the
+LP's own guard on any generator set.
 
 `effective_membership` first tries a few fixed functionals (the shortcut).
 Each is verified on the orbit's shapes, not its columns: every degree slice
@@ -40,11 +41,12 @@ pass over a block is 9 big-int multiply-adds; a field's top bit says whether
 that column's price is positive.  It enters the same column as pricing one
 column at a time, so the pivots, coefficients and functionals do not change.
 A block whose prices could overflow a field, a shorter run, and unprepared
-columns are priced exactly by dot products instead.  The orbit table's blocks follow
-its degree slices: every truncation shares them, they are built at the first
-LP that needs them (about 0.7 MB to degree 13) and `_orbit_vectors.cache_clear()`
-drops them.  Any other prepared cone packs its own.  The certificate checks
-never use the packed blocks: they re-sum and re-price with plain dot products.
+columns are priced exactly by dot products instead.  An effective
+truncation's blocks are its degree slices' blocks: `_orbit_blocks` packs each
+slice once, at the first LP that needs it (about 0.7 MB to degree 13), and
+every truncation shares them.  Any other prepared cone packs its own.  The
+certificate checks never use the packed blocks: they re-sum and re-price with
+plain dot products.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ def _check_exact(value) -> None:
         raise TypeError(f"exact rational entry required, got {value!r}")
 
 
-def _check_shape(dim: int, generators, checked: int = 0) -> None:
+def _check_shape(dim: int, generators) -> None:
     if not generators:
         raise ValueError("at least one generator is required")
     if dim == 0:
@@ -85,37 +87,27 @@ def _check_shape(dim: int, generators, checked: int = 0) -> None:
         raise ScaleExceeded(f"dimension {dim} exceeds {MAX_DIMENSION}")
     if len(generators) > MAX_GENERATORS:
         raise ScaleExceeded(f"{len(generators)} generators exceed {MAX_GENERATORS}")
-    if any(len(vec) != dim for vec in generators[checked:]):
+    if any(len(vec) != dim for vec in generators):
         raise ValueError("all generators must match the target dimension")
 
 
 class PreparedCone(tuple):
     """Integer generator columns, validated once (as ConeProblem, but ints only).
 
-    The first `checked` columns were validated by an earlier cone.  A
-    ConeProblem on a PreparedCone checks only its target and skips scaling.
+    A ConeProblem on a PreparedCone checks only its target and skips scaling.
     """
 
-    #: Set on an effective truncation: its columns are the orbit table up to
-    #: this degree, then -K/2, and it prices with the table's packed blocks.
-    degree: int | None = None
-
-    def __new__(cls, generators, checked: int = 0):
+    def __new__(cls, generators):
         cone = super().__new__(cls, generators)
-        _check_shape(len(cone[0]) if cone else 0, cone, checked)
-        for value in chain.from_iterable(cone[checked:]):
+        _check_shape(len(cone[0]) if cone else 0, cone)
+        for value in chain.from_iterable(cone):
             if type(value) is not int:
                 raise TypeError(f"integer generator entry required, got {value!r}")
         return cone
 
-    def blocks(self):
-        """The packed pricing blocks (see `_pack`), in column order."""
-        if self.degree is None:
-            return self._own_blocks
-        return chain.from_iterable(map(_orbit_blocks, range(self.degree + 1)))
-
     @cached_property
-    def _own_blocks(self):
+    def blocks(self) -> list:
+        """The packed pricing blocks (see `_pack`), in column order."""
         return _pack(self, 0, len(self))
 
 
@@ -325,7 +317,7 @@ def _entering(price, columns) -> int:
     weight, start = sum(map(abs, price)), 0
     if not weight:
         return -1
-    for low, high, bound, bias, rows in columns.blocks() if isinstance(columns, PreparedCone) else ():
+    for low, high, bound, bias, rows in columns.blocks if isinstance(columns, PreparedCone) else ():
         if weight * bound >= _GUARD:
             continue
         if start < low:
@@ -362,13 +354,11 @@ def _pack(columns, start: int, stop: int) -> list:
     return blocks
 
 
+@lru_cache(maxsize=None)
 def _orbit_blocks(degree: int) -> list:
-    """The blocks of the orbit table's degree slice, kept on the table from first use."""
-    blocks = _orbit_vectors.packed.get(degree)
-    if blocks is None:
-        start, stop = _orbit_vectors.prefix(degree - 1), _orbit_vectors.prefix(degree)
-        blocks = _orbit_vectors.packed[degree] = _pack(_orbit_vectors.vectors, start, stop)
-    return blocks
+    """The blocks of the orbit table's degree slice, shared by every truncation."""
+    start, stop = _orbit_vectors.prefix(degree - 1), _orbit_vectors.prefix(degree)
+    return _pack(_orbit_vectors.vectors, start, stop)
 
 
 # -- effective-cone membership with per-instance truncation ----------------------
@@ -395,15 +385,13 @@ def effective_generators(truncation_degree: int) -> tuple[DivisorClass, ...]:
     return _orbit_vectors.classes(truncation_degree) + (HALF_ANTICANONICAL,)
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=None)
 def _effective_cone(truncation_degree: int) -> PreparedCone:
-    # The columns are references into the shared orbit table, not copies, each
-    # validated by the first cone it enters (`checked` resets with the table).
-    # Only the last cone is kept: at degree 13 one holds 37 481 references.
-    orbit, checked = _orbit_vectors(truncation_degree), _orbit_vectors.checked
-    cone = PreparedCone(orbit + (_HALF_ANTICANONICAL_INTS,), min(checked, len(orbit)))
-    cone.degree = truncation_degree
-    _orbit_vectors.checked = max(checked, len(orbit))
+    # One cone per degree, at most 16 under the table's cap, each validated
+    # whole when built.  Its orbit columns are references into the shared
+    # table, and its blocks are the table slices' shared blocks.
+    cone = PreparedCone(_orbit_vectors(truncation_degree) + (_HALF_ANTICANONICAL_INTS,))
+    cone.blocks = [*chain.from_iterable(map(_orbit_blocks, range(truncation_degree + 1)))]
     return cone
 
 

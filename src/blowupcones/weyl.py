@@ -142,10 +142,15 @@ def inverse_word(word) -> WeylWord:
     return tuple(reversed(word))
 
 
+def _chamber_margins(divisor: DivisorClass) -> list[int]:
+    """The simple roots' pairings with `scaled()`: 2d - m_1 - ... - m_4, m_i - m_{i+1}."""
+    (d, *m), _ = divisor.scaled()
+    return [2 * d - sum(m[:4])] + [m[i] - m[i + 1] for i in range(NUM_POINTS - 1)]
+
+
 def is_standard_form(divisor: DivisorClass) -> bool:
     """True iff m_1 >= ... >= m_8 and 2d >= m_1 + m_2 + m_3 + m_4."""
-    m = divisor.m
-    return all(m[i] >= m[i + 1] for i in range(NUM_POINTS - 1)) and 2 * divisor.d >= sum(m[:4])
+    return min(_chamber_margins(divisor)) >= 0
 
 
 def canonical_shape(divisor: DivisorClass) -> DivisorClass:
@@ -316,17 +321,15 @@ class _OrbitTable:
     (and of the classes, each built once).  Enumeration reaches the largest
     bound so far one degree at a time, each degree as the lattice points of
     the lemma.  Each degree's shapes and the cumulative class counts are kept
-    apart from the vectors and need none of them: `count` and `minimum` read
-    only the shapes.  `count` raises ScaleExceeded at the first truncation
-    over MAX_GENERATORS classes, and every reader goes through it, so no
-    reader of the orbit runs unbounded.
+    apart from the vectors and need none of them: `count`, `shapes` and
+    `minimum` read only the shapes.  `count` raises ScaleExceeded at the first
+    truncation over MAX_GENERATORS classes, and every reader goes through it,
+    so no reader of the orbit runs unbounded.
     """
 
     def __init__(self) -> None:
         self.vectors: tuple[tuple[int, ...], ...] = ()
         self.degree = -1
-        self.checked = 0  # leading vectors oracle._effective_cone has validated
-        self.packed: dict[int, list] = {}  # oracle's pricing blocks per degree slice
         self._classes: list[DivisorClass] = []
         self._shapes: list[list[tuple[int, ...]]] = []  # per degree, ascending
         self._ends = [0]  # _ends[k + 1]: the classes of degree at most k
@@ -365,6 +368,11 @@ class _OrbitTable:
                                 f"more than MAX_GENERATORS = {MAX_GENERATORS}")
         return total
 
+    def shapes(self, degree: int) -> list[tuple[int, ...]]:
+        """The degree's shapes, multiplicities ascending; refused past the cap like `count`."""
+        self.count(degree)
+        return self._shapes[degree]
+
     def prefix(self, max_degree: int) -> int:
         """The length of the truncation at the bound, enumerated up to it.
 
@@ -388,10 +396,9 @@ class _OrbitTable:
         permutations of a shape pairs phi_1..phi_8 sorted descending with the
         ascending shape, so each shape costs one dot product.
         """
-        self.count(high)
         weights = sorted(phi[1:], reverse=True)
         return min(phi[0] * d + sum(map(mul, weights, shape))
-                   for d in range(low, high + 1) for shape in self._shapes[d])
+                   for d in range(low, high + 1) for shape in self.shapes(d))
 
 
 _orbit_vectors = _OrbitTable()

@@ -462,6 +462,15 @@ class TestRegions:
             interior = interior + weight
         assert in_fundamental_chamber(interior, strict=True)
 
+    @given(st.one_of(int_divisors, rational_divisors))
+    def test_chamber_is_where_the_roots_pair_non_negatively(self, divisor):
+        from blowupcones import ROOT_SYSTEM, is_standard_form
+
+        for candidate in (divisor, DivisorClass(divisor.d, sorted(divisor.m, reverse=True))):
+            least = min(pairing(candidate, alpha) for alpha in ROOT_SYSTEM.roots)
+            assert in_fundamental_chamber(candidate) == is_standard_form(candidate) == (least >= 0)
+            assert in_fundamental_chamber(candidate, strict=True) == (least > 0)
+
     def test_tits_cone_contains_effective_example(self):
         result = in_tits_cone(DivisorClass(3, (2, 2, 2, 2, 1, 1, 1, 0)))
         assert result is not None and result.steps == 2
@@ -484,6 +493,12 @@ class TestAccumulation:
     def test_degree_zero_distance(self):
         report = dict(accumulation_report(2))
         assert report[0] == Fraction(11, 12)
+
+    def test_maxima_over_shapes_match_every_class(self):
+        by_class = tuple(
+            (degree, max(map(ray_distance, group)))
+            for degree, group in itertools.groupby(exceptional_orbit(9), lambda c: c.d))
+        assert accumulation_report(9) == by_class
 
     def test_distances_positive(self):
         for _, distance in accumulation_report(4):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 import struct
 from fractions import Fraction
@@ -452,19 +453,20 @@ class TestPackedPricing:
         rng = random.Random(5)
         cone = PreparedCone(tuple(tuple(rng.randint(-9, 9) for _ in range(9))
                                   for _ in range(2500)))
-        blocks = cone.blocks()
+        blocks = cone.blocks
         assert [(b[0], b[1]) for b in blocks] == [(0, 1024), (1024, 2048), (2048, 2500)]
         for block in blocks:
             assert _unpacked(block) == cone[block[0] : block[1]]
+        assert cone.blocks is blocks  # packed once per cone
         # A cone shorter than one block is priced by `_dots` alone.
-        assert PreparedCone(cone[:1023]).blocks() == []
-        assert divisor_problem(H, nef_generators()).generators.blocks() == []
+        assert PreparedCone(cone[:1023]).blocks == []
+        assert divisor_problem(H, nef_generators()).generators.blocks == []
 
     def test_effective_truncation_uses_table_slices(self):
         # Slices of degree 6 and 7 are packed; degrees 0-5 (2192 columns, no
         # slice of 1024) and -K/2 are left to `_dots`.
         cone = oracle._effective_cone(7)
-        blocks = list(cone.blocks())
+        blocks = cone.blocks
         ends = [_orbit_vectors.prefix(k) for k in range(5, 8)]
         assert [b[0] for b in blocks if b[0] in ends] == ends[:-1] == [2192, 3592]
         assert blocks[-1][1] == ends[-1] == len(cone) - 1
@@ -472,15 +474,20 @@ class TestPackedPricing:
             assert block[1] - block[0] <= oracle._BLOCK
             assert _unpacked(block) == cone[block[0] : block[1]]
         assert sum(b[1] - b[0] for b in blocks) == ends[-1] - ends[0]
+        # Every truncation holds the slices' own blocks, packed once.
+        shared = oracle._orbit_blocks(6) + oracle._orbit_blocks(7)
+        assert all(map(operator.is_, blocks, shared)) and len(blocks) == len(shared)
+        assert all(map(operator.is_, oracle._effective_cone(8).blocks, shared))
 
     def test_zero_price_reads_no_column(self):
         class Sealed(PreparedCone):
             # Once sealed, asking for the blocks or reading a column fails.
             sealed = False
 
+            @property
             def blocks(self):
                 assert not self.sealed
-                return super().blocks()
+                return super().blocks
 
             def __getitem__(self, key):
                 assert not self.sealed
@@ -493,7 +500,7 @@ class TestPackedPricing:
         rng = random.Random(3)
         columns = tuple(tuple(rng.randint(-9, 9) for _ in range(9)) for _ in range(2500))
         cone = Sealed(columns)
-        assert cone.blocks()  # packed, so a non-zero price would read them
+        assert cone.blocks  # packed, so a non-zero price would read them
         cone.sealed = True
         for zero in ([0] * 9, (0,) * 9):
             assert oracle._entering(zero, cone) == _reference_entering(zero, columns) == -1
@@ -527,7 +534,8 @@ class TestPricingCaches:
         packed = []
         pack = oracle._pack
         monkeypatch.setattr(oracle, "_pack", lambda *args: packed.append(args) or pack(*args))
-        before = (dict(_orbit_vectors.packed), oracle._memo, oracle._effective_cone.cache_info())
+        before = (oracle._orbit_blocks.cache_info(), oracle._memo,
+                  oracle._effective_cone.cache_info())
         generators = nef_generators()
         rng = random.Random(8)
         kinds = set()
@@ -536,7 +544,8 @@ class TestPricingCaches:
             kinds.add(type(cone_member(generic_problem(divisor, generators))))
         assert kinds == {Feasible, Infeasible}
         assert not packed
-        after = (dict(_orbit_vectors.packed), oracle._memo, oracle._effective_cone.cache_info())
+        after = (oracle._orbit_blocks.cache_info(), oracle._memo,
+                 oracle._effective_cone.cache_info())
         assert after == before
 
     def test_same_reports_after_table_cache_clear(self, fresh_oracle_caches):
@@ -544,11 +553,13 @@ class TestPricingCaches:
         divisors = [DivisorClass(rng.randint(5, 8), tuple(rng.randint(-8, 8) for _ in range(8)))
                     for _ in range(12)] + [HALF_ANTICANONICAL]
         before = [repr(effective_membership(divisor)) for divisor in divisors]
-        assert _orbit_vectors.packed
+        packed = oracle._orbit_blocks.cache_info().currsize
+        assert packed
         _orbit_vectors.cache_clear()
-        assert not _orbit_vectors.packed
+        oracle._orbit_blocks.cache_clear()
+        oracle._effective_cone.cache_clear()
         assert [repr(effective_membership(divisor)) for divisor in divisors] == before
-        assert _orbit_vectors.packed
+        assert oracle._orbit_blocks.cache_info().currsize == packed
 
     def test_memo_alternation_prices_current_blocks(self, monkeypatch):
         # Every block priced is the packing of the cone being priced.
@@ -559,7 +570,7 @@ class TestPricingCaches:
         def checked(price, columns):
             # Each cone's blocks are read back the first time it is priced.
             if isinstance(columns, PreparedCone) and all(c is not columns for c in priced):
-                for block in columns.blocks():
+                for block in columns.blocks:
                     assert _unpacked(block) == columns[block[0] : block[1]]
                 priced.append(columns)
             return entering(price, columns)
@@ -761,6 +772,7 @@ def fresh_oracle_caches():
     def clear():
         _orbit_vectors.cache_clear()
         oracle._effective_cone.cache_clear()
+        oracle._orbit_blocks.cache_clear()
         oracle._verified_functionals.cache_clear()
 
     clear()
@@ -797,7 +809,7 @@ class TestVerifiedFunctionals:
 
 
 class TestEffectiveConeValidation:
-    """Each orbit column is validated once, by the first cone it enters."""
+    """Each truncation's cone is built once and validates all of its columns then."""
 
     @staticmethod
     def _poison(degree, value, low=0):
@@ -845,12 +857,47 @@ class TestEffectiveConeValidation:
         with pytest.raises(ScaleExceeded):
             oracle._effective_cone(3)
 
-    def test_shared_columns_validated_once(self, fresh_oracle_caches):
-        for degree in (3, 6, 5, 13):
-            cone = oracle._effective_cone(degree)
+    def test_shared_columns_validated_once(self, monkeypatch, fresh_oracle_caches):
+        validated = []
+        check_shape = oracle._check_shape
+        monkeypatch.setattr(oracle, "_check_shape",
+                            lambda dim, generators: validated.append(len(generators))
+                            or check_shape(dim, generators))
+        cones = {}
+        for degree in (3, 6, 5, 13, 6, 3, 13):
+            cone = cones.setdefault(degree, oracle._effective_cone(degree))
+            assert oracle._effective_cone(degree) is cone
             assert cone[:-1] == _orbit_vectors(degree)
             assert cone[-1] == _HALF_ANTICANONICAL_INTS
-        assert _orbit_vectors.checked == _orbit_vectors.prefix(13)
+        # One cone per degree, each validated whole, once, when it was built.
+        assert validated == [_orbit_vectors.count(k) + 1 for k in (3, 6, 5, 13)]
+        assert oracle._effective_cone.cache_info().misses == 4
+
+    def test_each_lp_degree_built_once(self, monkeypatch, fresh_oracle_caches):
+        # Criterion-4 sampler: the LP degrees alternate, yet each one's cone
+        # is built once; cones built beforehand, highest degree first, give
+        # the same reports.
+        rng = random.Random(20250810)
+        divisors = [DivisorClass(rng.randint(0, 8), tuple(rng.randint(-8, 8) for _ in range(8)))
+                    for _ in range(200)]
+        sizes = []
+        solve = oracle.cone_member
+
+        def counted(problem):
+            sizes.append(len(problem.generators))
+            return solve(problem)
+
+        monkeypatch.setattr(oracle, "cone_member", counted)
+        reports = [effective_membership(divisor) for divisor in divisors]
+        built = oracle._effective_cone.cache_info().misses
+        assert built == len(set(sizes)) >= 4
+        assert len(sizes) > 5 * built
+        oracle._effective_cone.cache_clear()
+        oracle._orbit_blocks.cache_clear()
+        for degree in range(13, 2, -1):
+            oracle._effective_cone(degree)
+        assert [effective_membership(divisor) for divisor in divisors] == reports
+        assert oracle._effective_cone.cache_info().misses == 11
 
 
 class TestLazyTable:
@@ -871,7 +918,8 @@ class TestLazyTable:
         report = effective_membership(DivisorClass(2, (1, 1, 1, 1, 1, 1, 1, 0)))
         assert isinstance(report.outcome, Feasible)
         assert _orbit_vectors.degree == 5
-        assert _orbit_vectors.checked == report.generator_count - 1
+        assert oracle._effective_cone.cache_info().currsize == 1
+        assert len(oracle._effective_cone(5)) == report.generator_count
 
     def test_carried_check_lists_no_column(self, monkeypatch, fresh_oracle_caches):
         # One LP at degree 4; its functional is carried to degrees 5 and 6 on
@@ -880,13 +928,13 @@ class TestLazyTable:
         lps = []
 
         def counted(problem):
-            lps.append(problem.generators.degree)
+            lps.append(len(problem.generators))
             return cone_member(problem)
 
         monkeypatch.setattr(oracle, "cone_member", counted)
         report = effective_membership(divisor)
         assert report.checked_degrees == (4, 5, 6)
-        assert lps == [4]
+        assert lps == [_orbit_vectors.count(4) + 1]
         assert _orbit_vectors.degree == 4
         # The same report once the whole table is listed and validated.
         oracle._effective_cone(13)
@@ -902,14 +950,14 @@ class TestLazyTable:
         lps = []
 
         def first_answer_phi(problem):
-            lps.append(problem.generators.degree)
+            lps.append(len(problem.generators))
             if len(lps) == 1:
                 return Infeasible(tuple(map(Fraction, phi)))
             return cone_member(problem)
 
         monkeypatch.setattr(oracle, "cone_member", first_answer_phi)
         report = effective_membership(divisor)
-        assert lps == [11, 12]
+        assert lps == [_orbit_vectors.count(11) + 1, _orbit_vectors.count(12) + 1]
         assert report.checked_degrees == (11, 12, 13)
         assert report.outcome.functional != tuple(map(Fraction, phi))
         problem = divisor_problem(divisor, effective_generators(report.truncation_degree))

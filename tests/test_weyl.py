@@ -302,9 +302,8 @@ class TestOrbitTable:
     def test_cache_clear_starts_over(self):
         table = _OrbitTable()
         table.prefix(6)
-        table.checked = 5
         table.cache_clear()
-        assert (table.vectors, table.degree, table.checked) == ((), -1, 0)
+        assert (table.vectors, table.degree, table._shapes) == ((), -1, [])
         assert table(4) == breadth_first_orbit(4)
 
     def test_degree_counts_to_thirteen(self):
@@ -390,6 +389,12 @@ class TestOrbitCap:
         with pytest.raises(ScaleExceeded, match="^the orbit to degree 16 has 72760 classes, "):
             read(16)
         # Every reader counts the bound from the shapes before it lists anything.
+        assert fresh_table.degree == -1
+
+    def test_accumulation_lists_no_class(self, fresh_table):
+        # Ray distance is symmetric in the points: each degree's maximum is
+        # one over its shapes.
+        assert [degree for degree, _ in accumulation_report(15)] == list(range(16))
         assert fresh_table.degree == -1
 
     def test_far_bound_stops_growing_at_the_cap(self, fresh_table):
