@@ -38,7 +38,7 @@ from .cones import (
     nef_decompose,
 )
 from .lattice import CurveClass, DivisorClass
-from .oracle import Feasible, ScaleExceeded, cone_member, curve_problem, divisor_problem
+from .oracle import Feasible, ScaleExceeded, cone_member, divisor_problem
 from .weyl import (
     DEFAULT_MAX_STEPS,
     StepLimitExceeded,
@@ -238,12 +238,10 @@ def _cmd_accumulation(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    parse, problem = (
-        (CurveClass.parse, curve_problem) if args.curves else (DivisorClass.parse, divisor_problem)
-    )
+    parse = CurveClass.parse if args.curves else DivisorClass.parse
     target = parse(args.target)
     generators = [parse(line) for line in _read_lines(args.generators)]
-    outcome = cone_member(problem(target, generators))
+    outcome = cone_member(divisor_problem(target, generators))
     if isinstance(outcome, Feasible):
         terms = [
             (generator, coefficient)

@@ -27,6 +27,7 @@ from functools import lru_cache
 from operator import mul
 
 from .lattice import (
+    EXCEPTIONAL_LINES,
     EXCEPTIONALS,
     H,
     HALF_ANTICANONICAL,
@@ -37,17 +38,15 @@ from .lattice import (
     exceptional_line,
     line_between,
 )
-# reflect is unused here but stays importable from this module: the benchmark's
-# self-test (bench/run.py) checks that its tracer reaches cones.reflect.
+# reflect and to_standard_form are unused here but stay importable from this
+# module: the benchmark's self-test (bench/run.py) checks that its tracer
+# reaches cones.reflect and cones.to_standard_form.
 from .weyl import (  # noqa: F401
     DEFAULT_MAX_STEPS,
-    ReductionResult,
-    StepLimitExceeded,
     WeylWord,
     _DegreeWentNegative,
     _HALF_ANTICANONICAL_INTS,
     _act,
-    _chamber_margins,
     _is_minus_one_frame,
     _orbit_vectors,
     _reduce,
@@ -256,10 +255,8 @@ def _through(degree: int, indices) -> DivisorClass:
 @lru_cache(maxsize=1)
 def curve_generators() -> tuple[CurveClass, ...]:
     """The 36 generators of the cone of curves: e_i and the line classes h-e_i-e_j."""
-    lines = tuple(
-        line_between(i, j) for i, j in itertools.combinations(range(1, NUM_POINTS + 1), 2)
-    )
-    return tuple(exceptional_line(i) for i in range(1, NUM_POINTS + 1)) + lines
+    pairs = itertools.combinations(range(1, NUM_POINTS + 1), 2)
+    return EXCEPTIONAL_LINES + tuple(line_between(i, j) for i, j in pairs)
 
 
 @lru_cache(maxsize=1)
@@ -287,11 +284,6 @@ def pi_generators() -> tuple[DivisorClass, ...]:
     gens.extend(DivisorClass(3, (3,) + (1,) * (a - 1) + (0,) * (NUM_POINTS - a))
                 for a in range(4, NUM_POINTS + 1))
     return tuple(gens)
-
-
-def effective_seed() -> tuple[DivisorClass, ...]:
-    """The seed generators of the effective cone; the rest come from the orbit."""
-    return EXCEPTIONALS + (HALF_ANTICANONICAL,)
 
 
 @lru_cache(maxsize=None)
@@ -613,38 +605,6 @@ def _three_point_decompose(rest: list[int], counts: list[int]) -> None:
         counts[6 - j] += (total - 2 * m[j] - spare + 2 * r[j]) // 2
         counts[1 + j] += r[j]
     counts[0] += d - (total + spare) // 2
-
-
-# -- chamber and region tests -----------------------------------------------------
-
-def in_fundamental_chamber(divisor: DivisorClass, strict: bool = False) -> bool:
-    """Whether the class pairs non-negatively (positively if strict) with all roots.
-
-    The closed chamber is exactly the set of classes in standard form:
-    m_1 >= ... >= m_8 and 2d >= m_1 + m_2 + m_3 + m_4.
-    """
-    least = min(_chamber_margins(divisor))
-    return least > 0 if strict else least >= 0
-
-
-def in_tits_cone(
-    divisor: DivisorClass, max_steps: int = DEFAULT_MAX_STEPS
-) -> ReductionResult | None:
-    """Membership in the union of Weyl translates of the closed chamber.
-
-    Returns the reduction witness on success.  Returns None when the step cap
-    trips, which means "unknown": reaching the cap is strong evidence that no
-    standard form exists, but it is never reported as a definite no.
-    """
-    try:
-        return to_standard_form(divisor, max_steps)
-    except StepLimitExceeded:
-        return None
-
-
-def in_box(divisor: DivisorClass) -> bool:
-    """Whether 0 <= m_i <= d for all i (the region cut out by planes and points)."""
-    return all(0 <= x <= divisor.d for x in divisor.m)
 
 
 # -- accumulation of orbit rays ------------------------------------------------------

@@ -91,9 +91,6 @@ class DivisorClass:
     def is_integral(self) -> bool:
         return self.d.denominator == 1 and all(x.denominator == 1 for x in self.m)
 
-    def is_zero(self) -> bool:
-        return self.d == 0 and all(x == 0 for x in self.m)
-
     # -- text form ----------------------------------------------------------
 
     @classmethod
@@ -155,9 +152,6 @@ class CurveClass:
         if den != 1:
             raise ValueError(f"curve classes must be integral, got denominator {den}")
         return cls(ints[0], tuple(ints[1:]))
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and all(x == 0 for x in self.c)
 
     @classmethod
     def parse(cls, text: str) -> "CurveClass":
@@ -259,14 +253,8 @@ def curve_intersection(divisor: DivisorClass, curve: CurveClass) -> Fraction:
 
 
 def dq_numbers(divisor: DivisorClass) -> tuple[Fraction, Fraction]:
-    """The pair (D^2.Q, D.Q^2) against the half-anticanonical surface Q.
-
-    Computed as (2d^2 - sum m_i^2, 4d - sum m_i), which equals
-    (pairing(D, D), pairing(D, Q)).
-    """
-    square = 2 * divisor.d * divisor.d - sum(x * x for x in divisor.m)
-    degree = 4 * divisor.d - sum(divisor.m)
-    return square, degree
+    """The pair (D^2.Q, D.Q^2) = (pairing(D, D), pairing(D, Q)), Q the surface -K/2."""
+    return pairing(divisor, divisor), pairing(divisor, HALF_ANTICANONICAL)
 
 
 # -- the T_{2,4,4} root data --------------------------------------------------

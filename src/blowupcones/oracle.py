@@ -26,7 +26,12 @@ same way, so the table is listed only up to the degree an LP prices.
 `_solve`'s own certificates are still checked column by column, and every
 column an LP reads is validated first.
 
-`divisor_problem` (and its alias `curve_problem`) reads each generator's
+The caches built from the orbit table (`_orbit_blocks`, `_effective_cone`,
+`_verified_functionals`) hold references into it.  `cache_clear` empties the
+table and all three together, so none hands out the old table's columns; no
+library path calls it.
+
+`divisor_problem` reads each generator's (divisor or curve class's)
 integer frame (`scaled()`) and keeps the last integral generator *tuple* it
 was given with its cone, such as `nef_generators()` or `curve_generators()`,
 which return one cached tuple.
@@ -161,9 +166,6 @@ def divisor_problem(target: DivisorClass | CurveClass, generators) -> ConeProble
             _memo = (generators, cone)
         return ConeProblem(target.vector(), cone)
     return ConeProblem(target.vector(), tuple(g.vector() for g in generators))
-
-
-curve_problem = divisor_problem
 
 
 def cone_member(problem: ConeProblem) -> Feasible | Infeasible:
@@ -402,6 +404,9 @@ def _effective_cone(truncation_degree: int) -> PreparedCone:
 _CANDIDATE_FUNCTIONALS = ((1,) + (0,) * 8, (4,) + (-1,) * 8) + tuple(
     (1,) + tuple(-int(k == i) for k in range(8)) for i in range(8)
 )
+# Reports are immutable, so every query a candidate separates shares one.
+_SHORTCUT_CERTIFICATES = {phi: Infeasible(tuple(map(Fraction, phi)))
+                          for phi in _CANDIDATE_FUNCTIONALS}
 
 
 @lru_cache(maxsize=None)
@@ -416,10 +421,12 @@ def _verified_functionals(truncation_degree: int) -> tuple[tuple[int, ...], ...]
                  if _orbit_vectors.minimum(phi, truncation_degree, truncation_degree) >= 0)
 
 
-@lru_cache(maxsize=None)
-def _shortcut_certificate(phi: tuple[int, ...]) -> Infeasible:
-    # Reports are immutable, so every query a candidate separates shares one.
-    return Infeasible(tuple(map(Fraction, phi)))
+def cache_clear() -> None:
+    """Empty the orbit table and the three oracle caches built from it."""
+    _orbit_vectors.cache_clear()
+    _orbit_blocks.cache_clear()
+    _effective_cone.cache_clear()
+    _verified_functionals.cache_clear()
 
 
 def effective_membership(divisor: DivisorClass) -> MembershipReport:
@@ -471,5 +478,5 @@ def effective_membership(divisor: DivisorClass) -> MembershipReport:
 def _separating_shortcut(cleared_target, truncation_degree: int) -> Infeasible | None:
     for phi in _verified_functionals(truncation_degree):
         if sum(map(mul, phi, cleared_target)) < 0:
-            return _shortcut_certificate(phi)
+            return _SHORTCUT_CERTIFICATES[phi]
     return None

@@ -41,8 +41,8 @@ from blowupcones import (
     restrict_to_surface,
     to_standard_form,
 )
+from blowupcones import oracle
 from blowupcones.lattice import ROOT_SYSTEM, H
-from blowupcones.weyl import _orbit_vectors
 
 
 def _report(number: int, message: str) -> None:
@@ -50,7 +50,7 @@ def _report(number: int, message: str) -> None:
 
 
 def test_criterion_01_low_degree_orbit_table():
-    _orbit_vectors.cache_clear()
+    oracle.cache_clear()
     start = time.perf_counter()
     orbit = exceptional_orbit(2)
     elapsed = time.perf_counter() - start

@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from blowupcones import oracle
 from blowupcones.cli import build_parser, main
-from blowupcones.weyl import _orbit_vectors
 
 DATA = Path(__file__).parent / "data"
 #: Recorded `oracle --format json` outputs over two generator files (the nef
@@ -344,7 +344,7 @@ class TestOrbitCommands:
     def test_over_the_orbit_cap_exits_3(self, capsys, tmp_path, command):
         # Degree 16 holds 72 760 orbit classes, over MAX_GENERATORS (60 000).
         target = tmp_path / "out.csv"
-        _orbit_vectors.cache_clear()
+        oracle.cache_clear()
         try:
             code, out, err = run(capsys, command, "--max-degree", "16")
             assert (code, out) == (3, "")
@@ -354,7 +354,7 @@ class TestOrbitCommands:
             assert err.startswith("error: the orbit to degree 16 has 72760 classes, ")
             assert not target.exists()
         finally:
-            _orbit_vectors.cache_clear()
+            oracle.cache_clear()
 
 
 class TestCheckMinusOne:
@@ -433,6 +433,23 @@ class TestOracleCommand:
             outputs.add(out)
         assert len(outputs) == 1
 
+    @pytest.mark.parametrize("fmt, target, expected", [
+        ("human", "1;-1,0,0,0,0,0,0,0",
+         "feasible; nonzero terms: 1*(1;-1,-1,0,0,0,0,0,0), 1*(0;0,1,0,0,0,0,0,0)\n"),
+        ("json", "1;-1,0,0,0,0,0,0,0",
+         '{"coefficients": ["1", "1"], "outcome": "feasible", "terms": '
+         '[{"coeff": "1", "gen": "1;-1,-1,0,0,0,0,0,0"}, {"coeff": "1", "gen": "0;0,1,0,0,0,0,0,0"}]}\n'),
+        ("human", "0;-1,0,0,0,0,0,0,0",
+         "infeasible; separating functional: 1,1,0,-1,-1,-1,-1,-1,-1\n"),
+        ("json", "0;-1,0,0,0,0,0,0,0",
+         '{"functional": ["1", "1", "0", "-1", "-1", "-1", "-1", "-1", "-1"], '
+         '"outcome": "infeasible"}\n'),
+    ], ids=["feasible-human", "feasible-json", "infeasible-human", "infeasible-json"])
+    def test_curves(self, capsys, tmp_path, fmt, target, expected):
+        gens = tmp_path / "gens.txt"
+        gens.write_text("1;-1,-1,0,0,0,0,0,0\n0;0,1,0,0,0,0,0,0\n")
+        argv = ("oracle", "--curves", "--generators", str(gens), "--format", fmt, target)
+        assert run(capsys, *argv) == (0, expected, "")
 
     @pytest.mark.parametrize(
         "case", ORACLE_GOLDEN, ids=[f"{c['generators']}-{c['target']}" for c in ORACLE_GOLDEN]

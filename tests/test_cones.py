@@ -26,14 +26,11 @@ from blowupcones import (
     curve_generators,
     curve_intersection,
     effective_decompose,
-    effective_seed,
     exceptional_line,
     exceptional_orbit,
-    in_box,
-    in_fundamental_chamber,
-    in_tits_cone,
     is_minus_one_divisor,
     is_nef,
+    is_standard_form,
     line_between,
     movable_decompose,
     nef_decompose,
@@ -92,7 +89,6 @@ class TestGeneratorSets:
         assert len(curve_generators()) == 36
         assert len(nef_generators()) == 228
         assert len(pi_generators()) == 17
-        assert len(effective_seed()) == 9
 
     def test_standard_passes_invariants(self):
         assert len(nef_generators()) == 228
@@ -104,10 +100,6 @@ class TestGeneratorSets:
     def test_all_nef_generators_are_nef(self):
         for generator in nef_generators():
             assert is_nef(generator)[0]
-
-    def test_effective_seed_members(self):
-        for generator in effective_seed():
-            assert generator == HALF_ANTICANONICAL or is_minus_one_divisor(generator)
 
 
 class TestCurveDecompose:
@@ -353,7 +345,7 @@ class TestEffectiveDecompose:
     @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 3)), min_size=1, max_size=5))
     @settings(max_examples=60)
     def test_sign_rule_on_effective_classes(self, picks):
-        seed = effective_seed()
+        seed = EXCEPTIONALS + (HALF_ANTICANONICAL,)
         total = DivisorClass(0, (0,) * 8)
         for index, coefficient in picks:
             total = total + coefficient * seed[index]
@@ -442,51 +434,24 @@ class TestInclusionChain:
 
 class TestRegions:
     def test_half_anticanonical_in_closed_chamber(self):
-        assert in_fundamental_chamber(HALF_ANTICANONICAL)
-        assert not in_fundamental_chamber(HALF_ANTICANONICAL, strict=True)
+        assert is_standard_form(HALF_ANTICANONICAL)
 
     def test_reduced_exceptional_in_closed_chamber(self):
-        assert in_fundamental_chamber(EXCEPTIONALS[7])
+        assert is_standard_form(EXCEPTIONALS[7])
 
     def test_unsorted_class_not_in_chamber(self):
-        assert not in_fundamental_chamber(DivisorClass(1, (0, 0, 0, 0, 0, 0, 0, 1)))
+        assert not is_standard_form(DivisorClass(1, (0, 0, 0, 0, 0, 0, 0, 1)))
 
     def test_plane_through_one_point_in_chamber(self):
-        assert in_fundamental_chamber(DivisorClass(1, (1, 0, 0, 0, 0, 0, 0, 0)))
-
-    def test_strict_interior_from_weights(self):
-        from blowupcones import ROOT_SYSTEM
-
-        interior = DivisorClass(0, (0,) * 8)
-        for weight in ROOT_SYSTEM.weights:
-            interior = interior + weight
-        assert in_fundamental_chamber(interior, strict=True)
+        assert is_standard_form(DivisorClass(1, (1, 0, 0, 0, 0, 0, 0, 0)))
 
     @given(st.one_of(int_divisors, rational_divisors))
     def test_chamber_is_where_the_roots_pair_non_negatively(self, divisor):
-        from blowupcones import ROOT_SYSTEM, is_standard_form
+        from blowupcones import ROOT_SYSTEM
 
         for candidate in (divisor, DivisorClass(divisor.d, sorted(divisor.m, reverse=True))):
             least = min(pairing(candidate, alpha) for alpha in ROOT_SYSTEM.roots)
-            assert in_fundamental_chamber(candidate) == is_standard_form(candidate) == (least >= 0)
-            assert in_fundamental_chamber(candidate, strict=True) == (least > 0)
-
-    def test_tits_cone_contains_effective_example(self):
-        result = in_tits_cone(DivisorClass(3, (2, 2, 2, 2, 1, 1, 1, 0)))
-        assert result is not None and result.steps == 2
-
-    def test_tits_cone_trivial_member(self):
-        result = in_tits_cone(HALF_ANTICANONICAL)
-        assert result is not None and result.word == ()
-
-    def test_tits_cone_unknown_at_cap(self):
-        assert in_tits_cone(MINUS_H, max_steps=50) is None
-
-    def test_box(self):
-        assert in_box(H)
-        assert in_box(HALF_ANTICANONICAL)
-        assert not in_box(EXCEPTIONALS[7])
-        assert not in_box(DivisorClass(1, (2, 0, 0, 0, 0, 0, 0, 0)))
+            assert is_standard_form(candidate) == (least >= 0)
 
 
 class TestAccumulation:

@@ -25,7 +25,6 @@ from blowupcones import (
     cone_member,
     curve_decompose,
     curve_generators,
-    curve_problem,
     divisor_problem,
     effective_decompose,
     effective_generators,
@@ -191,7 +190,7 @@ class TestPreparedMemo:
         first = divisor_problem(H, generators).generators
         assert isinstance(first, PreparedCone)
         assert divisor_problem(HALF_ANTICANONICAL, generators).generators is first
-        assert curve_problem(H, generators).generators is first
+        assert divisor_problem(H, generators).generators is first
 
     def test_alternating_tuples(self):
         pair = (nef_generators(), exceptional_orbit(2) + (HALF_ANTICANONICAL,))
@@ -221,7 +220,7 @@ class TestPreparedMemo:
             assert repr(cone_member(problem)) == repr(expected)
 
     def test_curve_generators(self):
-        problem = curve_problem(CurveClass(1, (0,) * 8), curve_generators())
+        problem = divisor_problem(CurveClass(1, (0,) * 8), curve_generators())
         assert isinstance(problem.generators, PreparedCone)
 
     def test_criterion_3_sample_matches_generic_path(self):
@@ -555,11 +554,16 @@ class TestPricingCaches:
         before = [repr(effective_membership(divisor)) for divisor in divisors]
         packed = oracle._orbit_blocks.cache_info().currsize
         assert packed
-        _orbit_vectors.cache_clear()
-        oracle._orbit_blocks.cache_clear()
-        oracle._effective_cone.cache_clear()
+        oracle.cache_clear()
         assert [repr(effective_membership(divisor)) for divisor in divisors] == before
         assert oracle._orbit_blocks.cache_info().currsize == packed
+
+    def test_cache_clear_drops_every_column_of_the_old_table(self, fresh_oracle_caches):
+        for degree in range(3, 14):
+            oracle._effective_cone(degree)
+        oracle.cache_clear()
+        _orbit_vectors.prefix(13)
+        assert oracle._effective_cone(13)[0] is _orbit_vectors.vectors[0]
 
     def test_memo_alternation_prices_current_blocks(self, monkeypatch):
         # Every block priced is the packing of the cone being priced.
@@ -671,7 +675,7 @@ class TestAgreementWithDecomposers:
                 b.append(value)
             curve = CurveClass(a, tuple(-x for x in b))
             cert = curve_decompose(curve)
-            outcome = cone_member(curve_problem(curve, generators))
+            outcome = cone_member(divisor_problem(curve, generators))
             assert isinstance(outcome, Feasible)
 
     def test_curve_outside_guaranteed_region_may_still_be_member(self):
@@ -679,7 +683,7 @@ class TestAgreementWithDecomposers:
         curve = CurveClass(1, (1, 0, 0, 0, 0, 0, 0, 0))
         with pytest.raises(HypothesisViolated):
             curve_decompose(curve)
-        outcome = cone_member(curve_problem(curve, curve_generators()))
+        outcome = cone_member(divisor_problem(curve, curve_generators()))
         assert isinstance(outcome, Feasible)
 
     def test_effective_agreement_sample(self):
@@ -769,15 +773,9 @@ def _per_column_filter(candidates, truncation_degree):
 @pytest.fixture
 def fresh_oracle_caches():
     """Empty the orbit table and the oracle's caches before and after a test."""
-    def clear():
-        _orbit_vectors.cache_clear()
-        oracle._effective_cone.cache_clear()
-        oracle._orbit_blocks.cache_clear()
-        oracle._verified_functionals.cache_clear()
-
-    clear()
+    oracle.cache_clear()
     yield
-    clear()
+    oracle.cache_clear()
 
 
 class TestVerifiedFunctionals:
@@ -831,8 +829,7 @@ class TestEffectiveConeValidation:
     @pytest.mark.parametrize("value", [True, 1.0])
     def test_bad_entry_rejected_after_cache_clear(self, fresh_oracle_caches, value):
         oracle._effective_cone(4)
-        _orbit_vectors.cache_clear()
-        oracle._effective_cone.cache_clear()
+        oracle.cache_clear()
         self._poison(4, value)
         with pytest.raises(TypeError):
             oracle._effective_cone(4)
@@ -995,7 +992,7 @@ class TestMembershipScale:
 
     def test_refused_at_the_first_degree_over_the_cap(self, monkeypatch, fresh_oracle_caches):
         counts = [_orbit_vectors.prefix(k) for k in range(8)]
-        _orbit_vectors.cache_clear()
+        oracle.cache_clear()
         monkeypatch.setattr(weyl, "MAX_GENERATORS", counts[5])
         message = f"^the orbit to degree 6 has {counts[6]} classes, more than MAX_GENERATORS = "
         message += f"{counts[5]}$"

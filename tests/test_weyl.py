@@ -35,7 +35,7 @@ from blowupcones import (
     to_standard_form,
 )
 
-from blowupcones import weyl
+from blowupcones import oracle, weyl
 from blowupcones.oracle import _CANDIDATE_FUNCTIONALS
 from blowupcones.weyl import (
     DEFAULT_MAX_STEPS,
@@ -375,10 +375,10 @@ class TestLemma:
 
 @pytest.fixture
 def fresh_table():
-    """Empty the shared orbit table before and after a test."""
-    _orbit_vectors.cache_clear()
+    """Empty the shared orbit table (and the oracle's caches) before and after a test."""
+    oracle.cache_clear()
     yield _orbit_vectors
-    _orbit_vectors.cache_clear()
+    oracle.cache_clear()
 
 
 class TestOrbitCap:
