@@ -187,7 +187,7 @@ class Certificate:
             cone = data["cone"]
             parse = CurveClass.parse if cone == CONE_CURVES else DivisorClass.parse
             target = parse(_json_str(data, "input"))
-            word = tuple(_json_int(x) for x in data["word"])
+            word = _json_word(data["word"])
             terms = tuple(
                 (parse(_json_str(item, "gen")), Fraction(_json_str(item, "coeff")))
                 for item in data["terms"]
@@ -205,11 +205,15 @@ class Certificate:
         return cls.from_dict(data)
 
 
-def _json_int(value) -> int:
-    # A word letter must be a JSON integer: not a float, a string or a bool.
-    if type(value) is not int:
-        raise TypeError(f"word letter {value!r} is not an integer")
-    return value
+def _json_word(letters) -> WeylWord:
+    # Every word letter must be a JSON integer: not a float, a string or a
+    # bool.  One scan of the letters' types checks them all; the first bad
+    # letter is named.
+    word = tuple(letters)
+    if not set(map(type, word)) <= {int}:
+        bad = next(x for x in word if type(x) is not int)
+        raise TypeError(f"word letter {bad!r} is not an integer")
+    return word
 
 
 def _json_str(item: dict, key: str) -> str:

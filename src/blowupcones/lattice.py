@@ -7,15 +7,20 @@ with basis (h, e_1, ..., e_8) and are stored as (a; c_1, ..., c_8) meaning
 a*h + sum_i c_i*e_i.  Every coefficient is an arbitrary-precision rational
 (integers for curves); nothing in this package ever stores a float.
 
+A divisor class is stored as its integer frame (ints, den): den is the lcm
+of its coefficients' denominators and ints = den * (d; m_1, ..., m_8).  Its
+`d`, `m` and `vector()` are Fraction views of the frame, built on first read
+and kept, so a class that only integer code reads never builds a Fraction.
 Integer code (the Weyl action, the decomposers, the certificate re-sum, the
-oracle) reads a class through `scaled()`: its coefficient vector times the
-lcm of its denominators, with that lcm.  `from_scaled` builds the class back.
+oracle) reads a class through `scaled()`, a fresh copy of the frame, and
+`from_scaled` builds the class back.  The bilinear form and the intersection
+numbers read the Fraction views.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -32,40 +37,110 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
 class DivisorClass:
-    """A divisor class d*H - sum_i m_i*E_i with exact rational coefficients."""
+    """A divisor class d*H - sum_i m_i*E_i with exact rational coefficients.
 
-    d: Fraction
-    m: tuple[Fraction, ...]
+    A class is stored as its canonical integer frame (ints, den): den >= 1 is
+    the lcm of the reduced denominators of (d; m) and ints = den * (d; m), so
+    the frame is unique and gcd(den, *ints) == 1.  `d`, `m` and `vector()`
+    are Fraction views of it, built on first read and kept.  Equality, the
+    hash (that of the pair (d, m)), `str` and `repr` are those of the
+    coefficients, and a class is immutable.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "d", _as_fraction(self.d))
-        mult = tuple(_as_fraction(x) for x in self.m)
-        if len(mult) != NUM_POINTS:
-            raise ValueError(f"expected {NUM_POINTS} multiplicities, got {len(mult)}")
-        object.__setattr__(self, "m", mult)
+    __slots__ = ("_ints", "_den", "_d", "_m")
+
+    def __init__(self, d: RationalLike, m) -> None:
+        values = (d, *m)
+        if all(type(x) is int for x in values):
+            den = 1
+        else:
+            values = [_as_fraction(x) for x in values]
+            den = math.lcm(*(x.denominator for x in values))
+            values = [x.numerator * (den // x.denominator) for x in values]
+        if len(values) != NUM_POINTS + 1:
+            raise ValueError(f"expected {NUM_POINTS} multiplicities, got {len(values) - 1}")
+        self._store(tuple(values), den)
+
+    def _store(self, ints: tuple[int, ...], den: int) -> None:
+        set_slot = object.__setattr__
+        set_slot(self, "_ints", ints)
+        set_slot(self, "_den", den)
+        set_slot(self, "_d", None)
+        set_slot(self, "_m", None)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self).from_scaled, (self._ints, self._den)
+
+    # -- the Fraction views ---------------------------------------------------
+
+    @property
+    def d(self) -> Fraction:
+        if self._d is None:
+            self._build_views()
+        return self._d
+
+    @property
+    def m(self) -> tuple[Fraction, ...]:
+        if self._m is None:
+            self._build_views()
+        return self._m
+
+    def _build_views(self) -> None:
+        den = self._den
+        if den == 1:
+            d, *m = map(Fraction, self._ints)
+        else:
+            d, *m = (Fraction(x, den) for x in self._ints)
+        object.__setattr__(self, "_d", d)
+        object.__setattr__(self, "_m", tuple(m))
+
+    def __eq__(self, other):
+        if type(other) is not DivisorClass:
+            return NotImplemented
+        return self._den == other._den and self._ints == other._ints
+
+    def __hash__(self) -> int:
+        # The hash of the pair (d, m).  An integral class hashes its ints
+        # without building the views, since hash(Fraction(n)) == hash(n).
+        if self._den == 1:
+            return hash((self._ints[0], self._ints[1:]))
+        return hash((self.d, self.m))
+
+    def __repr__(self) -> str:
+        return f"DivisorClass(d={self.d!r}, m={self.m!r})"
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         if not isinstance(other, DivisorClass):
             return NotImplemented
-        return DivisorClass(self.d + other.d, tuple(a + b for a, b in zip(self.m, other.m)))
+        a, b = self._den, other._den
+        ints = [x * b + y * a for x, y in zip(self._ints, other._ints)]
+        return DivisorClass.from_scaled(ints, a * b)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         if not isinstance(other, DivisorClass):
             return NotImplemented
-        return DivisorClass(self.d - other.d, tuple(a - b for a, b in zip(self.m, other.m)))
+        a, b = self._den, other._den
+        ints = [x * b - y * a for x, y in zip(self._ints, other._ints)]
+        return DivisorClass.from_scaled(ints, a * b)
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(-self.d, tuple(-x for x in self.m))
+        return DivisorClass.from_scaled([-x for x in self._ints], self._den)
 
     def __mul__(self, scalar) -> "DivisorClass":
         if isinstance(scalar, float):
             return NotImplemented
         s = Fraction(scalar)
-        return DivisorClass(self.d * s, tuple(x * s for x in self.m))
+        ints = [x * s.numerator for x in self._ints]
+        return DivisorClass.from_scaled(ints, self._den * s.denominator)
 
     __rmul__ = __mul__
 
@@ -76,20 +151,25 @@ class DivisorClass:
         return (self.d, *self.m)
 
     def scaled(self) -> tuple[list[int], int]:
-        """The class as (ints, den): den is the lcm of its denominators, ints = den * vector()."""
-        vector = self.vector()
-        den = math.lcm(*(x.denominator for x in vector))
-        return [x.numerator * (den // x.denominator) for x in vector], den
+        """The class as (ints, den): den is the lcm of its denominators, ints = den * vector().
+
+        The list is a fresh copy of the stored frame, free for the caller to change.
+        """
+        return list(self._ints), self._den
 
     @classmethod
     def from_scaled(cls, ints, den: int) -> "DivisorClass":
-        """The class ints / den, built back from `scaled`."""
-        if den == 1:
-            return cls(ints[0], tuple(ints[1:]))
-        return cls(Fraction(ints[0], den), tuple(Fraction(x, den) for x in ints[1:]))
+        """The class ints / den (den > 0, 9 ints), built back from `scaled`."""
+        if den != 1:
+            g = math.gcd(den, *ints)
+            if g != 1:
+                ints, den = [x // g for x in ints], den // g
+        divisor = cls.__new__(cls)
+        divisor._store(tuple(ints), den)
+        return divisor
 
     def is_integral(self) -> bool:
-        return self.d.denominator == 1 and all(x.denominator == 1 for x in self.m)
+        return self._den == 1
 
     # -- text form ----------------------------------------------------------
 
@@ -99,7 +179,8 @@ class DivisorClass:
         return cls(*_parse_vector(text, NUM_POINTS))
 
     def __str__(self) -> str:
-        return f"{self.d};{','.join(str(x) for x in self.m)}"
+        d, *m = self._ints if self._den == 1 else self.vector()
+        return f"{d};{','.join(map(str, m))}"
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,13 @@ LP's own guard on any generator set.
 `effective_membership` first tries a few fixed functionals (the shortcut).
 Each is verified on the orbit's shapes, not its columns: every degree slice
 is closed under permuting the points, so `_OrbitTable.minimum` gives a
-functional's exact least value on a slice with one sort per shape.  A query
-the shortcut settles enumerates no column.  An LP's functional, carried to
-the next degrees of the window, is checked on the new slices' shapes the
-same way, so the table is listed only up to the degree an LP prices.
+functional's exact least value on a slice with one sort per shape.  The
+verified functionals only shrink as the degree grows, so a query is tried
+once, at its window's top degree, on the class's integer frame; a query the
+shortcut settles enumerates no column and builds no Fraction.  An LP's
+functional, carried to the next degrees of the window, is checked on the new
+slices' shapes the same way, so the table is listed only up to the degree an
+LP prices.
 `_solve`'s own certificates are still checked column by column, and every
 column an LP reads is validated first.
 
@@ -436,23 +439,38 @@ def effective_membership(divisor: DivisorClass) -> MembershipReport:
     EXTRA_DEGREE plus the half-anticanonical class.  Feasibility is monotone
     in the truncation degree, so a Feasible outcome is final; an Infeasible
     outcome is re-checked at WINDOW further degrees and reported with
-    ``conclusive=False`` (see MembershipReport).  A separating functional
-    found at one degree is carried to the next and re-verified on the shapes
-    of the newly added degree slices only (`_OrbitTable.minimum`), so
-    widening the window rarely needs a new LP; where it fails, a fresh LP
-    runs at that degree.  The shortcut functionals are tried first and read
-    only the table's shapes too; the orbit columns are enumerated and
-    validated only when an LP reads them.  The table's count raises
-    ScaleExceeded at the first degree over its cap, so a class beyond desk
-    scale is refused without enumerating anything.
+    ``conclusive=False`` (see MembershipReport).
+
+    The shortcut functionals are tried first, on the class's integer frame
+    and the table's shapes alone.  The functionals verified at a degree only
+    shrink as the degree grows, so one check at the window's top degree
+    settles a shortcut query with the report the degree-by-degree loop gives;
+    a top degree over the table's cap leaves the query to that loop.  In the
+    loop, a separating functional found at one degree is carried to the next
+    and re-verified on the shapes of the newly added degree slices only
+    (`_OrbitTable.minimum`), so widening the window rarely needs a new LP;
+    where it fails, a fresh LP runs at that degree.  The orbit columns are
+    enumerated and validated, and the class's Fraction vector built, only
+    when an LP reads them.  The table's count raises ScaleExceeded at the
+    first degree over its cap, so a class beyond desk scale is refused
+    without enumerating anything.
     """
-    target, cleared = divisor.vector(), divisor.scaled()[0]
-    base = max(0, math.ceil(divisor.d)) + EXTRA_DEGREE
+    cleared, den = divisor.scaled()
+    base = max(0, -(-cleared[0] // den)) + EXTRA_DEGREE
+    top = base + WINDOW
+    try:
+        count = _orbit_vectors.count(top) + 1
+    except ScaleExceeded:  # the loop refuses at the first degree over the cap
+        pass
+    else:
+        shortcut = _separating_shortcut(cleared, top)
+        if shortcut is not None:
+            return MembershipReport(shortcut, top, tuple(range(base, top + 1)), count, False)
     checked: list[int] = []
     outcome: Feasible | Infeasible | None = None
     carried: tuple[Fraction, ...] | None = None
     carried_degree = -1
-    for degree in range(base, base + WINDOW + 1):
+    for degree in range(base, top + 1):
         count = _orbit_vectors.count(degree) + 1
         checked.append(degree)
         shortcut = _separating_shortcut(cleared, degree)
@@ -465,7 +483,7 @@ def effective_membership(divisor: DivisorClass) -> MembershipReport:
                 outcome = Infeasible(carried)
                 continue
             carried = None
-        outcome = cone_member(ConeProblem(target, _effective_cone(degree)))
+        outcome = cone_member(ConeProblem(divisor.vector(), _effective_cone(degree)))
         if isinstance(outcome, Feasible):
             return MembershipReport(outcome, degree, tuple(checked), count, True)
         carried = outcome.functional

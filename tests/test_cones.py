@@ -556,6 +556,22 @@ class TestCertificateTypes:
         with pytest.raises(ValueError, match="malformed certificate: word letter"):
             Certificate.from_dict({**data, "word": word})
 
+    @pytest.mark.parametrize(
+        "word", [[4, 0, 1.5, "x"], [0] * 500 + [None, 2.0], [4, "0"], 7, None]
+    )
+    def test_first_bad_letter_named(self, word):
+        # The message of the letter-by-letter check the one scan replaced.
+        def letter(value):
+            if type(value) is not int:
+                raise TypeError(f"word letter {value!r} is not an integer")
+            return value
+
+        with pytest.raises(TypeError) as expected:
+            tuple(letter(x) for x in word)
+        with pytest.raises(ValueError) as got:
+            Certificate.from_dict({**self.movable_data(), "word": word})
+        assert str(got.value) == f"malformed certificate: {expected.value}"
+
     @pytest.mark.parametrize("coeff", [1.0, 1, True, None])
     def test_coefficients_must_be_strings(self, coeff):
         data = effective_decompose(HALF_ANTICANONICAL).to_dict()

@@ -1,9 +1,12 @@
+import copy
 import itertools
+import pickle
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from blowupcones import (
     CANONICAL,
@@ -23,7 +26,7 @@ from blowupcones import (
     pairing,
 )
 
-from conftest import rational_divisors, small_rationals
+from conftest import int_divisors, rational_divisors, small_rationals
 
 
 class TestPairing:
@@ -326,4 +329,58 @@ class TestIntegerLiterals:
 
     def test_fractions_pass_through(self):
         half = Fraction(1, 2)
-        assert DivisorClass(half, (half,) * 8).d is half
+        divisor = DivisorClass(half, (half,) * 8)
+        assert divisor.d == half and type(divisor.d) is Fraction
+
+
+class TestFrame:
+    """A class is stored as its canonical integer frame; d and m are views of it."""
+
+    @given(rational_divisors, st.integers(1, 5))
+    def test_any_multiple_of_the_frame_is_the_same_class(self, divisor, k):
+        ints, den = divisor.scaled()
+        same = DivisorClass.from_scaled([k * x for x in ints], k * den)
+        assert same == divisor and hash(same) == hash(divisor)
+        assert same.scaled() == (ints, den)
+
+    @given(rational_divisors)
+    def test_hash_is_that_of_the_coefficients(self, divisor):
+        assert hash(divisor) == hash((divisor.d, divisor.m))
+
+    @given(int_divisors)
+    def test_integral_hash_is_that_of_the_ints(self, divisor):
+        ints, den = divisor.scaled()
+        assert den == 1 and hash(divisor) == hash((ints[0], tuple(ints[1:])))
+
+    @given(rational_divisors)
+    def test_text_round_trip(self, divisor):
+        assert str(DivisorClass.parse(str(divisor))) == str(divisor)
+
+    @given(rational_divisors)
+    def test_scaled_list_is_a_copy(self, divisor):
+        text, before = str(divisor), divisor.scaled()
+        ints, _ = divisor.scaled()
+        ints[0] += 1
+        ints.append(0)
+        assert divisor.scaled() == before and str(divisor) == text
+
+    @given(rational_divisors)
+    def test_views_are_fractions(self, divisor):
+        assert type(divisor.d) is Fraction
+        assert len(divisor.m) == 8 and all(type(x) is Fraction for x in divisor.m)
+        assert divisor.vector() == (divisor.d, *divisor.m)
+
+    @given(rational_divisors)
+    def test_copy_and_pickle_keep_the_class(self, divisor):
+        assert copy.deepcopy(divisor) == divisor
+        assert pickle.loads(pickle.dumps(divisor)) == divisor
+
+    def test_frame_is_reduced(self):
+        divisor = DivisorClass.from_scaled([6, 3, 0, 0, 0, 0, 0, 0, -9], 6)
+        assert divisor.scaled() == ([2, 1, 0, 0, 0, 0, 0, 0, -3], 2)
+        assert str(divisor) == "1;1/2,0,0,0,0,0,0,-3/2"
+        assert DivisorClass.from_scaled([0] * 9, 7).scaled() == ([0] * 9, 1)
+
+    def test_frozen_against_deletion(self):
+        with pytest.raises(FrozenInstanceError):
+            del H.d

@@ -20,6 +20,7 @@ from blowupcones import (
     Feasible,
     HypothesisViolated,
     Infeasible,
+    MembershipReport,
     NotEffective,
     ScaleExceeded,
     cone_member,
@@ -982,6 +983,68 @@ class TestLazyTable:
         assert from_lps >= 3
 
 
+def _reference_membership(divisor):
+    # The degree-by-degree loop: at each degree of the window a shortcut, a
+    # carried functional or a fresh LP, with nothing settled ahead of it.
+    cleared = divisor.scaled()[0]
+    base = max(0, math.ceil(divisor.d)) + oracle.EXTRA_DEGREE
+    checked, outcome, carried, carried_degree = [], None, None, -1
+    for degree in range(base, base + oracle.WINDOW + 1):
+        count = _orbit_vectors.count(degree) + 1
+        checked.append(degree)
+        shortcut = oracle._separating_shortcut(cleared, degree)
+        if shortcut is not None:
+            outcome = shortcut
+            continue
+        if carried is not None:
+            if _orbit_vectors.minimum(carried_psi, carried_degree + 1, degree) >= 0:
+                carried_degree, outcome = degree, Infeasible(carried)
+                continue
+            carried = None
+        outcome = cone_member(ConeProblem(divisor.vector(), oracle._effective_cone(degree)))
+        if isinstance(outcome, Feasible):
+            return MembershipReport(outcome, degree, tuple(checked), count, True)
+        carried, carried_degree = outcome.functional, degree
+        carried_psi = oracle._cleared(carried)
+    return MembershipReport(outcome, checked[-1], tuple(checked), count, False)
+
+
+class TestOneDegreeShortcut:
+    """A shortcut query is settled at the window's top degree, with the loop's report."""
+
+    def test_verified_functionals_only_shrink(self, fresh_oracle_caches):
+        for degree in range(-1, 13):
+            lower = oracle._verified_functionals(degree)
+            upper = oracle._verified_functionals(degree + 1)
+            assert tuple(phi for phi in lower if phi in upper) == upper
+
+    def test_criterion_4_sample_matches_the_loop(self, fresh_oracle_caches):
+        rng = random.Random(20250812)
+        divisors = [DivisorClass(rng.randint(0, 8), tuple(rng.randint(-8, 8) for _ in range(8)))
+                    for _ in range(200)]
+        divisors += [DivisorClass(Fraction(rng.randint(0, 16), 2),
+                                  tuple(Fraction(rng.randint(-16, 16), 2) for _ in range(8)))
+                     for _ in range(40)]
+        cold = [effective_membership(divisor) for divisor in divisors]
+        assert cold == [_reference_membership(divisor) for divisor in divisors]
+        assert [effective_membership(divisor) for divisor in divisors] == cold
+        shortcuts = sum(report.outcome.functional in oracle._SHORTCUT_CERTIFICATES
+                        for report in cold if isinstance(report.outcome, Infeasible))
+        assert shortcuts >= 100
+
+    def test_shortcut_builds_no_fraction_view(self, monkeypatch, fresh_oracle_caches):
+        divisor = DivisorClass.parse("5;6,0,0,0,0,0,0,0")
+
+        def no_lp(problem):
+            raise AssertionError("a shortcut query ran an LP")
+
+        monkeypatch.setattr(oracle, "cone_member", no_lp)
+        report = effective_membership(divisor)
+        assert report == MembershipReport(Infeasible((1, -1) + (0,) * 7), 10, (8, 9, 10),
+                                          _orbit_vectors.count(10) + 1, False)
+        assert divisor._d is None and divisor._m is None
+
+
 class TestMembershipScale:
     """A truncation over the table's cap is refused before the table grows past it."""
 
@@ -1002,5 +1065,21 @@ class TestMembershipScale:
         # A window that fits is answered in full: degrees 3, 4 and 5, plus -K/2.
         report = effective_membership(-EXCEPTIONALS[0])
         assert report.checked_degrees == (3, 4, 5)
+        assert report.generator_count == counts[5] + 1
+
+    def test_cap_under_the_window_top(self, monkeypatch, fresh_oracle_caches):
+        # Base degree 5, top degree 7, cap at degree 5: a shortcut class is
+        # refused at degree 6, the first over the cap, as the loop refuses it;
+        # a class Feasible at its base degree is still answered there.
+        counts = [_orbit_vectors.prefix(k) for k in range(8)]
+        oracle.cache_clear()
+        monkeypatch.setattr(weyl, "MAX_GENERATORS", counts[5])
+        message = f"^the orbit to degree 6 has {counts[6]} classes, more than MAX_GENERATORS = "
+        message += f"{counts[5]}$"
+        with pytest.raises(ScaleExceeded, match=message):
+            effective_membership(DivisorClass(2, (3,) + (0,) * 7))
+        report = effective_membership(DivisorClass(2, (1,) * 7 + (0,)))
+        assert isinstance(report.outcome, Feasible)
+        assert report.truncation_degree == 5 and report.checked_degrees == (5,)
         assert report.generator_count == counts[5] + 1
 
