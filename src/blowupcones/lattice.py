@@ -15,11 +15,19 @@ Integer code (the Weyl action, the decomposers, the certificate re-sum, the
 oracle) reads a class through `scaled()`, a fresh copy of the frame, and
 `from_scaled` builds the class back.  The bilinear form and the intersection
 numbers read the Fraction views.
+
+The text form is read by `_parse_vector`.  Canonical integer text (ASCII
+digits, each entry with at most a leading '-', no spaces) is split and read
+by `int` alone, and `DivisorClass.parse` stores its ints as the frame
+(ints, 1) directly.  Any other text (p/q entries, spaces, '+', '_', other
+digits) goes entry by entry through `_parse_rational`; both paths give the
+same class, or the same error, for every text.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from operator import mul
@@ -176,7 +184,10 @@ class DivisorClass:
     @classmethod
     def parse(cls, text: str) -> "DivisorClass":
         """Parse the canonical text form ``d;m1,m2,...,m8`` (entries may be p/q)."""
-        return cls(*_parse_vector(text, NUM_POINTS))
+        entries, canonical = _parse_vector(text)
+        if canonical:
+            return cls.from_scaled(entries, 1)
+        return cls(entries[0], entries[1:])
 
     def __str__(self) -> str:
         d, *m = self._ints if self._den == 1 else self.vector()
@@ -237,10 +248,10 @@ class CurveClass:
     @classmethod
     def parse(cls, text: str) -> "CurveClass":
         """Parse the canonical text form ``a;c1,c2,...,c8`` (integers only)."""
-        a, coeffs = _parse_vector(text, NUM_POINTS)
-        if a.denominator != 1 or any(x.denominator != 1 for x in coeffs):
+        entries, _ = _parse_vector(text)
+        if any(x.denominator != 1 for x in entries):
             raise ValueError(f"curve classes must be integral: {text!r}")
-        return cls(int(a), tuple(int(x) for x in coeffs))
+        return cls(int(entries[0]), tuple(map(int, entries[1:])))
 
     def __str__(self) -> str:
         return f"{self.a};{','.join(str(x) for x in self.c)}"
@@ -259,18 +270,29 @@ def _parse_rational(text: str) -> int | Fraction:
     return int(text) if digits.isdecimal() else Fraction(text)
 
 
-def _parse_vector(text: str, width: int) -> tuple[int | Fraction, tuple[int | Fraction, ...]]:
+# Canonical integer text: the entries `int` reads exactly as `_parse_rational` does.
+_INTEGER_TEXT = re.compile(rf"-?[0-9]+;-?[0-9]+(?:,-?[0-9]+){{{NUM_POINTS - 1}}}")
+
+
+def _parse_vector(text: str) -> tuple[list[int | Fraction], bool]:
+    """The entries of a class's text form, and whether it was canonical integer text."""
+    if _INTEGER_TEXT.fullmatch(text):
+        try:
+            return [*map(int, text.replace(";", ",").split(","))], True
+        except ValueError:  # an entry past int()'s digit limit: reported below
+            pass
     head, sep, tail = text.strip().partition(";")
     if not sep:
         raise ValueError(f"missing ';' separator in class {text!r}")
     try:
-        lead = _parse_rational(head.strip())
-        rest = tuple(_parse_rational(part.strip()) for part in tail.split(","))
+        entries = [_parse_rational(head.strip())]
+        entries += (_parse_rational(part.strip()) for part in tail.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse class {text!r}: {exc}") from None
-    if len(rest) != width:
-        raise ValueError(f"expected {width} entries after ';' in {text!r}, got {len(rest)}")
-    return lead, rest
+    if len(entries) != NUM_POINTS + 1:
+        raise ValueError(f"expected {NUM_POINTS} entries after ';' in {text!r}, "
+                         f"got {len(entries) - 1}")
+    return entries, False
 
 
 # -- distinguished classes --------------------------------------------------

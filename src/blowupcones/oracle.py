@@ -21,18 +21,22 @@ Each is verified on the orbit's shapes, not its columns: every degree slice
 is closed under permuting the points, so `_OrbitTable.minimum` gives a
 functional's exact least value on a slice with one sort per shape.  The
 verified functionals only shrink as the degree grows, so a query is tried
-once, at its window's top degree, on the class's integer frame; a query the
-shortcut settles enumerates no column and builds no Fraction.  An LP's
-functional, carried to the next degrees of the window, is checked on the new
-slices' shapes the same way, so the table is listed only up to the degree an
-LP prices.
+once, at its window's top degree, on the class's integer frame.  Each degree
+keeps one table (`_shortcut_reports`) pairing its verified functionals with
+the ready-built, frozen report of a query they settle there, so a shortcut
+query enumerates no column, builds no Fraction and no report: it returns the
+first report whose functional is negative on the frame.  The window loop
+scans the same table at each of its degrees for the separating functional.
+An LP's functional, carried to the next degrees of the window, is checked on
+the new slices' shapes the same way, so the table is listed only up to the
+degree an LP prices.
 `_solve`'s own certificates are still checked column by column, and every
 column an LP reads is validated first.
 
 The caches built from the orbit table (`_orbit_blocks`, `_effective_cone`,
-`_verified_functionals`) hold references into it.  `cache_clear` empties the
-table and all three together, so none hands out the old table's columns; no
-library path calls it.
+`_verified_functionals`, `_shortcut_reports`) hold references into it or
+counts read from it.  `cache_clear` empties the table and all four together,
+so none hands out the old table's columns or counts; no library path calls it.
 
 `divisor_problem` reads each generator's (divisor or curve class's)
 integer frame (`scaled()`) and keeps the last integral generator *tuple* it
@@ -424,12 +428,34 @@ def _verified_functionals(truncation_degree: int) -> tuple[tuple[int, ...], ...]
                  if _orbit_vectors.minimum(phi, truncation_degree, truncation_degree) >= 0)
 
 
+@lru_cache(maxsize=None)
+def _shortcut_reports(truncation_degree: int) -> tuple:
+    # Pairs (phi, report): each functional verified at this degree, with the
+    # report of a query it settles when this is the window's top degree.  Reports are frozen, so
+    # every such query shares one.  The count goes first, so a degree over the
+    # table's cap raises ScaleExceeded before any functional is verified.
+    count = _orbit_vectors.count(truncation_degree) + 1
+    checked = tuple(range(truncation_degree - WINDOW, truncation_degree + 1))
+    return tuple((phi, MembershipReport(_SHORTCUT_CERTIFICATES[phi], truncation_degree,
+                                        checked, count, False))
+                 for phi in _verified_functionals(truncation_degree))
+
+
+def _shortcut(cleared_target, truncation_degree: int) -> MembershipReport | None:
+    """The degree's report for the first verified functional negative on the frame, or None."""
+    for phi, report in _shortcut_reports(truncation_degree):
+        if sum(map(mul, phi, cleared_target)) < 0:
+            return report
+    return None
+
+
 def cache_clear() -> None:
-    """Empty the orbit table and the three oracle caches built from it."""
+    """Empty the orbit table and the four oracle caches built from it."""
     _orbit_vectors.cache_clear()
     _orbit_blocks.cache_clear()
     _effective_cone.cache_clear()
     _verified_functionals.cache_clear()
+    _shortcut_reports.cache_clear()
 
 
 def effective_membership(divisor: DivisorClass) -> MembershipReport:
@@ -443,11 +469,13 @@ def effective_membership(divisor: DivisorClass) -> MembershipReport:
 
     The shortcut functionals are tried first, on the class's integer frame
     and the table's shapes alone.  The functionals verified at a degree only
-    shrink as the degree grows, so one check at the window's top degree
-    settles a shortcut query with the report the degree-by-degree loop gives;
-    a top degree over the table's cap leaves the query to that loop.  In the
-    loop, a separating functional found at one degree is carried to the next
-    and re-verified on the shapes of the newly added degree slices only
+    shrink as the degree grows, so one scan of the top degree's table
+    (`_shortcut_reports`) settles a shortcut query with the report the
+    degree-by-degree loop gives, built once per functional and degree; a top
+    degree over the table's cap leaves the query to that loop.  The loop
+    scans the same table at each degree and keeps its report's outcome.  A
+    separating functional found at one degree is carried to the next and
+    re-verified on the shapes of the newly added degree slices only
     (`_OrbitTable.minimum`), so widening the window rarely needs a new LP;
     where it fails, a fresh LP runs at that degree.  The orbit columns are
     enumerated and validated, and the class's Fraction vector built, only
@@ -459,13 +487,11 @@ def effective_membership(divisor: DivisorClass) -> MembershipReport:
     base = max(0, -(-cleared[0] // den)) + EXTRA_DEGREE
     top = base + WINDOW
     try:
-        count = _orbit_vectors.count(top) + 1
+        report = _shortcut(cleared, top)
     except ScaleExceeded:  # the loop refuses at the first degree over the cap
-        pass
-    else:
-        shortcut = _separating_shortcut(cleared, top)
-        if shortcut is not None:
-            return MembershipReport(shortcut, top, tuple(range(base, top + 1)), count, False)
+        report = None
+    if report is not None:
+        return report
     checked: list[int] = []
     outcome: Feasible | Infeasible | None = None
     carried: tuple[Fraction, ...] | None = None
@@ -473,9 +499,9 @@ def effective_membership(divisor: DivisorClass) -> MembershipReport:
     for degree in range(base, top + 1):
         count = _orbit_vectors.count(degree) + 1
         checked.append(degree)
-        shortcut = _separating_shortcut(cleared, degree)
+        shortcut = _shortcut(cleared, degree)
         if shortcut is not None:
-            outcome = shortcut
+            outcome = shortcut.outcome
             continue
         if carried is not None:
             if _orbit_vectors.minimum(carried_psi, carried_degree + 1, degree) >= 0:
@@ -491,10 +517,3 @@ def effective_membership(divisor: DivisorClass) -> MembershipReport:
         carried_degree = degree
     assert isinstance(outcome, Infeasible)
     return MembershipReport(outcome, checked[-1], tuple(checked), count, False)
-
-
-def _separating_shortcut(cleared_target, truncation_degree: int) -> Infeasible | None:
-    for phi in _verified_functionals(truncation_degree):
-        if sum(map(mul, phi, cleared_target)) < 0:
-            return _SHORTCUT_CERTIFICATES[phi]
-    return None

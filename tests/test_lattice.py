@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from blowupcones import lattice
 from blowupcones import (
     CANONICAL,
     EXCEPTIONALS,
@@ -331,6 +332,104 @@ class TestIntegerLiterals:
         half = Fraction(1, 2)
         divisor = DivisorClass(half, (half,) * 8)
         assert divisor.d == half and type(divisor.d) is Fraction
+
+
+def _int_limit_message(digits):
+    """int()'s own error on so many digits, or None where the interpreter has no such limit."""
+    try:
+        int("9" * digits)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _outcome(parse, text):
+    """The parsed class, or the error's type and text."""
+    try:
+        return parse(text)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+canonical_entries = st.from_regex(r"-?[0-9]{1,25}", fullmatch=True)
+
+
+class TestIntegerFastPath:
+    """Canonical integer text is read by int() alone; every text parses as it did before."""
+
+    ZERO = (0,) * 8
+    # text -> (d, m) of the class both parsers give, or the error both raise.
+    TABLE = [
+        ("+3;0,0,0,0,0,0,0,0", (3, ZERO)),
+        (" 3;0,0,0,0,0,0,0,0", (3, ZERO)),
+        ("3 ;0,0,0,0,0,0,0,0", (3, ZERO)),
+        ("1;0, 3,0,0,0,0,0,0", (1, (0, 3, 0, 0, 0, 0, 0, 0))),
+        ("1;0,0,0,1_0,0,0,0,0", (1, (0, 0, 0, 10, 0, 0, 0, 0))),
+        ("\u0663;0,0,0,0,0,0,0,0", (3, ZERO)),
+        ("1;0,0,0,-\u0663,0,0,0,0", (1, (0, 0, 0, -3, 0, 0, 0, 0))),
+        ("1;0,0,0,007,0,0,0,0", (1, (0, 0, 0, 7, 0, 0, 0, 0))),
+        ("-0;0,0,0,0,0,0,0,-0", (0, ZERO)),
+        ("3/1;0,0,0,0,0,0,0,0", (3, ZERO)),
+        ("1;0,0,0,3/1,0,0,0,0", (1, (0, 0, 0, 3, 0, 0, 0, 0))),
+        ("1;0,0,0,0,0,0,0,0\n", (1, ZERO)),
+        ("1;0,0,0,--3,0,0,0,0",
+         (ValueError, "cannot parse class '1;0,0,0,--3,0,0,0,0': Invalid literal for Fraction: '--3'")),
+        ("1;0,0,0,,0,0,0,0",
+         (ValueError, "cannot parse class '1;0,0,0,,0,0,0,0': Invalid literal for Fraction: ''")),
+        ("1;0,0,0,0,0,0,0,0,",
+         (ValueError, "cannot parse class '1;0,0,0,0,0,0,0,0,': Invalid literal for Fraction: ''")),
+        ("1;0,0,0,0,0,0,0",
+         (ValueError, "expected 8 entries after ';' in '1;0,0,0,0,0,0,0', got 7")),
+        ("1;0,0,0,0,0,0,0,0,0",
+         (ValueError, "expected 8 entries after ';' in '1;0,0,0,0,0,0,0,0,0', got 9")),
+        ("1,0,0,0,0,0,0,0,0",
+         (ValueError, "missing ';' separator in class '1,0,0,0,0,0,0,0,0'")),
+    ]
+
+    @pytest.mark.parametrize("text, expected", TABLE)
+    def test_divisor_table(self, text, expected):
+        if type(expected[0]) is int:
+            expected = DivisorClass(expected[0], expected[1])
+        assert _outcome(DivisorClass.parse, text) == expected
+
+    @pytest.mark.parametrize("text, expected", TABLE)
+    def test_curve_table(self, text, expected):
+        if type(expected[0]) is int:
+            expected = CurveClass(expected[0], expected[1])
+        assert _outcome(CurveClass.parse, text) == expected
+
+    def test_curve_rejects_a_fraction(self):
+        text = "1;0,0,0,1/2,0,0,0,0"
+        assert _outcome(CurveClass.parse, text) == (
+            ValueError, "curve classes must be integral: '1;0,0,0,1/2,0,0,0,0'")
+
+    @pytest.mark.parametrize("parse", [DivisorClass.parse, CurveClass.parse])
+    def test_entry_past_the_digit_limit(self, parse):
+        # Canonical text int() refuses gets the general path's wrapped error.
+        text = f"1;0,0,0,{'9' * 5000},0,0,0,0"
+        message = _int_limit_message(5000)
+        if message is None:
+            assert parse(text) == parse(" " + text)
+        else:
+            assert _outcome(parse, text) == (ValueError, f"cannot parse class {text!r}: {message}")
+
+    @given(st.one_of(int_divisors, rational_divisors))
+    def test_round_trip_keeps_frame_and_hash(self, divisor):
+        parsed = DivisorClass.parse(str(divisor))
+        assert parsed == divisor
+        assert parsed.scaled() == divisor.scaled() and hash(parsed) == hash(divisor)
+
+    @given(st.lists(canonical_entries, min_size=9, max_size=9))
+    def test_fast_and_general_paths_agree(self, entries):
+        text = f"{entries[0]};{','.join(entries[1:])}"
+        fast, canonical = lattice._parse_vector(text)
+        general, padded = lattice._parse_vector(f" {text}")  # a space leaves the fast path
+        assert canonical and not padded
+        assert fast == general and all(type(x) is int for x in fast + general)
+        divisor = DivisorClass.parse(text)
+        assert divisor == DivisorClass.parse(f" {text}") == reference_parse(text)
+        assert divisor.scaled() == (fast, 1) and hash(divisor) == hash(reference_parse(text))
+        assert CurveClass.parse(text) == CurveClass.parse(f" {text}")
 
 
 class TestFrame:

@@ -566,6 +566,15 @@ class TestPricingCaches:
         _orbit_vectors.prefix(13)
         assert oracle._effective_cone(13)[0] is _orbit_vectors.vectors[0]
 
+    def test_cache_clear_empties_the_shortcut_reports(self, fresh_oracle_caches):
+        divisor = DivisorClass(5, (6,) + (0,) * 7)
+        report = effective_membership(divisor)
+        assert report in [r for _, r in oracle._shortcut_reports(10)]
+        oracle.cache_clear()
+        assert oracle._shortcut_reports.cache_info().currsize == 0
+        again = effective_membership(divisor)
+        assert again == report and again is not report
+
     def test_memo_alternation_prices_current_blocks(self, monkeypatch):
         # Every block priced is the packing of the cone being priced.
         monkeypatch.setattr(oracle, "_memo", ((), None))
@@ -983,6 +992,15 @@ class TestLazyTable:
         assert from_lps >= 3
 
 
+def _reference_shortcut(cleared, degree):
+    # The first functional verified at the degree that is negative on the
+    # frame, scanned afresh, with a certificate built afresh.
+    for phi in oracle._verified_functionals(degree):
+        if sum(p * x for p, x in zip(phi, cleared)) < 0:
+            return Infeasible(tuple(map(Fraction, phi)))
+    return None
+
+
 def _reference_membership(divisor):
     # The degree-by-degree loop: at each degree of the window a shortcut, a
     # carried functional or a fresh LP, with nothing settled ahead of it.
@@ -992,7 +1010,7 @@ def _reference_membership(divisor):
     for degree in range(base, base + oracle.WINDOW + 1):
         count = _orbit_vectors.count(degree) + 1
         checked.append(degree)
-        shortcut = oracle._separating_shortcut(cleared, degree)
+        shortcut = _reference_shortcut(cleared, degree)
         if shortcut is not None:
             outcome = shortcut
             continue
@@ -1031,6 +1049,24 @@ class TestOneDegreeShortcut:
         shortcuts = sum(report.outcome.functional in oracle._SHORTCUT_CERTIFICATES
                         for report in cold if isinstance(report.outcome, Infeasible))
         assert shortcuts >= 100
+
+    def test_one_report_per_functional_and_top_degree(self, fresh_oracle_caches):
+        # d - m_1 < 0 is the first verified functional negative on all three;
+        # ceil(d) = 5 puts each window at degrees 8..10.
+        phi = (1, -1) + (0,) * 7
+        divisors = [DivisorClass(5, (6,) + (0,) * 7), DivisorClass(5, (7, 1, 0, 0, 0, 0, 0, 2)),
+                    DivisorClass(Fraction(9, 2), (Fraction(11, 2),) + (0,) * 7)]
+        reports = [effective_membership(divisor) for divisor in divisors]
+        assert all(report is reports[0] for report in reports)
+        assert (phi, reports[0]) in oracle._shortcut_reports(10)
+        for divisor in divisors:
+            assert _reference_membership(divisor) == reports[0]
+        assert reports[0].outcome == Infeasible(phi) and reports[0].checked_degrees == (8, 9, 10)
+        # Another top degree has its own report.
+        other = effective_membership(DivisorClass(6, (7,) + (0,) * 7))
+        assert other is not reports[0] and other.outcome is reports[0].outcome
+        assert other == _reference_membership(DivisorClass(6, (7,) + (0,) * 7))
+        assert other.truncation_degree == 11
 
     def test_shortcut_builds_no_fraction_view(self, monkeypatch, fresh_oracle_caches):
         divisor = DivisorClass.parse("5;6,0,0,0,0,0,0,0")
