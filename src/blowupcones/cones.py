@@ -192,7 +192,7 @@ class Certificate:
                 (parse(_json_str(item, "gen")), Fraction(_json_str(item, "coeff")))
                 for item in data["terms"]
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed certificate: {exc}") from None
         return cls(cone, target, word, terms)
 

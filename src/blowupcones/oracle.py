@@ -16,25 +16,22 @@ truncation over MAX_GENERATORS classes (`weyl.ScaleExceeded`), so an
 oversized query fails before its LP is built, and `_check_shape` stays the
 LP's own guard on any generator set.
 
-`effective_membership` first tries a few fixed functionals (the shortcut).
-Each is verified on the orbit's shapes, not its columns: every degree slice
-is closed under permuting the points, so `_OrbitTable.minimum` gives a
-functional's exact least value on a slice with one sort per shape.  The
-verified functionals only shrink as the degree grows, so a query is tried
-once, at its window's top degree, on the class's integer frame.  Each degree
-keeps one table (`_shortcut_reports`) pairing its verified functionals with
-the ready-built, frozen report of a query they settle there, so a shortcut
-query enumerates no column, builds no Fraction and no report: it returns the
-first report whose functional is negative on the frame.  The window loop
-scans the same table at each of its degrees for the separating functional.
-An LP's functional, carried to the next degrees of the window, is checked on
-the new slices' shapes the same way, so the table is listed only up to the
-degree an LP prices.
-`_solve`'s own certificates are still checked column by column, and every
-column an LP reads is validated first.
+`effective_membership` first tries a few fixed functionals (the shortcut),
+once per query, on the class's integer frame.  They are verified once, on
+the orbit's shapes up to the last degree under the table's cap, not on its
+columns: every degree slice is closed under permuting the points, so
+`_OrbitTable.minimum` gives a functional's exact least value with one sort
+per shape.  A functional negative on the frame settles the query at its
+window's top degree with a frozen report built once per functional and
+degree (`_shortcut_report`), so a shortcut query enumerates no column and
+builds no Fraction.  Otherwise the window loop runs LPs only: an LP's
+functional, carried to the next degrees of the window, is checked on the new
+slices' shapes the same way, so the table is listed only up to the degree an
+LP prices.  `_solve`'s own certificates are still checked column by column,
+and every column an LP reads is validated first.
 
 The caches built from the orbit table (`_orbit_blocks`, `_effective_cone`,
-`_verified_functionals`, `_shortcut_reports`) hold references into it or
+`_verified_functionals`, `_shortcut_report`) hold references into it or
 counts read from it.  `cache_clear` empties the table and all four together,
 so none hands out the old table's columns or counts; no library path calls it.
 
@@ -406,47 +403,32 @@ def _effective_cone(truncation_degree: int) -> PreparedCone:
 
 # Functionals known to be non-negative on every effective generator: the
 # degree, the pairing with the half-anticanonical class, and degree minus each
-# multiplicity.  They are re-verified against each truncated generator list
-# before use, so a shortcut verdict carries the same guarantee as the LP's.
+# multiplicity.  They are re-verified against the orbit table before use, so a
+# shortcut verdict carries the same guarantee as the LP's.
 _CANDIDATE_FUNCTIONALS = ((1,) + (0,) * 8, (4,) + (-1,) * 8) + tuple(
     (1,) + tuple(-int(k == i) for k in range(8)) for i in range(8)
 )
-# Reports are immutable, so every query a candidate separates shares one.
-_SHORTCUT_CERTIFICATES = {phi: Infeasible(tuple(map(Fraction, phi)))
-                          for phi in _CANDIDATE_FUNCTIONALS}
 
 
 @lru_cache(maxsize=None)
-def _verified_functionals(truncation_degree: int) -> tuple[tuple[int, ...], ...]:
-    # Each truncation adds one degree slice to the one below it, so a slice is
-    # checked once per candidate, in whatever order degrees come: exactly, by
-    # phi's least value on the slice's shapes (`_OrbitTable.minimum`).
-    if truncation_degree < 0:
-        return tuple(phi for phi in _CANDIDATE_FUNCTIONALS
-                     if sum(map(mul, phi, _HALF_ANTICANONICAL_INTS)) >= 0)
-    return tuple(phi for phi in _verified_functionals(truncation_degree - 1)
-                 if _orbit_vectors.minimum(phi, truncation_degree, truncation_degree) >= 0)
+def _verified_functionals() -> tuple[tuple[int, ...], ...]:
+    # The candidates non-negative on -K/2 and on every orbit class the table
+    # holds under its cap, so on every truncation a query can reach: exactly,
+    # by phi's least value on the shapes (`_OrbitTable.minimum`).  With degree
+    # 0 itself over the cap, `minimum` raises ScaleExceeded, as any query would.
+    last = max(0, _orbit_vectors.last_degree())
+    return tuple(phi for phi in _CANDIDATE_FUNCTIONALS
+                 if sum(map(mul, phi, _HALF_ANTICANONICAL_INTS)) >= 0
+                 and _orbit_vectors.minimum(phi, 0, last) >= 0)
 
 
 @lru_cache(maxsize=None)
-def _shortcut_reports(truncation_degree: int) -> tuple:
-    # Pairs (phi, report): each functional verified at this degree, with the
-    # report of a query it settles when this is the window's top degree.  Reports are frozen, so
-    # every such query shares one.  The count goes first, so a degree over the
-    # table's cap raises ScaleExceeded before any functional is verified.
-    count = _orbit_vectors.count(truncation_degree) + 1
+def _shortcut_report(phi: tuple[int, ...], truncation_degree: int) -> MembershipReport:
+    # Reports are frozen, so every query phi settles at this top degree shares
+    # one.  The count raises ScaleExceeded for a degree over the table's cap.
     checked = tuple(range(truncation_degree - WINDOW, truncation_degree + 1))
-    return tuple((phi, MembershipReport(_SHORTCUT_CERTIFICATES[phi], truncation_degree,
-                                        checked, count, False))
-                 for phi in _verified_functionals(truncation_degree))
-
-
-def _shortcut(cleared_target, truncation_degree: int) -> MembershipReport | None:
-    """The degree's report for the first verified functional negative on the frame, or None."""
-    for phi, report in _shortcut_reports(truncation_degree):
-        if sum(map(mul, phi, cleared_target)) < 0:
-            return report
-    return None
+    return MembershipReport(Infeasible(tuple(map(Fraction, phi))), truncation_degree, checked,
+                            _orbit_vectors.count(truncation_degree) + 1, False)
 
 
 def cache_clear() -> None:
@@ -455,7 +437,7 @@ def cache_clear() -> None:
     _orbit_blocks.cache_clear()
     _effective_cone.cache_clear()
     _verified_functionals.cache_clear()
-    _shortcut_reports.cache_clear()
+    _shortcut_report.cache_clear()
 
 
 def effective_membership(divisor: DivisorClass) -> MembershipReport:
@@ -467,53 +449,32 @@ def effective_membership(divisor: DivisorClass) -> MembershipReport:
     outcome is re-checked at WINDOW further degrees and reported with
     ``conclusive=False`` (see MembershipReport).
 
-    The shortcut functionals are tried first, on the class's integer frame
-    and the table's shapes alone.  The functionals verified at a degree only
-    shrink as the degree grows, so one scan of the top degree's table
-    (`_shortcut_reports`) settles a shortcut query with the report the
-    degree-by-degree loop gives, built once per functional and degree; a top
-    degree over the table's cap leaves the query to that loop.  The loop
-    scans the same table at each degree and keeps its report's outcome.  A
+    The shortcut functionals, verified on the whole capped table, are tried
+    first and once, on the class's integer frame: the first one negative on
+    it settles the query at the window's top degree with that functional
+    and degree's shared report.  Otherwise the loop runs LPs only.  A
     separating functional found at one degree is carried to the next and
-    re-verified on the shapes of the newly added degree slices only
+    re-verified on the shapes of the newly added degree slice only
     (`_OrbitTable.minimum`), so widening the window rarely needs a new LP;
     where it fails, a fresh LP runs at that degree.  The orbit columns are
     enumerated and validated, and the class's Fraction vector built, only
     when an LP reads them.  The table's count raises ScaleExceeded at the
-    first degree over its cap, so a class beyond desk scale is refused
-    without enumerating anything.
+    first degree over its cap, so a class beyond desk scale, shortcut or
+    not, is refused without enumerating anything.
     """
     cleared, den = divisor.scaled()
     base = max(0, -(-cleared[0] // den)) + EXTRA_DEGREE
     top = base + WINDOW
-    try:
-        report = _shortcut(cleared, top)
-    except ScaleExceeded:  # the loop refuses at the first degree over the cap
-        report = None
-    if report is not None:
-        return report
-    checked: list[int] = []
-    outcome: Feasible | Infeasible | None = None
-    carried: tuple[Fraction, ...] | None = None
-    carried_degree = -1
+    for phi in _verified_functionals():
+        if sum(map(mul, phi, cleared)) < 0:
+            return _shortcut_report(phi, top)
+    outcome = carried_psi = None
     for degree in range(base, top + 1):
         count = _orbit_vectors.count(degree) + 1
-        checked.append(degree)
-        shortcut = _shortcut(cleared, degree)
-        if shortcut is not None:
-            outcome = shortcut.outcome
+        if carried_psi is not None and _orbit_vectors.minimum(carried_psi, degree, degree) >= 0:
             continue
-        if carried is not None:
-            if _orbit_vectors.minimum(carried_psi, carried_degree + 1, degree) >= 0:
-                carried_degree = degree
-                outcome = Infeasible(carried)
-                continue
-            carried = None
         outcome = cone_member(ConeProblem(divisor.vector(), _effective_cone(degree)))
         if isinstance(outcome, Feasible):
-            return MembershipReport(outcome, degree, tuple(checked), count, True)
-        carried = outcome.functional
-        carried_psi = _cleared(carried)
-        carried_degree = degree
-    assert isinstance(outcome, Infeasible)
-    return MembershipReport(outcome, checked[-1], tuple(checked), count, False)
+            return MembershipReport(outcome, degree, tuple(range(base, degree + 1)), count, True)
+        carried_psi = _cleared(outcome.functional)
+    return MembershipReport(outcome, top, tuple(range(base, top + 1)), count, False)

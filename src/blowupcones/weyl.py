@@ -368,6 +368,12 @@ class _OrbitTable:
                                 f"more than MAX_GENERATORS = {MAX_GENERATORS}")
         return total
 
+    def last_degree(self) -> int:
+        """The last degree with at most MAX_GENERATORS classes, read from the shapes as `count`."""
+        while self._ends[-1] <= MAX_GENERATORS:
+            self._grow()
+        return bisect_right(self._ends, MAX_GENERATORS) - 2
+
     def shapes(self, degree: int) -> list[tuple[int, ...]]:
         """The degree's shapes, multiplicities ascending; refused past the cap like `count`."""
         self.count(degree)

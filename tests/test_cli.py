@@ -299,6 +299,17 @@ class TestDecompose:
         assert (code, out) == (2, "")
         assert err == f"error: malformed certificate: {reason}\n"
 
+    def test_zero_denominator_coefficient_is_malformed(self, capsys, tmp_path):
+        # Fraction("1/0") raises ZeroDivisionError, not ValueError; it is an
+        # input error (exit 2), not a traceback.
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(
+            {"cone": "eff", "input": "0;-1,0,0,0,0,0,0,0", "word": [],
+             "terms": [{"gen": "0;-1,0,0,0,0,0,0,0", "coeff": "1/0"}]}))
+        code, out, err = run(capsys, "verify", str(cert_path))
+        assert (code, out) == (2, "")
+        assert err == "error: malformed certificate: Fraction(1, 0)\n"
+
 
 class TestOrbitCommands:
     def test_orbit_csv(self, capsys):

@@ -4,6 +4,7 @@ import operator
 import random
 import struct
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -569,9 +570,9 @@ class TestPricingCaches:
     def test_cache_clear_empties_the_shortcut_reports(self, fresh_oracle_caches):
         divisor = DivisorClass(5, (6,) + (0,) * 7)
         report = effective_membership(divisor)
-        assert report in [r for _, r in oracle._shortcut_reports(10)]
+        assert report is oracle._shortcut_report((1, -1) + (0,) * 7, 10)
         oracle.cache_clear()
-        assert oracle._shortcut_reports.cache_info().currsize == 0
+        assert oracle._shortcut_report.cache_info().currsize == 0
         again = effective_membership(divisor)
         assert again == report and again is not report
 
@@ -772,7 +773,10 @@ class TestEffectiveMembership:
         assert len(generators) == 233
 
 
+@lru_cache(maxsize=None)
 def _per_column_filter(candidates, truncation_degree):
+    # Pure in its arguments (the table is deterministic), so each degree's
+    # brute force runs once per session.
     columns = _orbit_vectors(truncation_degree) + (_HALF_ANTICANONICAL_INTS,)
     return tuple(
         phi for phi in candidates
@@ -788,19 +792,29 @@ def fresh_oracle_caches():
     oracle.cache_clear()
 
 
+def _cap_at(monkeypatch, degree):
+    # The table's cap at the class count to the degree, so that degree is the
+    # last one under it; the oracle's caches are emptied for the new cap.
+    monkeypatch.setattr(weyl, "MAX_GENERATORS", _orbit_vectors.count(degree))
+    oracle.cache_clear()
+
+
 class TestVerifiedFunctionals:
-    def test_candidates_match_per_column_filter(self, fresh_oracle_caches):
-        # Highest degree first, so every slice is reached through the recursion.
-        for degree in range(13, -2, -1):
-            expected = _per_column_filter(oracle._CANDIDATE_FUNCTIONALS, degree)
-            assert oracle._verified_functionals(degree) == expected
-        assert len(oracle._verified_functionals(13)) == 10
+    """The candidates are verified once, on the shapes up to the last degree under the cap."""
+
+    def test_candidates_match_per_column_filter(self, monkeypatch, fresh_oracle_caches):
+        expected = _per_column_filter(oracle._CANDIDATE_FUNCTIONALS, 13)
+        _cap_at(monkeypatch, 13)
+        assert oracle._verified_functionals() == expected
+        assert len(expected) == 10
+        assert _orbit_vectors.degree == -1  # read from the shapes alone
 
     def test_failing_candidates_dropped_at_their_degree(self, monkeypatch, fresh_oracle_caches):
         # a(4d - sum m) + m_1 - m_2 = a + m_1 - m_2 on the orbit: it first fails
         # at degree 0, 2, 4, 8 and 12 for a = 0..4 and holds to degree 13 for
         # a = 5.  Further candidates have 1, 2 and 3 non-zero rows, plus random
-        # ones; the real candidates stay in.
+        # ones; the real candidates stay in.  With the cap moved down a degree
+        # at a time, the verified set only grows.
         rng = random.Random(20250810)
         extra = [(4 * a, 1 - a, -1 - a) + (-a,) * 6 for a in range(6)]
         extra += [(c, -1, -1) + (0,) * 6 for c in range(1, 5)]
@@ -808,12 +822,19 @@ class TestVerifiedFunctionals:
         extra += [tuple(rng.randint(-2, 4) for _ in range(9)) for _ in range(20)]
         candidates = oracle._CANDIDATE_FUNCTIONALS + tuple(v for v in extra if any(v))
         monkeypatch.setattr(oracle, "_CANDIDATE_FUNCTIONALS", candidates)
-        counts = []
-        for degree in range(13, -2, -1):
-            expected = _per_column_filter(candidates, degree)
-            assert oracle._verified_functionals(degree) == expected
-            counts.append(len(expected))
-        assert len(set(counts)) >= 6
+        expected = [_per_column_filter(candidates, degree) for degree in range(14)]
+        for degree in range(13, -1, -1):
+            _cap_at(monkeypatch, degree)
+            assert oracle._verified_functionals() == expected[degree]
+        for lower, upper in zip(expected, expected[1:]):
+            assert tuple(phi for phi in lower if phi in upper) == upper
+        assert len(set(expected)) >= 6
+        assert expected[13][:10] == oracle._CANDIDATE_FUNCTIONALS[:10]
+
+    def test_cap_under_degree_zero_refused(self, monkeypatch, fresh_oracle_caches):
+        monkeypatch.setattr(weyl, "MAX_GENERATORS", 7)
+        with pytest.raises(ScaleExceeded, match="^the orbit to degree 0 has 8 classes"):
+            oracle._verified_functionals()
 
 
 class TestEffectiveConeValidation:
@@ -993,9 +1014,10 @@ class TestLazyTable:
 
 
 def _reference_shortcut(cleared, degree):
-    # The first functional verified at the degree that is negative on the
-    # frame, scanned afresh, with a certificate built afresh.
-    for phi in oracle._verified_functionals(degree):
+    # The first candidate non-negative on every column of the degree's
+    # truncation that is negative on the frame, found by brute force, with a
+    # certificate built afresh.
+    for phi in _per_column_filter(oracle._CANDIDATE_FUNCTIONALS, degree):
         if sum(p * x for p, x in zip(phi, cleared)) < 0:
             return Infeasible(tuple(map(Fraction, phi)))
     return None
@@ -1030,12 +1052,6 @@ def _reference_membership(divisor):
 class TestOneDegreeShortcut:
     """A shortcut query is settled at the window's top degree, with the loop's report."""
 
-    def test_verified_functionals_only_shrink(self, fresh_oracle_caches):
-        for degree in range(-1, 13):
-            lower = oracle._verified_functionals(degree)
-            upper = oracle._verified_functionals(degree + 1)
-            assert tuple(phi for phi in lower if phi in upper) == upper
-
     def test_criterion_4_sample_matches_the_loop(self, fresh_oracle_caches):
         rng = random.Random(20250812)
         divisors = [DivisorClass(rng.randint(0, 8), tuple(rng.randint(-8, 8) for _ in range(8)))
@@ -1046,7 +1062,7 @@ class TestOneDegreeShortcut:
         cold = [effective_membership(divisor) for divisor in divisors]
         assert cold == [_reference_membership(divisor) for divisor in divisors]
         assert [effective_membership(divisor) for divisor in divisors] == cold
-        shortcuts = sum(report.outcome.functional in oracle._SHORTCUT_CERTIFICATES
+        shortcuts = sum(report.outcome.functional in oracle._CANDIDATE_FUNCTIONALS
                         for report in cold if isinstance(report.outcome, Infeasible))
         assert shortcuts >= 100
 
@@ -1058,13 +1074,13 @@ class TestOneDegreeShortcut:
                     DivisorClass(Fraction(9, 2), (Fraction(11, 2),) + (0,) * 7)]
         reports = [effective_membership(divisor) for divisor in divisors]
         assert all(report is reports[0] for report in reports)
-        assert (phi, reports[0]) in oracle._shortcut_reports(10)
+        assert oracle._shortcut_report(phi, 10) is reports[0]
         for divisor in divisors:
             assert _reference_membership(divisor) == reports[0]
         assert reports[0].outcome == Infeasible(phi) and reports[0].checked_degrees == (8, 9, 10)
         # Another top degree has its own report.
         other = effective_membership(DivisorClass(6, (7,) + (0,) * 7))
-        assert other is not reports[0] and other.outcome is reports[0].outcome
+        assert other is not reports[0] and other.outcome == reports[0].outcome
         assert other == _reference_membership(DivisorClass(6, (7,) + (0,) * 7))
         assert other.truncation_degree == 11
 
@@ -1102,6 +1118,17 @@ class TestMembershipScale:
         report = effective_membership(-EXCEPTIONALS[0])
         assert report.checked_degrees == (3, 4, 5)
         assert report.generator_count == counts[5] + 1
+
+    def test_shortcut_over_the_cap_runs_no_lp(self, monkeypatch, fresh_oracle_caches):
+        # Window 14..16, separated by d - m_1: refused at degree 16, the first
+        # over the cap, with no LP at degree 14 or 15 and nothing listed.
+        def no_lp(problem):
+            raise AssertionError("a shortcut query ran an LP")
+
+        monkeypatch.setattr(oracle, "cone_member", no_lp)
+        with pytest.raises(ScaleExceeded, match="^the orbit to degree 16 has 72760 classes, "):
+            effective_membership(DivisorClass(11, (12,) + (0,) * 7))
+        assert _orbit_vectors.degree == -1
 
     def test_cap_under_the_window_top(self, monkeypatch, fresh_oracle_caches):
         # Base degree 5, top degree 7, cap at degree 5: a shortcut class is
