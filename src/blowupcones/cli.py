@@ -225,7 +225,8 @@ def _check_minus_one(args, text: str):
 
 
 def _cmd_orbit(args) -> int:
-    rows = ([str(divisor), str(divisor.d)] for divisor in exceptional_orbit(args.max_degree))
+    # Orbit classes are integral: the degree is the frame's first entry.
+    rows = ([str(e), e.scaled()[0][0]] for e in exceptional_orbit(args.max_degree))
     return _emit_csv(args, ["class", "degree"], rows)
 
 

@@ -200,7 +200,7 @@ class Certificate:
     def from_json(cls, text: str) -> "Certificate":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # nesting past the stack
             raise ValueError(f"malformed certificate: {exc}") from None
         return cls.from_dict(data)
 

@@ -1,20 +1,22 @@
 """Exact lattice model for the blowup of P^3 at eight very general points.
 
 Divisor classes live in the rank-9 Neron-Severi lattice with basis
-(H, E_1, ..., E_8); a class is stored as a coefficient tuple (d; m_1, ..., m_8)
-meaning d*H - sum_i m_i*E_i.  Curve classes live in the dual rank-9 lattice
-with basis (h, e_1, ..., e_8) and are stored as (a; c_1, ..., c_8) meaning
-a*h + sum_i c_i*e_i.  Every coefficient is an arbitrary-precision rational
-(integers for curves); nothing in this package ever stores a float.
+(H, E_1, ..., E_8); a class (d; m_1, ..., m_8) means d*H - sum_i m_i*E_i.
+Curve classes live in the dual rank-9 lattice with basis (h, e_1, ..., e_8);
+a class (a; c_1, ..., c_8) means a*h + sum_i c_i*e_i.  Every coefficient is
+an arbitrary-precision rational (integers for curves); nothing in this
+package ever stores a float.
 
-A divisor class is stored as its integer frame (ints, den): den is the lcm
-of its coefficients' denominators and ints = den * (d; m_1, ..., m_8).  Its
-`d`, `m` and `vector()` are Fraction views of the frame, built on first read
-and kept, so a class that only integer code reads never builds a Fraction.
+Both lattices store a class as its integer frame (ints, den): den is the lcm
+of its coefficients' denominators and ints = den * (coefficients); a curve's
+den is 1.  The private base `_Frame` owns the frame arithmetic of both.
 Integer code (the Weyl action, the decomposers, the certificate re-sum, the
 oracle) reads a class through `scaled()`, a fresh copy of the frame, and
-`from_scaled` builds the class back.  The bilinear form and the intersection
-numbers read the Fraction views.
+`from_scaled` builds the class back; `pairing` is `_form` on two frames over
+the product of their denominators.  A divisor's `d`, `m` and `vector()` are
+Fraction views of its frame, built on first read and kept, so a class that
+only integer code reads never builds a Fraction.  The intersection numbers
+of divisors with curves read those views.
 
 The text form is read by `_parse_vector`.  Canonical integer text (ASCII
 digits, each entry with at most a leading '-', no spaces) is split and read
@@ -45,7 +47,78 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-class DivisorClass:
+class _Frame:
+    """A class stored as its integer frame (ints, den): the class is ints / den, den >= 1.
+
+    Equality compares frames of one class type, the hash is that of the pair
+    (head, tail) of the coefficients, and `str` is the text form head;tail.
+    """
+
+    __slots__ = ("_ints", "_den")
+
+    @classmethod
+    def _stored(cls, ints, den: int):
+        # The storing step of `from_scaled`, on a frame the caller has checked.
+        # A subclass's own slots hold views built on first read: none is built yet.
+        frame = object.__new__(cls)
+        set_slot = object.__setattr__
+        set_slot(frame, "_ints", tuple(ints))
+        set_slot(frame, "_den", den)
+        for name in cls.__slots__:
+            set_slot(frame, name, None)
+        return frame
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self).from_scaled, (self._ints, self._den)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._den == other._den and self._ints == other._ints
+
+    def __hash__(self) -> int:
+        # An integral frame hashes its ints without building Fractions, since
+        # hash(Fraction(n)) == hash(n).
+        ints = self._ints
+        if self._den == 1:
+            return hash((ints[0], ints[1:]))
+        head, *tail = self.vector()
+        return hash((head, tuple(tail)))
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        a, b = self._den, other._den
+        return self.from_scaled([x * b + y * a for x, y in zip(self._ints, other._ints)], a * b)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        a, b = self._den, other._den
+        return self.from_scaled([x * b - y * a for x, y in zip(self._ints, other._ints)], a * b)
+
+    def __neg__(self):
+        return self.from_scaled([-x for x in self._ints], self._den)
+
+    def scaled(self) -> tuple[list[int], int]:
+        """The class as (ints, den): den is the lcm of its denominators, ints = den * vector().
+
+        The list is a fresh copy of the stored frame, free for the caller to change.
+        """
+        return list(self._ints), self._den
+
+    def __str__(self) -> str:
+        head, *tail = self._ints if self._den == 1 else self.vector()
+        return f"{head};{','.join(map(str, tail))}"
+
+
+class DivisorClass(_Frame):
     """A divisor class d*H - sum_i m_i*E_i with exact rational coefficients.
 
     A class is stored as its canonical integer frame (ints, den): den >= 1 is
@@ -56,9 +129,9 @@ class DivisorClass:
     coefficients, and a class is immutable.
     """
 
-    __slots__ = ("_ints", "_den", "_d", "_m")
+    __slots__ = ("_d", "_m")
 
-    def __init__(self, d: RationalLike, m) -> None:
+    def __new__(cls, d: RationalLike, m) -> "DivisorClass":
         values = (d, *m)
         if all(type(x) is int for x in values):
             den = 1
@@ -68,23 +141,7 @@ class DivisorClass:
             values = [x.numerator * (den // x.denominator) for x in values]
         if len(values) != NUM_POINTS + 1:
             raise ValueError(f"expected {NUM_POINTS} multiplicities, got {len(values) - 1}")
-        self._store(tuple(values), den)
-
-    def _store(self, ints: tuple[int, ...], den: int) -> None:
-        set_slot = object.__setattr__
-        set_slot(self, "_ints", ints)
-        set_slot(self, "_den", den)
-        set_slot(self, "_d", None)
-        set_slot(self, "_m", None)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self).from_scaled, (self._ints, self._den)
+        return cls._stored(values, den)
 
     # -- the Fraction views ---------------------------------------------------
 
@@ -109,39 +166,8 @@ class DivisorClass:
         object.__setattr__(self, "_d", d)
         object.__setattr__(self, "_m", tuple(m))
 
-    def __eq__(self, other):
-        if type(other) is not DivisorClass:
-            return NotImplemented
-        return self._den == other._den and self._ints == other._ints
-
-    def __hash__(self) -> int:
-        # The hash of the pair (d, m).  An integral class hashes its ints
-        # without building the views, since hash(Fraction(n)) == hash(n).
-        if self._den == 1:
-            return hash((self._ints[0], self._ints[1:]))
-        return hash((self.d, self.m))
-
     def __repr__(self) -> str:
         return f"DivisorClass(d={self.d!r}, m={self.m!r})"
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        if not isinstance(other, DivisorClass):
-            return NotImplemented
-        a, b = self._den, other._den
-        ints = [x * b + y * a for x, y in zip(self._ints, other._ints)]
-        return DivisorClass.from_scaled(ints, a * b)
-
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        if not isinstance(other, DivisorClass):
-            return NotImplemented
-        a, b = self._den, other._den
-        ints = [x * b - y * a for x, y in zip(self._ints, other._ints)]
-        return DivisorClass.from_scaled(ints, a * b)
-
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass.from_scaled([-x for x in self._ints], self._den)
 
     def __mul__(self, scalar) -> "DivisorClass":
         if isinstance(scalar, float):
@@ -152,18 +178,9 @@ class DivisorClass:
 
     __rmul__ = __mul__
 
-    # -- views --------------------------------------------------------------
-
     def vector(self) -> tuple[Fraction, ...]:
         """Coefficient vector (d, m_1, ..., m_8)."""
         return (self.d, *self.m)
-
-    def scaled(self) -> tuple[list[int], int]:
-        """The class as (ints, den): den is the lcm of its denominators, ints = den * vector().
-
-        The list is a fresh copy of the stored frame, free for the caller to change.
-        """
-        return list(self._ints), self._den
 
     @classmethod
     def from_scaled(cls, ints, den: int) -> "DivisorClass":
@@ -172,14 +189,10 @@ class DivisorClass:
             g = math.gcd(den, *ints)
             if g != 1:
                 ints, den = [x // g for x in ints], den // g
-        divisor = cls.__new__(cls)
-        divisor._store(tuple(ints), den)
-        return divisor
+        return cls._stored(ints, den)
 
     def is_integral(self) -> bool:
         return self._den == 1
-
-    # -- text form ----------------------------------------------------------
 
     @classmethod
     def parse(cls, text: str) -> "DivisorClass":
@@ -189,41 +202,36 @@ class DivisorClass:
             return cls.from_scaled(entries, 1)
         return cls(entries[0], entries[1:])
 
-    def __str__(self) -> str:
-        d, *m = self._ints if self._den == 1 else self.vector()
-        return f"{d};{','.join(map(str, m))}"
 
+class CurveClass(_Frame):
+    """A curve class a*h + sum_i c_i*e_i with integer coefficients.
 
-@dataclass(frozen=True)
-class CurveClass:
-    """A curve class a*h + sum_i c_i*e_i with integer coefficients."""
+    It is stored as the frame ((a, c_1, ..., c_8), 1), read back through the
+    `a` and `c` views; equality and the hash are those of the pair (a, c).
+    """
 
-    a: int
-    c: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _as_int(self.a))
-        coeffs = tuple(_as_int(x) for x in self.c)
-        if len(coeffs) != NUM_POINTS:
-            raise ValueError(f"expected {NUM_POINTS} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "c", coeffs)
+    def __new__(cls, a: int, c) -> "CurveClass":
+        ints = (_as_int(a), *map(_as_int, c))
+        if len(ints) != NUM_POINTS + 1:
+            raise ValueError(f"expected {NUM_POINTS} coefficients, got {len(ints) - 1}")
+        return cls._stored(ints, 1)
 
-    def __add__(self, other: "CurveClass") -> "CurveClass":
-        if not isinstance(other, CurveClass):
-            return NotImplemented
-        return CurveClass(self.a + other.a, tuple(x + y for x, y in zip(self.c, other.c)))
+    @property
+    def a(self) -> int:
+        return self._ints[0]
 
-    def __sub__(self, other: "CurveClass") -> "CurveClass":
-        if not isinstance(other, CurveClass):
-            return NotImplemented
-        return CurveClass(self.a - other.a, tuple(x - y for x, y in zip(self.c, other.c)))
+    @property
+    def c(self) -> tuple[int, ...]:
+        return self._ints[1:]
 
-    def __neg__(self) -> "CurveClass":
-        return CurveClass(-self.a, tuple(-x for x in self.c))
+    def __repr__(self) -> str:
+        return f"CurveClass(a={self.a!r}, c={self.c!r})"
 
     def __mul__(self, scalar: int) -> "CurveClass":
         s = _as_int(scalar)
-        return CurveClass(self.a * s, tuple(x * s for x in self.c))
+        return CurveClass._stored([x * s for x in self._ints], 1)
 
     __rmul__ = __mul__
 
@@ -232,18 +240,14 @@ class CurveClass:
         return tuple(-x for x in self.c)
 
     def vector(self) -> tuple[Fraction, ...]:
-        return (Fraction(self.a), *(Fraction(x) for x in self.c))
-
-    def scaled(self) -> tuple[list[int], int]:
-        """The class as (ints, 1), as `DivisorClass.scaled`: curve classes are integral."""
-        return [self.a, *self.c], 1
+        return tuple(map(Fraction, self._ints))
 
     @classmethod
     def from_scaled(cls, ints, den: int) -> "CurveClass":
         """The class ints / den, built back from `scaled`; den must be 1."""
         if den != 1:
             raise ValueError(f"curve classes must be integral, got denominator {den}")
-        return cls(ints[0], tuple(ints[1:]))
+        return cls._stored(ints, 1)
 
     @classmethod
     def parse(cls, text: str) -> "CurveClass":
@@ -252,9 +256,6 @@ class CurveClass:
         if any(x.denominator != 1 for x in entries):
             raise ValueError(f"curve classes must be integral: {text!r}")
         return cls(int(entries[0]), tuple(map(int, entries[1:])))
-
-    def __str__(self) -> str:
-        return f"{self.a};{','.join(str(x) for x in self.c)}"
 
 
 def _as_int(value) -> int:
@@ -347,7 +348,12 @@ EXCEPTIONAL_LINES = tuple(exceptional_line(i) for i in range(1, NUM_POINTS + 1))
 
 def pairing(a: DivisorClass, b: DivisorClass) -> Fraction:
     """The symmetric bilinear form with (H,H)=2, (E_i,E_j)=-delta_ij, (H,E_i)=0."""
-    return 2 * a.d * b.d - sum(x * y for x, y in zip(a.m, b.m))
+    return Fraction(_form(a._ints, b._ints), a._den * b._den)
+
+
+def _form(a, b) -> int:
+    # The bilinear form of `pairing` on two int vectors (d, m_1, ..., m_8).
+    return 2 * a[0] * b[0] - sum(map(mul, a[1:], b[1:]))
 
 
 def curve_intersection(divisor: DivisorClass, curve: CurveClass) -> Fraction:
@@ -410,31 +416,18 @@ class RootSystem:
         return system
 
     def _check_gram(self) -> None:
-        # In integers, on `scaled()` frames: (x, y) = _form(x_ints, y_ints) /
-        # (x_den * y_den).  A message reads its value back through `pairing`.
-        roots = [alpha.scaled() for alpha in self.roots]
-        weights = [weight.scaled() for weight in self.weights]
-        canonical, _ = CANONICAL.scaled()
-        for i, (alpha, den) in enumerate(roots):
-            if _form(alpha, alpha) != -2 * den * den:
-                value = pairing(self.roots[i], self.roots[i])
+        for i, alpha in enumerate(self.roots):
+            if (value := pairing(alpha, alpha)) != -2:
                 raise ValueError(f"root {i} has self-pairing {value}, want -2")
-            if _form(canonical, alpha) != 0:
+            if pairing(CANONICAL, alpha) != 0:
                 raise ValueError(f"root {i} is not orthogonal to the canonical class")
-            for j, (beta, beta_den) in enumerate(roots):
-                if i != j and _form(alpha, beta) not in (0, den * beta_den):
-                    value = pairing(self.roots[i], self.roots[j])
+            for j, beta in enumerate(self.roots):
+                if i != j and (value := pairing(alpha, beta)) not in (0, 1):
                     raise ValueError(f"roots {i},{j} pair to {value}, want 0 or 1")
-            for j, (weight, weight_den) in enumerate(weights):
+            for j, weight in enumerate(self.weights):
                 expected = 1 if i == j else 0
-                if _form(weight, alpha) != expected * weight_den * den:
-                    value = pairing(self.weights[j], self.roots[i])
+                if (value := pairing(weight, alpha)) != expected:
                     raise ValueError(f"(f_{j}, alpha_{i}) = {value}, want {expected}")
-
-
-def _form(a, b) -> int:
-    # The bilinear form of `pairing` on two int vectors (d, m_1, ..., m_8).
-    return 2 * a[0] * b[0] - sum(map(mul, a[1:], b[1:]))
 
 
 ROOT_SYSTEM = RootSystem.standard()

@@ -62,6 +62,7 @@ from .lattice import (
     HALF_ANTICANONICAL,
     NUM_POINTS,
     DivisorClass,
+    _form,
 )
 
 WeylWord = tuple[int, ...]
@@ -159,7 +160,8 @@ def canonical_shape(divisor: DivisorClass) -> DivisorClass:
     Shapes identify permutation orbits, e.g. for comparing enumerated
     (-1)-classes against their three low-degree types.
     """
-    return DivisorClass(divisor.d, tuple(sorted(divisor.m, reverse=True)))
+    ints, den = divisor.scaled()
+    return DivisorClass.from_scaled(ints[:1] + sorted(ints[1:], reverse=True), den)
 
 
 @dataclass(frozen=True)
@@ -343,7 +345,7 @@ class _OrbitTable:
     def classes(self, max_degree: int) -> tuple[DivisorClass, ...]:
         count = self.prefix(max_degree)
         new = self.vectors[len(self._classes) : count]
-        self._classes += (DivisorClass(v[0], v[1:]) for v in new)
+        self._classes += (DivisorClass.from_scaled(v, 1) for v in new)
         return tuple(self._classes[:count])
 
     def _grow(self) -> None:
@@ -458,5 +460,4 @@ def is_minus_one_divisor(divisor: DivisorClass) -> bool:
 
 def _is_minus_one_frame(ints, den: int) -> bool:
     # `is_minus_one_divisor` on a class's `scaled()` frame.
-    d, *m = ints
-    return den == 1 and 2 * d * d - sum(map(mul, m, m)) == -1 and 4 * d - sum(m) == 1
+    return den == 1 and _form(ints, ints) == -1 and _form(ints, _HALF_ANTICANONICAL_INTS) == 1

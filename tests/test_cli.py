@@ -83,6 +83,12 @@ class TestClassify:
         assert code == 0
         assert len(out.strip().splitlines()) == 2
 
+    def test_missing_input_file(self, capsys, tmp_path):
+        path = tmp_path / "absent.txt"
+        code, out, err = run(capsys, "classify", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {path}: ")
+
     def test_no_inputs(self, capsys):
         code, _, err = run(capsys, "classify")
         assert code == 2
@@ -309,6 +315,16 @@ class TestDecompose:
         code, out, err = run(capsys, "verify", str(cert_path))
         assert (code, out) == (2, "")
         assert err == "error: malformed certificate: Fraction(1, 0)\n"
+
+
+    def test_deeply_nested_json_is_malformed(self, capsys, tmp_path):
+        # json.loads raises RecursionError, not JSONDecodeError, on nesting
+        # past the interpreter's stack; it is an input error, not a traceback.
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text("[" * 100_000)
+        code, out, err = run(capsys, "verify", str(cert_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: malformed certificate: ")
 
 
 class TestOrbitCommands:

@@ -542,6 +542,28 @@ class TestCertificateSerialization:
         with pytest.raises(ValueError):
             Certificate.from_json("{not json")
 
+    def test_unknown_cone_tag_rejected(self):
+        cert = Certificate("big", H, (), ((H, Fraction(1)),))
+        with pytest.raises(CertificateError, match="unknown cone tag 'big'"):
+            cert.check()
+
+    def test_curve_certificate_with_a_word_rejected(self):
+        cert = curve_decompose(CurveClass(2, (-1, -1, -1, -1, 0, 0, 0, 0)))
+        cert.check()
+        worded = Certificate(cert.cone, cert.target, (0,), cert.terms)
+        with pytest.raises(CertificateError, match="curve certificates carry no Weyl word"):
+            worded.check()
+
+    def test_curve_term_in_an_eff_certificate_rejected(self):
+        # The curve has the ints of E_8, a generator of Eff, and so sums to the
+        # target; only its type refuses it.
+        curve = CurveClass.from_scaled(EXCEPTIONALS[7].scaled()[0], 1)
+        Certificate("eff", EXCEPTIONALS[7], (), ((EXCEPTIONALS[7], Fraction(1)),)).check()
+        cert = Certificate("eff", EXCEPTIONALS[7], (), ((curve, Fraction(1)),))
+        with pytest.raises(CertificateError,
+                           match=r"^0;0,0,0,0,0,0,0,-1 is not a generator of the eff cone$"):
+            cert.check()
+
 
 class TestCertificateTypes:
     # verify reads certificates written by anyone: word letters must be JSON

@@ -27,7 +27,7 @@ from blowupcones import (
     pairing,
 )
 
-from conftest import int_divisors, rational_divisors, small_rationals
+from conftest import curves, int_divisors, rational_divisors, small_rationals
 
 
 class TestPairing:
@@ -236,6 +236,58 @@ class TestCurveClassBasics:
         assert CurveClass.from_scaled(*curve.scaled()) == curve
         with pytest.raises(ValueError):
             CurveClass.from_scaled([1] * 9, 2)
+
+    def test_repr_and_str(self):
+        curve = line_between(1, 2)
+        assert repr(curve) == "CurveClass(a=1, c=(-1, -1, 0, 0, 0, 0, 0, 0))"
+        assert str(curve) == "1;-1,-1,0,0,0,0,0,0"
+
+    @given(curves)
+    def test_hash_is_that_of_the_coefficients(self, curve):
+        assert hash(curve) == hash((curve.a, curve.c))
+
+    def test_equality(self):
+        curve = line_between(1, 2)
+        assert curve == CurveClass(1, [-1, -1, 0, 0, 0, 0, 0, 0])
+        assert curve != line_between(1, 3) and not curve == line_between(1, 3)
+        # A divisor with the same ints is another kind of class, never equal.
+        divisor = DivisorClass(1, (-1, -1, 0, 0, 0, 0, 0, 0))
+        assert curve != divisor and not curve == divisor
+        assert divisor != curve and not divisor == curve
+
+    def test_arithmetic(self):
+        curve = line_between(1, 2)
+        assert curve + exceptional_line(1) == CurveClass(1, (0, -1, 0, 0, 0, 0, 0, 0))
+        assert curve - curve == CurveClass(0, (0,) * 8)
+        assert -curve == CurveClass(-1, (1, 1, 0, 0, 0, 0, 0, 0))
+        assert 3 * curve == curve * 3 == curve + curve + curve
+        with pytest.raises(TypeError):
+            curve * True
+        with pytest.raises(TypeError):
+            curve + H
+
+    @given(curves)
+    def test_copy_and_pickle_keep_the_class(self, curve):
+        for twin in (copy.copy(curve), copy.deepcopy(curve), pickle.loads(pickle.dumps(curve))):
+            assert type(twin) is CurveClass and twin == curve and hash(twin) == hash(curve)
+            assert str(twin) == str(curve)
+
+    def test_frozen(self):
+        with pytest.raises(FrozenInstanceError):
+            LINE.a = 2
+        with pytest.raises(FrozenInstanceError):
+            LINE.c = (0,) * 8
+        with pytest.raises(FrozenInstanceError):
+            del LINE.a
+        assert LINE == CurveClass(1, (0,) * 8)
+
+    @pytest.mark.parametrize(
+        "a, c",
+        [(True, (0,) * 8), (1.0, (0,) * 8), (1, (False,) + (0,) * 7), (1, (0.0,) * 8)],
+    )
+    def test_bool_and_float_refused(self, a, c):
+        with pytest.raises(TypeError):
+            CurveClass(a, c)
 
 
 class TestTextForms:
