@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import operator
@@ -507,6 +508,78 @@ class TestPackedPricing:
             assert oracle._entering(zero, cone) == _reference_entering(zero, columns) == -1
 
 
+# (4; -1^8) is 1 on every orbit class (4d - sum m = 1) and 0 on -K/2.
+_ONE_ON_THE_ORBIT = (4,) + (-1,) * 8
+
+
+def _shifted(price, t):
+    """The price minus t on every orbit class, unchanged on -K/2."""
+    return [p - t * u for p, u in zip(price, _ONE_ON_THE_ORBIT)]
+
+
+class TestTruncationPricing:
+    """Bland's entering column on every effective truncation, degrees 0 to 13.
+
+    `_entering` (the slices' packed blocks, `_dots` elsewhere) and
+    `_first_positive` (`_dots` alone) enter the column that pricing one
+    column at a time enters.
+    """
+
+    @staticmethod
+    def _check(price, degree):
+        cone = oracle._effective_cone(degree)
+        expected = _reference_entering(price, cone)
+        assert oracle._entering(price, cone) == oracle._first_positive(price, cone) == expected
+        return expected
+
+    def test_random_prices_on_every_truncation(self):
+        # Shifted down on the orbit, a random price turns positive later on;
+        # the all-zero price enters nothing.
+        rng = random.Random(20250810)
+        found = set()
+        for degree in range(14):
+            assert self._check([0] * 9, degree) == -1
+            for t in (0, 0, 4, 16, 40, 80):
+                price = _shifted([rng.randint(-9, 9) for _ in range(9)], t)
+                found.add(self._check(price, degree) == len(oracle._effective_cone(degree)) - 1)
+        assert found == {True, False}
+
+    def test_positive_only_at_half_anticanonical_column(self):
+        # d - k on the orbit and 2 on -K/2: on the truncation at k no orbit
+        # column prices positive, and the top slice prices exactly 0.
+        for degree in range(14):
+            price = _shifted([1] + [0] * 8, degree)
+            assert self._check(price, degree) == len(oracle._effective_cone(degree)) - 1
+            assert self._check([-p for p in price], degree) == (0 if degree else -1)
+            assert self._check(_shifted([0] * 9, 1), degree) == -1  # 0 at -K/2
+
+    def test_first_positive_at_slice_edges(self):
+        # Positive, to the truncation's degree, only at the first or only at
+        # the last column of one slice: weights 32^7..32^0 on m order the
+        # slice (|m_i| <= 9 to degree 13), big (d - k) pushes the lower
+        # slices down, and (4; -1^8) carries the constant.
+        lex, big = [0] + [32 ** (7 - i) for i in range(8)], 32 ** 9
+        for degree in range(14):
+            start, stop = _orbit_vectors.prefix(degree - 1), _orbit_vectors.prefix(degree)
+            for j, sign in ((start, -1), (stop - 1, 1)):
+                weights = [sign * w for w in lex]
+                value = sum(map(operator.mul, weights, _orbit_vectors.vectors[j]))
+                price = _shifted([w + big * (i == 0) for i, w in enumerate(weights)],
+                                 value - 1 + big * degree)
+                assert self._check(price, degree) == j
+                assert self._check(price, 13) == j
+
+    def test_big_int_prices(self):
+        # Prices past the guard, alone and shifted down on the orbit.
+        rng = random.Random(3)
+        for shift in (10, 14, 15, 16, 62, 63, 64, 90):
+            for _ in range(2):
+                price = [rng.randint(-(1 << shift), 1 << shift) for _ in range(9)]
+                for degree in (0, 5, 13):
+                    self._check(price, degree)
+                    self._check(_shifted(price, 1 << (shift + 3)), degree)
+
+
 class TestPivotCap:
     def test_pricing_fault_fails_fast(self, monkeypatch):
         # Entering a column of price 0, such as a basic one, pivots without
@@ -663,6 +736,18 @@ class TestIntegerVerification:
         with pytest.raises(RuntimeError):
             effective_membership(DivisorClass(2, (1, 1, 1, 1, 1, 1, 1, 0)))
 
+    def test_effective_functional_negative_on_a_column(self, monkeypatch):
+        # The LP at degree 4 of an effective query answers with its
+        # functional plus 1000 (1; 1, 0^7), which is d + m_1: negative on
+        # E_1, the truncation's first column, alone, and positive on -K/2 and
+        # on the target.  The check on the truncation catches it.
+        def corrupt(basic, dual, det):
+            return basic, [v - 1000 * det * w for v, w in zip(dual, (1, 1) + (0,) * 7)], det
+
+        _corrupt_simplex(monkeypatch, corrupt)
+        with pytest.raises(RuntimeError, match="negative on a generator"):
+            effective_membership(DivisorClass(1, (1, 1, 1, 1, 0, 0, 0, 0)))
+
 
 class TestAgreementWithDecomposers:
     def test_nef_agreement_small_grid(self):
@@ -766,6 +851,44 @@ class TestEffectiveMembership:
                 generators = effective_generators(report.truncation_degree)
                 assert report.outcome == cone_member(generic_problem(divisor, generators))
         assert feasible >= 10
+
+    def test_truncation_matches_user_cone_path(self):
+        # Each truncation's prepared cone against the same generators as a
+        # held user tuple, a cone of its own that packs its own blocks, on
+        # integral and p/q classes: the same pivots give repr-equal outcomes.
+        rng = random.Random(20250810)
+        kinds = set()
+        for degree in range(3, 14):
+            generators = effective_generators(degree)
+            for den, over in ((1, 0), (2, 0), (1, 1)):
+                d = rng.randint(0, den * (degree - 3))
+                divisor = DivisorClass(Fraction(d, den), tuple(
+                    Fraction(rng.randint(-den, d + over), den) for _ in range(8)))
+                user = divisor_problem(divisor, generators)
+                assert user.generators is not oracle._effective_cone(degree)
+                outcome = cone_member(user)
+                truncation = ConeProblem(divisor.vector(), oracle._effective_cone(degree))
+                assert repr(cone_member(truncation)) == repr(outcome)
+                kinds.add(type(outcome))
+        assert kinds == {Feasible, Infeasible}
+
+    def test_criterion_4_reports_pinned(self):
+        # The 1000 criterion-4 reports, as the sha256 of each one's non-zero
+        # coefficients with their indices (or its functional), degrees,
+        # generator count and conclusive flag: a changed pivot, coefficient
+        # or functional changes it.
+        rng = random.Random(20250810)
+        digest = hashlib.sha256()
+        for _ in range(1000):
+            divisor = DivisorClass(rng.randint(0, 8), tuple(rng.randint(-8, 8) for _ in range(8)))
+            report = effective_membership(divisor)
+            outcome = report.outcome
+            body = ([(j, c) for j, c in enumerate(outcome.coefficients) if c]
+                    if isinstance(outcome, Feasible) else outcome.functional)
+            digest.update(repr((body, report.truncation_degree, report.checked_degrees,
+                                report.generator_count, report.conclusive)).encode())
+        assert digest.hexdigest() == (
+            "867584a355889e1b3fbc45edbb9dc9d5e75effca563b03a3e66602c69248f677")
 
     def test_generator_list_contains_q(self):
         generators = effective_generators(2)
