@@ -26,8 +26,8 @@ from .cones import (
     CONE_NEF,
     Certificate,
     CertificateError,
-    HypothesisViolated,
     NotEffective,
+    NotInCurveCone,
     NotMovable,
     NotNef,
     accumulation_report,
@@ -193,7 +193,7 @@ def _decompose(args, text: str):
     }[args.cone]
     try:
         certificate = decompose(parse(text), **({"max_steps": args.max_steps} if capped else {}))
-    except (NotNef, NotEffective, NotMovable, HypothesisViolated) as exc:
+    except (NotNef, NotEffective, NotMovable, NotInCurveCone) as exc:
         reason = str(exc)
         record = {"cone": args.cone, "input": text, "member": False, "reason": reason}
         return record, lambda: f"{text}: not decomposable in {args.cone} cone: {reason}"

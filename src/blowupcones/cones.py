@@ -35,7 +35,6 @@ from .lattice import (
     CurveClass,
     DivisorClass,
     curve_intersection,
-    exceptional_line,
     line_between,
 )
 # reflect and to_standard_form are unused here but stay importable from this
@@ -68,19 +67,17 @@ class CertificateError(ValueError):
     """A decomposition certificate failed its arithmetic or membership check."""
 
 
-class HypothesisViolated(ValueError):
-    """A curve class is outside the region covered by the inductive decomposition."""
-
-    def __init__(self, constraint: str, curve: CurveClass):
-        super().__init__(f"hypothesis {constraint} violated by {curve}")
-        self.constraint = constraint
-        self.curve = curve
-
-
 class NotNef(ValueError):
     def __init__(self, divisor: DivisorClass, witness: CurveClass):
         value = curve_intersection(divisor, witness)
         super().__init__(f"{divisor} is not nef: meets {witness} in {value}")
+        self.witness = witness
+
+
+class NotInCurveCone(ValueError):
+    def __init__(self, curve: CurveClass, witness: DivisorClass):
+        value = curve_intersection(witness, curve)
+        super().__init__(f"{curve} is not in the curves cone: meets {witness} in {value}")
         self.witness = witness
 
 
@@ -321,49 +318,38 @@ def _generator_allowed(cone: str, generator, frame=None) -> bool:
 def curve_decompose(curve: CurveClass) -> Certificate:
     """Write a curve class as a non-negative sum of the 36 curve generators.
 
-    Implements the induction on the line degree a: with multiplicities
-    b_i = -c_i, while at least two are positive subtract the line through the
-    two largest; the remaining cases are finished directly.  Requires
-    0 <= b_i <= a and 2a >= sum b_i (with pure e_i combinations when a = 0);
-    anything else raises HypothesisViolated.
+    The cone of curves is dual to the nef cone, so with b_i = -c_i the class
+    (a; c) is a member iff a >= 0, b_i <= a for every i and sum_i max(b_i, 0)
+    <= 2a: it meets H, each H-E_i and each quadric through three or more
+    points non-negatively.  Anything else raises NotInCurveCone with the first
+    of `nef_generators()` it meets negatively.  A member is written by
+    Hakimi's criterion (J. SIAM 10, 1962): degrees delta with sum 2a and max
+    <= a are those of a loopless multigraph on the eight points.  Here
+    delta_i = max(b_i, 0), topped up from point 1 upwards (each at most a) to
+    sum 2a; e_i takes delta_i - b_i, and the edges are lines h-e_i-e_j, taken
+    in bulk: each round joins the two largest degrees i1, i2 by
+    min(delta_i2, a - delta_i3) lines, which empties i2 or makes i3 tight.
     """
-    terms: Counter[tuple[int, ...]] = Counter()
-    current = curve
-    while True:
-        a = current.a
-        b = current.multiplicities()
-        if a < 0:
-            raise HypothesisViolated("a >= 0", curve)
-        if a == 0:
-            if any(x > 0 for x in b):
-                raise HypothesisViolated("a >= b_i", curve)
-            for i, coefficient in enumerate(current.c):
-                terms[_key(exceptional_line(i + 1))] += coefficient
-            break
-        if any(x < 0 for x in b):
-            raise HypothesisViolated("b_i >= 0", curve)
-        if any(x > a for x in b):
-            raise HypothesisViolated("a >= b_i", curve)
-        if 2 * a < sum(b):
-            raise HypothesisViolated("2a >= sum(b_i)", curve)
-        positive = [i for i in range(NUM_POINTS) if b[i] > 0]
-        if len(positive) >= 2:
-            i1, i2 = sorted(positive, key=lambda i: (-b[i], i))[:2]
-            line = line_between(i1 + 1, i2 + 1)
-            terms[_key(line)] += 1
-            current = current - line
-        elif len(positive) == 1:
-            i1 = positive[0]
-            k = 0 if i1 != 0 else 1
-            terms[_key(exceptional_line(i1 + 1))] += a - b[i1]
-            terms[_key(exceptional_line(k + 1))] += a
-            terms[_key(line_between(i1 + 1, k + 1))] += a
-            break
-        else:
-            terms[_key(exceptional_line(1))] += a
-            terms[_key(exceptional_line(2))] += a
-            terms[_key(line_between(1, 2))] += a
-            break
+    ints, _ = curve.scaled()
+    a, b = ints[0], [-x for x in ints[1:]]
+    delta = [max(x, 0) for x in b]
+    if a < 0 or max(b) > a or sum(delta) > 2 * a:
+        # Every nef generator is integral: its meeting number is an int dot product.
+        witness = next(g for g in nef_generators() if sum(map(mul, _key(g), ints)) < 0)
+        raise NotInCurveCone(curve, witness)
+    spare = 2 * a - sum(delta)
+    for i in range(NUM_POINTS):
+        step = min(spare, a - delta[i])
+        delta[i] += step
+        spare -= step
+    terms = Counter({_key(line): delta[i] - b[i] for i, line in enumerate(EXCEPTIONAL_LINES)})
+    while a > 0:
+        i1, i2, i3 = sorted(range(NUM_POINTS), key=lambda i: (-delta[i], i))[:3]
+        k = min(delta[i2], a - delta[i3])
+        terms[_key(line_between(i1 + 1, i2 + 1))] += k
+        delta[i1] -= k
+        delta[i2] -= k
+        a -= k
 
     certificate = Certificate(CONE_CURVES, curve, (), _freeze_terms(terms, kind=CurveClass))
     certificate.check()

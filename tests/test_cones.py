@@ -15,8 +15,8 @@ from blowupcones import (
     CertificateError,
     CurveClass,
     DivisorClass,
-    HypothesisViolated,
     NotEffective,
+    NotInCurveCone,
     NotMovable,
     NotNef,
     StepLimitExceeded,
@@ -137,35 +137,50 @@ class TestCurveDecompose:
         assert cert.terms == ()
 
     @pytest.mark.parametrize(
-        "curve, constraint",
+        "curve, witness",
         [
-            (CurveClass(-1, (0,) * 8), "a >= 0"),
-            (CurveClass(1, (-2, 0, 0, 0, 0, 0, 0, 0)), "a >= b_i"),
-            (CurveClass(1, (1, 0, 0, 0, 0, 0, 0, 0)), "b_i >= 0"),
-            (CurveClass(2, (-1, -1, -1, -1, -1, 0, 0, 0)), "2a >= sum(b_i)"),
-            (CurveClass(0, (-1, 0, 0, 0, 0, 0, 0, 0)), "a >= b_i"),
+            # Each id names the membership inequality the curve violates.
+            pytest.param(CurveClass(-1, (0,) * 8), H, id="curve0-a >= 0"),
+            pytest.param(CurveClass(1, (-2, 0, 0, 0, 0, 0, 0, 0)),
+                         DivisorClass(1, (1, 0, 0, 0, 0, 0, 0, 0)), id="curve1-a >= b_i"),
+            pytest.param(CurveClass(2, (-1, -1, -1, -1, -1, 0, 0, 0)),
+                         DivisorClass(2, (1, 1, 1, 1, 1, 0, 0, 0)), id="curve3-2a >= sum(b_i)"),
+            pytest.param(CurveClass(0, (-1, 0, 0, 0, 0, 0, 0, 0)),
+                         DivisorClass(1, (1, 0, 0, 0, 0, 0, 0, 0)), id="curve4-a >= b_i"),
         ],
     )
-    def test_hypothesis_violations(self, curve, constraint):
-        with pytest.raises(HypothesisViolated) as info:
+    def test_hypothesis_violations(self, curve, witness):
+        with pytest.raises(NotInCurveCone) as info:
             curve_decompose(curve)
-        assert info.value.constraint == constraint
+        assert info.value.witness == witness
+        value = curve_intersection(witness, curve)
+        assert str(info.value) == f"{curve} is not in the curves cone: meets {witness} in {value}"
 
-    @given(st.data())
+    def test_negative_exceptional_multiplicity_is_a_member(self):
+        # Members with some c_i > 0: h + e_1 and (h-e_1-e_2) + e_3.
+        cert = curve_decompose(CurveClass(1, (1, 0, 0, 0, 0, 0, 0, 0)))
+        assert terms_as_dict(cert) == {
+            exceptional_line(1): 2,
+            exceptional_line(2): 1,
+            line_between(1, 2): 1,
+        }
+        cert = curve_decompose(CurveClass(1, (-1, -1, 1, 0, 0, 0, 0, 0)))
+        assert terms_as_dict(cert) == {exceptional_line(3): 1, line_between(1, 2): 1}
+
+    def test_high_degree_takes_lines_in_bulk(self):
+        curve = CurveClass(10**6, (-(5 * 10**5),) * 4 + (0,) * 4)
+        cert = curve_decompose(curve)
+        assert terms_as_dict(cert) == {line_between(1, 2): 5 * 10**5, line_between(3, 4): 5 * 10**5}
+
+    @given(st.lists(st.integers(0, 5), min_size=36, max_size=36))
     @settings(max_examples=80)
-    def test_resummation_on_valid_region(self, data):
-        a = data.draw(st.integers(1, 6))
-        budget = 2 * a
-        multiplicities = []
-        for _ in range(8):
-            cap = min(a, budget)
-            value = data.draw(st.integers(0, cap))
-            budget -= value
-            multiplicities.append(value)
-        curve = CurveClass(a, tuple(-b for b in multiplicities))
+    def test_resummation_on_valid_region(self, coefficients):
+        curve = sum((k * g for k, g in zip(coefficients, curve_generators())),
+                    CurveClass(0, (0,) * 8))
         cert = curve_decompose(curve)
         total = CurveClass(0, (0,) * 8)
         for generator, coefficient in cert.terms:
+            assert generator in curve_generators() and coefficient > 0
             total = total + int(coefficient) * generator
         assert total == curve
 
@@ -1085,7 +1100,7 @@ def assert_terms_in_order(certificate):
 
 @st.composite
 def region_curves(draw):
-    """Curves with 0 <= b_i <= a and sum b_i <= 2a, the region curve_decompose covers."""
+    """Curves with 0 <= b_i <= a and sum b_i <= 2a, all in the cone of curves."""
     a = draw(st.integers(0, 6))
     budget, multiplicities = 2 * a, []
     for _ in range(8):
@@ -1126,6 +1141,6 @@ class TestTermOrder:
     def test_curves(self, curve):
         try:
             certificate = curve_decompose(curve)
-        except HypothesisViolated:
+        except NotInCurveCone:
             return
         assert_terms_in_order(certificate)
