@@ -33,7 +33,6 @@ from .cones import (
     accumulation_report,
     curve_decompose,
     effective_decompose,
-    is_nef,
     movable_decompose,
     nef_decompose,
 )
@@ -154,12 +153,12 @@ def _classify(args, text: str):
     record: dict = {"input": str(divisor)}
     certificates: dict = {}
 
-    nef_ok, witness = is_nef(divisor)
-    record["nef"] = nef_ok
-    if nef_ok:
+    try:
         certificates[CONE_NEF] = nef_decompose(divisor).to_dict()
-    else:
-        record["nef_witness"] = str(witness)
+        record["nef"] = True
+    except NotNef as exc:
+        record["nef"] = False
+        record["nef_witness"] = str(exc.witness)
 
     for cone, key, decompose, refusal in (
         (CONE_EFF, "effective", effective_decompose, NotEffective),

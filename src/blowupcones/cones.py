@@ -68,17 +68,21 @@ class CertificateError(ValueError):
 
 
 class NotNef(ValueError):
-    def __init__(self, divisor: DivisorClass, witness: CurveClass):
-        value = curve_intersection(divisor, witness)
+    """A class meets `witness`, one of the curve generators, in `value` < 0."""
+
+    def __init__(self, divisor: DivisorClass, witness: CurveClass, value):
         super().__init__(f"{divisor} is not nef: meets {witness} in {value}")
         self.witness = witness
+        self.value = value
 
 
 class NotInCurveCone(ValueError):
-    def __init__(self, curve: CurveClass, witness: DivisorClass):
-        value = curve_intersection(witness, curve)
+    """A curve meets `witness`, one of the nef generators, in `value` < 0."""
+
+    def __init__(self, curve: CurveClass, witness: DivisorClass, value):
         super().__init__(f"{curve} is not in the curves cone: meets {witness} in {value}")
         self.witness = witness
+        self.value = value
 
 
 class NotEffective(ValueError):
@@ -335,8 +339,10 @@ def curve_decompose(curve: CurveClass) -> Certificate:
     delta = [max(x, 0) for x in b]
     if a < 0 or max(b) > a or sum(delta) > 2 * a:
         # Every nef generator is integral: its meeting number is an int dot product.
-        witness = next(g for g in nef_generators() if sum(map(mul, _key(g), ints)) < 0)
-        raise NotInCurveCone(curve, witness)
+        for witness in nef_generators():
+            value = sum(map(mul, _key(witness), ints))
+            if value < 0:
+                raise NotInCurveCone(curve, witness, value)
     spare = 2 * a - sum(delta)
     for i in range(NUM_POINTS):
         step = min(spare, a - delta[i])
@@ -358,33 +364,50 @@ def curve_decompose(curve: CurveClass) -> Certificate:
 
 # -- nef cone --------------------------------------------------------------------
 
+def _nef_witness(divisor: DivisorClass) -> tuple[CurveClass, Fraction] | None:
+    # The first of curve_generators() the class meets negatively, with the
+    # meeting number, or None when it meets all 36 non-negatively.
+    for generator in curve_generators():
+        value = curve_intersection(divisor, generator)
+        if value < 0:
+            return generator, value
+    return None
+
+
 def is_nef(divisor: DivisorClass) -> tuple[bool, CurveClass | None]:
     """Whether the class meets all 36 curve generators non-negatively.
 
     Returns (True, None) or (False, witness) where the witness is the first
-    generator met negatively.
+    generator met negatively.  This is the test by the curves, independent of
+    `nef_decompose`, which decides by its own construction.
     """
-    for generator in curve_generators():
-        if curve_intersection(divisor, generator) < 0:
-            return False, generator
-    return True, None
+    found = _nef_witness(divisor)
+    return found is None, None if found is None else found[0]
 
 
 def nef_decompose(divisor: DivisorClass) -> Certificate:
     """Write a nef class over H, H-E_i and quadrics through >= 2 points.
 
-    After ordering the multiplicities descending the class equals
-    (d-m1-m2)*H + (m1-m2)*(H-E_{i1}) + sum_k (m_k - m_{k+1}) * (2; 1 at the k
-    largest positions); the permutation is folded back into the generator
-    index sets, so the terms sum to the input itself.
+    After ordering the multiplicities descending, m_(1) >= ... >= m_(8), the
+    class equals (d-m_(1)-m_(2))*H + (m_(1)-m_(2))*(H-E_{i1}) + sum_k
+    (m_(k) - m_(k+1)) * (2; 1 at the k largest positions), with m_(9) = 0;
+    the permutation is folded back into the generator index sets, so the
+    terms sum to the input itself.  The coefficients are all non-negative
+    exactly when d >= m_(1) + m_(2) and m_(8) >= 0, which is the nef
+    condition (the class meets each h-e_i-e_j and each e_i non-negatively),
+    so the construction decides.  A class it refuses raises NotNef with the
+    first of `curve_generators()` it meets negatively, found by the same
+    search as `is_nef`; if that search finds none, the two tests disagree and
+    RuntimeError is raised.
     """
-    ok, witness = is_nef(divisor)
-    if not ok:
-        assert witness is not None
-        raise NotNef(divisor, witness)
     (d, *m), scale = divisor.scaled()
     order = sorted(range(NUM_POINTS), key=lambda i: (-m[i], i))
     sorted_m = [m[i] for i in order] + [0]
+    if d < sorted_m[0] + sorted_m[1] or sorted_m[7] < 0:
+        found = _nef_witness(divisor)
+        if found is None:
+            raise RuntimeError(f"{divisor} fails the nef inequalities but no curve test")
+        raise NotNef(divisor, *found)
     terms = {
         _through_ints(1, ()): d - sorted_m[0] - sorted_m[1],
         _through_ints(1, (order[0] + 1,)): sorted_m[0] - sorted_m[1],

@@ -49,7 +49,7 @@ from blowupcones.cones import (
     _pi_split,
     _three_point_decompose,
 )
-from blowupcones import weyl
+from blowupcones import cones, weyl
 from blowupcones.cli import main
 from blowupcones.weyl import (
     DEFAULT_MAX_STEPS,
@@ -149,11 +149,18 @@ class TestCurveDecompose:
                          DivisorClass(1, (1, 0, 0, 0, 0, 0, 0, 0)), id="curve4-a >= b_i"),
         ],
     )
-    def test_hypothesis_violations(self, curve, witness):
+    def test_hypothesis_violations(self, curve, witness, monkeypatch):
+        # The refusal carries the value its int search computed: no Fraction
+        # intersection is recomputed for the message.
+        def refuse(*args):
+            raise AssertionError("curve_intersection called")
+
+        monkeypatch.setattr(cones, "curve_intersection", refuse)
         with pytest.raises(NotInCurveCone) as info:
             curve_decompose(curve)
         assert info.value.witness == witness
         value = curve_intersection(witness, curve)
+        assert info.value.value == value
         assert str(info.value) == f"{curve} is not in the curves cone: meets {witness} in {value}"
 
     def test_negative_exceptional_multiplicity_is_a_member(self):
@@ -259,6 +266,45 @@ class TestNefDecompose:
 
     def test_rejects_non_nef(self):
         with pytest.raises(NotNef):
+            nef_decompose(EXCEPTIONALS[0])
+
+    def test_nef_class_meets_no_curve(self, monkeypatch):
+        # The construction decides: a nef class is never intersected with a
+        # curve generator, while a refused one is, by the witness search.
+        calls = []
+
+        def counted(divisor, curve):
+            calls.append(curve)
+            return curve_intersection(divisor, curve)
+
+        monkeypatch.setattr(cones, "curve_intersection", counted)
+        nef_decompose(DivisorClass(Fraction(7, 2), (1, 0, Fraction(3, 2), 1, 0, 0, 1, 0)))
+        assert calls == []
+        with pytest.raises(NotNef) as info:
+            nef_decompose(DivisorClass(1, (0, 0, 1, 1, 0, 0, 0, 0)))
+        assert calls[-1] == info.value.witness == line_between(3, 4)
+        assert info.value.value == -1
+
+    def test_classify_searches_for_a_witness_once(self, monkeypatch, capsys):
+        calls = []
+        search = cones._nef_witness
+
+        def counted(divisor):
+            calls.append(divisor)
+            return search(divisor)
+
+        monkeypatch.setattr(cones, "_nef_witness", counted)
+        assert main(["classify", "--format", "json", "3;2,0,1,2,0,0,0,-1"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert (record["nef"], record["nef_witness"]) == (False, str(exceptional_line(8)))
+        assert len(calls) == 1
+        assert main(["classify", "--format", "json", "3;1,0,1,0,0,0,1,0"]) == 0
+        assert json.loads(capsys.readouterr().out)["nef"] is True
+        assert len(calls) == 1
+
+    def test_search_that_disagrees_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(cones, "_nef_witness", lambda divisor: None)
+        with pytest.raises(RuntimeError, match="nef inequalities"):
             nef_decompose(EXCEPTIONALS[0])
 
     @given(nef_combinations())

@@ -26,6 +26,7 @@ from blowupcones import (
     MembershipReport,
     NotEffective,
     NotInCurveCone,
+    NotNef,
     ScaleExceeded,
     cone_member,
     curve_decompose,
@@ -38,6 +39,7 @@ from blowupcones import (
     exceptional_orbit,
     is_nef,
     line_between,
+    nef_decompose,
     nef_generators,
 )
 
@@ -761,6 +763,48 @@ class TestAgreementWithDecomposers:
                 divisor = DivisorClass(d, m)
                 outcome = cone_member(divisor_problem(divisor, generators))
                 assert isinstance(outcome, Feasible) == is_nef(divisor)[0]
+
+    def test_nef_agreement_sweep(self):
+        # A seeded sweep of 2000 classes with d in -1..8 and unsorted m_i in
+        # -3..6, a third of them divided by 2 or 3.  nef_decompose (by its
+        # construction), is_nef (by the 36 curves) and the LP over the 228
+        # nef generators must agree.  Each "yes" round-trips through JSON and
+        # re-checks; each "no" names the first curve generator the class meets
+        # negatively, with its intersection number.
+        rng = random.Random(23)
+        generators = nef_generators()
+        classes = []
+        for k in range(2000):
+            d = rng.randint(-1, 8)
+            hi = rng.randint(0, 6 if d < 0 else min(6, d // 2 + 1))
+            lo = rng.choice((-3, -1, 0, 0, 0, 0))
+            divisor = DivisorClass(d, tuple(rng.randint(lo, hi) for _ in range(8)))
+            if k % 3 == 0:
+                divisor = Fraction(1, rng.choice((2, 3))) * divisor
+            classes.append(divisor)
+        yes = 0
+        for divisor in classes:
+            by_test, test_witness = is_nef(divisor)
+            try:
+                cert = nef_decompose(divisor)
+            except NotNef as exc:
+                witness = next(
+                    c for c in curve_generators() if curve_intersection(divisor, c) < 0
+                )
+                value = curve_intersection(divisor, witness)
+                assert (exc.witness, exc.value) == (witness, value)
+                assert str(exc) == f"{divisor} is not nef: meets {witness} in {value}"
+                assert test_witness == witness
+                member = False
+            else:
+                Certificate.from_json(cert.to_json()).check()
+                member = True
+            outcome = cone_member(divisor_problem(divisor, generators))
+            assert isinstance(outcome, Feasible) == member == by_test, divisor
+            yes += member
+        no = len(classes) - yes
+        print(f"nef sweep: {yes} yes, {no} no")
+        assert min(yes, no) >= len(classes) // 4
 
     def test_curve_agreement_on_valid_region(self):
         # A seeded sweep of about 2000 classes: combinations of the 36
