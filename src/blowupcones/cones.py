@@ -34,6 +34,7 @@ from .lattice import (
     NUM_POINTS,
     CurveClass,
     DivisorClass,
+    _parse_rational,
     curve_intersection,
     line_between,
 )
@@ -47,7 +48,7 @@ from .weyl import (  # noqa: F401
     _HALF_ANTICANONICAL_INTS,
     _act,
     _is_minus_one_frame,
-    _orbit_vectors,
+    _orbit_table,
     _reduce,
     apply_word,
     inverse_word,
@@ -145,8 +146,10 @@ class Certificate:
         """Re-check the certificate by exact arithmetic; raise CertificateError."""
         if self.cone not in CONE_TAGS:
             raise CertificateError(f"unknown cone tag {self.cone!r}")
-        if isinstance(self.target, CurveClass) and self.word:
-            raise CertificateError("curve certificates carry no Weyl word")
+        # W preserves the effective and movable cones only, so only they take a word.
+        kind = "curve" if isinstance(self.target, CurveClass) else self.cone
+        if self.word and kind not in (CONE_EFF, CONE_MOV):
+            raise CertificateError(f"{kind} certificates carry no Weyl word")
         frames = []  # each generator's `scaled()` frame, read once
         for generator, coefficient in self.terms:
             if coefficient < 0:
@@ -190,7 +193,8 @@ class Certificate:
             target = parse(_json_str(data, "input"))
             word = _json_word(data["word"])
             terms = tuple(
-                (parse(_json_str(item, "gen")), Fraction(_json_str(item, "coeff")))
+                (parse(_json_str(item, "gen")),
+                 Fraction(_parse_rational(_json_str(item, "coeff"))))
                 for item in data["terms"]
             )
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -655,6 +659,6 @@ def accumulation_report(max_degree: int) -> tuple[tuple[int, Fraction], ...]:
     if not isinstance(max_degree, int) or max_degree < 2:
         raise ValueError(f"max_degree must be an integer >= 2, got {max_degree!r}")
     return tuple(
-        (degree, max(_ray_distance((degree, *shape)) for shape in _orbit_vectors.shapes(degree)))
+        (degree, max(_ray_distance((degree, *shape)) for shape in _orbit_table.shapes(degree)))
         for degree in range(max_degree + 1)
     )

@@ -266,7 +266,10 @@ def _as_int(value) -> int:
 
 def _parse_rational(text: str) -> int | Fraction:
     # An integer literal (an optional '-', then decimal digits) parses as an int;
-    # anything else, such as "p/q", "+3" or "1_0", is left to Fraction.
+    # anything else, such as "p/q", "1.5", "+3" or "1_0", is left to Fraction,
+    # but not exponent notation: Fraction("1e10000000") builds 10**10000000.
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent notation is not accepted: {text!r}")
     digits = text[1:] if text[:1] == "-" else text
     return int(text) if digits.isdecimal() else Fraction(text)
 

@@ -9,12 +9,12 @@ all generators and negative on the target; both certificates are re-checked
 in integer arithmetic before they are returned.
 
 Two generator sets are prepared: validated once and kept as integer columns
-(`PreparedCone`), so a query checks only its target.  An effective-cone
-truncation is the orbit table up to a degree plus -K/2; there is one cone per
-degree, each validated whole when it is built.  The table itself refuses a
-truncation over MAX_GENERATORS classes (`weyl.ScaleExceeded`), so an
-oversized query fails before its LP is built, and `_check_shape` stays the
-LP's own guard on any generator set.
+(`PreparedCone`), so a query checks only its target.  The effective-cone
+truncation of degree k is the one of degree k - 1 without -K/2, then the
+orbit table's listing of degree k, then -K/2; each is validated whole when
+built.  The table refuses a degree over MAX_GENERATORS classes
+(`weyl.ScaleExceeded`) before anything is listed, so an oversized query fails
+before its LP is built; `_check_shape` is the LP's own guard on any set.
 
 `effective_membership` first tries a few fixed functionals (the shortcut),
 once per query, on the class's integer frame.  They are verified once, on
@@ -26,14 +26,14 @@ window's top degree with a frozen report built once per functional and
 degree (`_shortcut_report`), so a shortcut query enumerates no column and
 builds no Fraction.  Otherwise the window loop runs LPs only: an LP's
 functional, carried to the next degrees of the window, is checked on the new
-slices' shapes the same way, so the table is listed only up to the degree an
+slices' shapes the same way, so the orbit is listed only up to the degree an
 LP prices.  `_solve`'s own certificates are still checked column by column,
 and every column an LP reads is validated first.
 
-The caches built from the orbit table (`_orbit_blocks`, `_effective_cone`,
-`_verified_functionals`, `_shortcut_report`) hold references into it or
-counts read from it.  `cache_clear` empties the table and all four together,
-so none hands out the old table's columns or counts; no library path calls it.
+The caches built from the orbit table (`_effective_cone`,
+`_verified_functionals`, `_shortcut_report`) hold its listings or counts.
+`cache_clear` empties the table and all three together, so none hands out
+the old table's columns or counts; no library path calls it.
 
 `divisor_problem` reads each generator's (divisor or curve class's)
 integer frame (`scaled()`) and keeps the last integral generator *tuple* it
@@ -44,18 +44,14 @@ from being reused, and a tuple of frozen classes cannot change.  Lists can
 change between calls, and rational sets need row scaling, so both are built
 and scaled afresh for every query.
 
-Pricing packs each run of at least 1024 columns of a prepared cone, 1024 at
-a time, into one Python int per row with a 16-bit field per column, so one
-pass over a block is 9 big-int multiply-adds; a field's top bit says whether
-that column's price is positive.  It enters the same column as pricing one
-column at a time, so the pivots, coefficients and functionals do not change.
-A block whose prices could overflow a field, a shorter run, and unprepared
-columns are priced exactly by dot products instead.  An effective
-truncation's blocks are its degree slices' blocks: `_orbit_blocks` packs each
-slice once, at the first LP that needs it (about 0.7 MB to degree 13), and
-every truncation shares them.  Any other prepared cone packs its own.  The
-certificate checks never use the packed blocks: they re-sum and re-price with
-plain dot products.
+Each truncation packs its new orbit slice, if it has 1024 columns or more,
+1024 at a time into one Python int per row with a 16-bit field per column,
+and inherits the blocks below it (about 0.7 MB to degree 13).  One pass over
+a block is 9 big-int multiply-adds; a field's top bit says whether that
+column's price is positive, so it enters the column that pricing one column
+at a time enters.  A block a price could overflow, a shorter slice and every
+other cone (user tuples, the nef and curve generators) are priced by dot
+products, as are the certificate checks.
 """
 
 from __future__ import annotations
@@ -64,12 +60,13 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, compress, count, repeat
 from operator import gt, lt, mul
 
 from .lattice import HALF_ANTICANONICAL, CurveClass, DivisorClass
-from .weyl import _HALF_ANTICANONICAL_INTS, MAX_GENERATORS, ScaleExceeded, _orbit_vectors
+from .weyl import (_HALF_ANTICANONICAL_INTS, MAX_GENERATORS, ScaleExceeded, _orbit_table,
+                   exceptional_orbit)
 
 MAX_DIMENSION = 10
 # Bland's rule cannot cycle, and no LP of the acceptance suite takes more than
@@ -106,6 +103,8 @@ class PreparedCone(tuple):
     A ConeProblem on a PreparedCone checks only its target and skips scaling.
     """
 
+    blocks: tuple = ()  # packed pricing blocks (`_pack`): only the effective truncations have any
+
     def __new__(cls, generators):
         cone = super().__new__(cls, generators)
         _check_shape(len(cone[0]) if cone else 0, cone)
@@ -113,11 +112,6 @@ class PreparedCone(tuple):
             if type(value) is not int:
                 raise TypeError(f"integer generator entry required, got {value!r}")
         return cone
-
-    @cached_property
-    def blocks(self) -> list:
-        """The packed pricing blocks (see `_pack`), in column order."""
-        return _pack(self, 0, len(self))
 
 
 @dataclass(frozen=True)
@@ -300,11 +294,11 @@ def _cleared(vector) -> tuple[int, ...]:
 # bytes.  16-bit fields keep the blocks small; on every LP of the acceptance
 # suite and the benchmark, sum |price_i| stays below 128 and the largest entry
 # is 13, far inside the guard.
-# Only runs of at least one block are packed: the orbit slices of degree >= 6
-# and prepared cones of >= _BLOCK columns.  Shorter runs (the orbit slices of
-# degree <= 5, the nef and curve generators) keep `_dots`.  Packing them too
-# is faster still, but the benchmark harness keeps every request it serves, so
-# its peak RSS would then pass its bound (see CHANGES.md).
+# Only orbit slices of at least one block are packed: degree >= 6.  Shorter
+# slices (degree <= 5) and every other cone (the nef and curve generators,
+# user tuples) keep `_dots`.  Packing them too is faster still, but the
+# benchmark harness keeps every request it serves, so its peak RSS would then
+# pass its bound (see CHANGES.md).
 _BLOCK = 1024
 _BIAS = (1 << 15) - 1
 _GUARD = 1 << 14
@@ -314,7 +308,7 @@ _TOP_BIT = bytes(b >> 7 for b in range(256))
 def _entering(price, columns) -> int:
     """Bland's entering column: the first j with price . columns[j] > 0, or -1.
 
-    The packed blocks of a PreparedCone take 9 big-int multiply-adds each.
+    The packed blocks of an effective truncation take 9 big-int multiply-adds each.
     The columns between and after them, a block whose fields this price could
     overflow, and all other columns are priced by `_dots`, in column order.
     An all-zero price (the last pass of a feasible LP) makes no column
@@ -323,7 +317,7 @@ def _entering(price, columns) -> int:
     weight, start = sum(map(abs, price)), 0
     if not weight:
         return -1
-    for low, high, bound, bias, rows in columns.blocks if isinstance(columns, PreparedCone) else ():
+    for low, high, bound, bias, rows in getattr(columns, "blocks", ()):
         if weight * bound >= _GUARD:
             continue
         if start < low:
@@ -339,7 +333,7 @@ def _entering(price, columns) -> int:
     return start + hit if hit >= 0 else -1
 
 
-def _pack(columns, start: int, stop: int) -> list:
+def _pack(columns, start: int, stop: int) -> tuple:
     """Blocks (low, high, bound, bias, rows) of columns[start:stop], in order.
 
     A run of at least _BLOCK columns is cut into blocks of at most _BLOCK; a
@@ -357,14 +351,7 @@ def _pack(columns, start: int, stop: int) -> list:
             rows = tuple((int.from_bytes(struct.pack(fmt, *row), "little") ^ top) - top
                          for row in zip(*chunk))
             blocks.append((low, high, bound, _BIAS * ones, rows))
-    return blocks
-
-
-@lru_cache(maxsize=None)
-def _orbit_blocks(degree: int) -> list:
-    """The blocks of the orbit table's degree slice, shared by every truncation."""
-    start, stop = _orbit_vectors.prefix(degree - 1), _orbit_vectors.prefix(degree)
-    return _pack(_orbit_vectors.vectors, start, stop)
+    return tuple(blocks)
 
 
 # -- effective-cone membership with per-instance truncation ----------------------
@@ -388,16 +375,21 @@ class MembershipReport:
 
 def effective_generators(truncation_degree: int) -> tuple[DivisorClass, ...]:
     """Orbit classes up to the truncation degree plus the half-anticanonical class."""
-    return _orbit_vectors.classes(truncation_degree) + (HALF_ANTICANONICAL,)
+    return exceptional_orbit(truncation_degree) + (HALF_ANTICANONICAL,)
 
 
 @lru_cache(maxsize=None)
 def _effective_cone(truncation_degree: int) -> PreparedCone:
-    # One cone per degree, at most 16 under the table's cap, each validated
-    # whole when built.  Its orbit columns are references into the shared
-    # table, and its blocks are the table slices' shared blocks.
-    cone = PreparedCone(_orbit_vectors(truncation_degree) + (_HALF_ANTICANONICAL_INTS,))
-    cone.blocks = [*chain.from_iterable(map(_orbit_blocks, range(truncation_degree + 1)))]
+    # One cone per degree, at most 16 under the table's cap.  It shares the
+    # columns and blocks of the cone below; its slice is listed first, so a
+    # degree over the cap is refused before any cone below it is built.
+    new = _orbit_table.listing(truncation_degree)
+    columns, blocks = (), ()
+    if truncation_degree:
+        below = _effective_cone(truncation_degree - 1)
+        columns, blocks = below[:-1], below.blocks
+    cone = PreparedCone(columns + new + (_HALF_ANTICANONICAL_INTS,))
+    cone.blocks = blocks + _pack(cone, len(columns), len(cone) - 1)
     return cone
 
 
@@ -416,10 +408,10 @@ def _verified_functionals() -> tuple[tuple[int, ...], ...]:
     # holds under its cap, so on every truncation a query can reach: exactly,
     # by phi's least value on the shapes (`_OrbitTable.minimum`).  With degree
     # 0 itself over the cap, `minimum` raises ScaleExceeded, as any query would.
-    last = max(0, _orbit_vectors.last_degree())
+    last = max(0, _orbit_table.last_degree())
     return tuple(phi for phi in _CANDIDATE_FUNCTIONALS
                  if sum(map(mul, phi, _HALF_ANTICANONICAL_INTS)) >= 0
-                 and _orbit_vectors.minimum(phi, 0, last) >= 0)
+                 and _orbit_table.minimum(phi, 0, last) >= 0)
 
 
 @lru_cache(maxsize=None)
@@ -428,13 +420,12 @@ def _shortcut_report(phi: tuple[int, ...], truncation_degree: int) -> Membership
     # one.  The count raises ScaleExceeded for a degree over the table's cap.
     checked = tuple(range(truncation_degree - WINDOW, truncation_degree + 1))
     return MembershipReport(Infeasible(tuple(map(Fraction, phi))), truncation_degree, checked,
-                            _orbit_vectors.count(truncation_degree) + 1, False)
+                            _orbit_table.count(truncation_degree) + 1, False)
 
 
 def cache_clear() -> None:
-    """Empty the orbit table and the four oracle caches built from it."""
-    _orbit_vectors.cache_clear()
-    _orbit_blocks.cache_clear()
+    """Empty the orbit table and the three oracle caches built from it."""
+    _orbit_table.cache_clear()
     _effective_cone.cache_clear()
     _verified_functionals.cache_clear()
     _shortcut_report.cache_clear()
@@ -470,8 +461,8 @@ def effective_membership(divisor: DivisorClass) -> MembershipReport:
             return _shortcut_report(phi, top)
     outcome = carried_psi = None
     for degree in range(base, top + 1):
-        count = _orbit_vectors.count(degree) + 1
-        if carried_psi is not None and _orbit_vectors.minimum(carried_psi, degree, degree) >= 0:
+        count = _orbit_table.count(degree) + 1
+        if carried_psi is not None and _orbit_table.minimum(carried_psi, degree, degree) >= 0:
             continue
         outcome = cone_member(ConeProblem(divisor.vector(), _effective_cone(degree)))
         if isinstance(outcome, Feasible):

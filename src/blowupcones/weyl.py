@@ -33,7 +33,7 @@ algebras", 3rd ed., ch. 5-6: real roots of affine type.)
 
 So the (-1)-class test is the two equations on the integer vector, with no
 reduction; `minus_one_certificate` still reduces, for the word it returns.
-The orbit table lists each degree d as lattice points: in f = 2m - d
+The orbit table finds each degree d as lattice points: in f = 2m - d
 coordinates, f_i has the parity of d, sum f = -2 and |f|^2 = 4(d + 1).  Its
 own cap (ScaleExceeded past MAX_GENERATORS classes) bounds every reader of the
 orbit.
@@ -46,7 +46,9 @@ shapes, the lattice points with m ascending (46 of them up to degree 13, for
 value on a slice shape by shape: by the rearrangement inequality (Hardy,
 Littlewood and Polya, "Inequalities", 1934, section 10.2), the least value of
 phi_0 d + sum phi_i m_i over the permutations of m pairs phi_1..phi_8 sorted
-descending with m ascending.
+descending with m ascending.  The table keeps only the shapes and counts;
+`_OrbitTable.listing(d)` expands one degree's shapes into its sorted
+classes, afresh on each call.
 """
 
 from __future__ import annotations
@@ -317,36 +319,19 @@ def _arrangement_count(values: tuple[int, ...]) -> int:
 
 
 class _OrbitTable:
-    """The exceptional orbit up to a degree bound, sorted by coefficient vector.
+    """Each degree's orbit shapes and the cumulative class counts; no class.
 
-    The sort puts the degree first, so each truncation is a prefix of `vectors`
-    (and of the classes, each built once).  Enumeration reaches the largest
-    bound so far one degree at a time, each degree as the lattice points of
-    the lemma.  Each degree's shapes and the cumulative class counts are kept
-    apart from the vectors and need none of them: `count`, `shapes` and
-    `minimum` read only the shapes.  `count` raises ScaleExceeded at the first
+    `count`, `shapes` and `minimum` read only the shapes, and `listing`
+    expands one degree's.  `count` raises ScaleExceeded at the first
     truncation over MAX_GENERATORS classes, and every reader goes through it,
     so no reader of the orbit runs unbounded.
     """
 
     def __init__(self) -> None:
-        self.vectors: tuple[tuple[int, ...], ...] = ()
-        self.degree = -1
-        self._classes: list[DivisorClass] = []
         self._shapes: list[list[tuple[int, ...]]] = []  # per degree, ascending
         self._ends = [0]  # _ends[k + 1]: the classes of degree at most k
 
     cache_clear = __init__
-
-    def __call__(self, max_degree: int) -> tuple[tuple[int, ...], ...]:
-        count = self.prefix(max_degree)
-        return self.vectors[:count]
-
-    def classes(self, max_degree: int) -> tuple[DivisorClass, ...]:
-        count = self.prefix(max_degree)
-        new = self.vectors[len(self._classes) : count]
-        self._classes += (DivisorClass.from_scaled(v, 1) for v in new)
-        return tuple(self._classes[:count])
 
     def _grow(self) -> None:
         # The next degree's shapes, and its count as a sum of multinomials.
@@ -381,21 +366,11 @@ class _OrbitTable:
         self.count(degree)
         return self._shapes[degree]
 
-    def prefix(self, max_degree: int) -> int:
-        """The length of the truncation at the bound, enumerated up to it.
-
-        The bound goes through `count` first, so a truncation over the cap is
-        refused before anything is listed; `count` also grows the shapes up
-        to the bound.  Then one degree at a time: each shape's distinct
-        permutations, sorted, go after the table, whose degrees are all lower.
-        """
-        total = self.count(max_degree)
-        while self.degree < max_degree:
-            self.degree += 1
-            d, memo = self.degree, {}
-            added = [(d,) + p for m in self._shapes[d] for p in _arrangements(m, memo)]
-            self.vectors += tuple(sorted(added))
-        return total
+    def listing(self, degree: int) -> tuple[tuple[int, ...], ...]:
+        """The degree's orbit classes as sorted int vectors; refused past the cap by `shapes`."""
+        memo: dict = {}
+        return tuple(sorted((degree,) + p for m in self.shapes(degree)
+                            for p in _arrangements(m, memo)))
 
     def minimum(self, phi, low: int, high: int) -> int:
         """The least value of the functional phi on the orbit classes of degree low..high.
@@ -409,7 +384,7 @@ class _OrbitTable:
                    for d in range(low, high + 1) for shape in self.shapes(d))
 
 
-_orbit_vectors = _OrbitTable()
+_orbit_table = _OrbitTable()
 
 
 def exceptional_orbit(max_degree: int) -> tuple[DivisorClass, ...]:
@@ -420,12 +395,14 @@ def exceptional_orbit(max_degree: int) -> tuple[DivisorClass, ...]:
     """
     if not isinstance(max_degree, int) or max_degree < 0:
         raise ValueError(f"max_degree must be a non-negative integer, got {max_degree!r}")
-    return _orbit_vectors.classes(max_degree)
+    _orbit_table.count(max_degree)
+    return tuple(DivisorClass.from_scaled(v, 1)
+                 for d in range(max_degree + 1) for v in _orbit_table.listing(d))
 
 
 def orbit_degree_counts(max_degree: int) -> dict[int, int]:
     """Number of orbit classes of each exact degree up to the bound."""
-    ends = [_orbit_vectors.count(k) for k in range(-1, max_degree + 1)]
+    ends = [_orbit_table.count(k) for k in range(-1, max_degree + 1)]
     return {k: ends[k + 1] - ends[k] for k in range(max_degree + 1) if ends[k + 1] > ends[k]}
 
 

@@ -112,7 +112,7 @@ def _effective_sample(count=1000, seed=20250810):
 
 
 def test_criterion_04_effective_cone_agreement():
-    feasible = 0
+    feasible, generators_at = 0, {}  # each truncation's generators, built once
     for divisor in _effective_sample():
         try:
             cert = effective_decompose(divisor)
@@ -127,8 +127,10 @@ def test_criterion_04_effective_cone_agreement():
                 assert coefficient > 0
                 assert generator == HALF_ANTICANONICAL or is_minus_one_divisor(generator)
             total = [0] * 9
-            generators = effective_generators(report.truncation_degree)
-            for coefficient, generator in zip(report.outcome.coefficients, generators):
+            degree = report.truncation_degree
+            if degree not in generators_at:
+                generators_at[degree] = effective_generators(degree)
+            for coefficient, generator in zip(report.outcome.coefficients, generators_at[degree]):
                 if coefficient:  # nearly all of up to 37 481 coefficients are zero
                     vec = generator.vector()
                     for k in range(9):

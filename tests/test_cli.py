@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -315,6 +316,39 @@ class TestDecompose:
         code, out, err = run(capsys, "verify", str(cert_path))
         assert (code, out) == (2, "")
         assert err == "error: malformed certificate: Fraction(1, 0)\n"
+
+    def test_exponent_coefficient_is_malformed(self, capsys, tmp_path):
+        # Fraction("1e100000000") would build the power of ten; the entry is
+        # refused before that, as in a class.
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(
+            {"cone": "eff", "input": "0;-1,0,0,0,0,0,0,0", "word": [],
+             "terms": [{"gen": "0;-1,0,0,0,0,0,0,0", "coeff": "1e100000000"}]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", str(cert_path))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == ("error: malformed certificate: "
+                       "exponent notation is not accepted: '1e100000000'\n")
+
+    def test_exponent_class_is_an_input_error(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "classify", "1e100000000;0,0,0,0,0,0,0,0")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert "exponent notation is not accepted: '1e100000000'" in err
+
+    def test_nef_certificate_with_a_word_is_invalid(self, capsys, tmp_path):
+        # The nef cone is not W-invariant: (3;2,2,2,2,0^4) meets h-e_1-e_2 in
+        # -1, although s_0 carries it to H.
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(
+            {"cone": "nef", "input": "3;2,2,2,2,0,0,0,0", "word": [0],
+             "terms": [{"gen": "1;0,0,0,0,0,0,0,0", "coeff": "1"}]}))
+        code, out, _ = run(capsys, "verify", str(cert_path))
+        assert (code, out) == (0, "invalid certificate: nef certificates carry no Weyl word\n")
+        code, out, _ = run(capsys, "decompose", "--cone", "nef", "3;2,2,2,2,0,0,0,0")
+        assert "meets 1;-1,-1,0,0,0,0,0,0 in -1" in out
 
 
     def test_deeply_nested_json_is_malformed(self, capsys, tmp_path):

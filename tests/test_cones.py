@@ -615,6 +615,22 @@ class TestCertificateSerialization:
         with pytest.raises(CertificateError, match="curve certificates carry no Weyl word"):
             worded.check()
 
+    def test_nef_certificate_with_a_word_rejected(self):
+        # s_0 carries (3;2,2,2,2,0^4), which is not nef, to H; the nef cone is
+        # not W-invariant, so a nef certificate carries no word.
+        target = DivisorClass(3, (2, 2, 2, 2, 0, 0, 0, 0))
+        worded = Certificate("nef", target, (0,), ((H, Fraction(1)),))
+        assert worded.resummation() == worded.reduced_target()
+        for check in (Certificate.check, reference_check):
+            with pytest.raises(CertificateError, match="^nef certificates carry no Weyl word$"):
+                check(worded)
+        with pytest.raises(NotNef):
+            nef_decompose(target)
+        # eff and mov certificates may carry one.
+        Certificate("mov", target, (0,), ((H, Fraction(1)),)).check()
+        plane = DivisorClass(1, (1, 1, 1, 0, 0, 0, 0, 0))  # s_0 carries it to E_4
+        Certificate("eff", plane, (0,), ((EXCEPTIONALS[3], Fraction(1)),)).check()
+
     def test_curve_term_in_an_eff_certificate_rejected(self):
         # The curve has the ints of E_8, a generator of Eff, and so sums to the
         # target; only its type refuses it.
@@ -693,8 +709,10 @@ def reference_check(cert):
     """Certificate.check as it was: the terms re-summed as Fraction classes."""
     if cert.cone not in CONE_TAGS:
         raise CertificateError(f"unknown cone tag {cert.cone!r}")
-    if isinstance(cert.target, CurveClass) and cert.word:
-        raise CertificateError("curve certificates carry no Weyl word")
+    if cert.word and (isinstance(cert.target, CurveClass) or cert.cone not in ("eff", "mov")):
+        # W preserves the effective and movable cones only.
+        kind = "curve" if isinstance(cert.target, CurveClass) else cert.cone
+        raise CertificateError(f"{kind} certificates carry no Weyl word")
     for generator, coefficient in cert.terms:
         if coefficient < 0:
             raise CertificateError(f"negative coefficient {coefficient} on {generator}")

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import time
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -324,14 +325,21 @@ class TestTextForms:
             CurveClass.parse("1/2;0,0,0,0,0,0,0,0")
 
 
+def reference_entry(text):
+    """An entry through Fraction(), except exponent notation, which is refused."""
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent notation is not accepted: {text!r}")
+    return Fraction(text)
+
+
 def reference_parse_vector(text, width=8):
-    """The class parser as it was: every entry through Fraction()."""
+    """The class parser as it was: every entry through Fraction(), exponents refused."""
     head, sep, tail = text.strip().partition(";")
     if not sep:
         raise ValueError(f"missing ';' separator in class {text!r}")
     try:
-        lead = Fraction(head.strip())
-        rest = tuple(Fraction(part.strip()) for part in tail.split(","))
+        lead = reference_entry(head.strip())
+        rest = tuple(reference_entry(part.strip()) for part in tail.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse class {text!r}: {exc}") from None
     if len(rest) != width:
@@ -368,6 +376,16 @@ class TestIntegerLiterals:
             "cannot parse class '--5;0,0,0,0,0,0,0,0': Invalid literal for Fraction: '--5'")
         assert parsed(DivisorClass.parse, "1;1/0,0,0,0,0,0,0,0")[1] == (
             "cannot parse class '1;1/0,0,0,0,0,0,0,0': Fraction(1, 0)")
+        assert parsed(DivisorClass.parse, "1;0,1E3,0,0,0,0,0,0")[1] == (
+            "cannot parse class '1;0,1E3,0,0,0,0,0,0': exponent notation is not accepted: '1E3'")
+
+    @pytest.mark.parametrize("entry", ["1e10000000", "-2.5E100000000", "1/1e9", "1.5e0"])
+    def test_exponent_notation_refused_at_once(self, entry):
+        # Fraction() would build 10^exponent: seconds, and more, for a short text.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exponent notation is not accepted"):
+            DivisorClass.parse(f"{entry};0,0,0,0,0,0,0,0")
+        assert time.perf_counter() - start < 1
 
     @given(rational_divisors)
     def test_random_classes(self, d):

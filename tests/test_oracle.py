@@ -11,7 +11,7 @@ import pytest
 
 from blowupcones import oracle, weyl
 from blowupcones.oracle import PreparedCone
-from blowupcones.weyl import _HALF_ANTICANONICAL_INTS, _orbit_vectors
+from blowupcones.weyl import _HALF_ANTICANONICAL_INTS, _OrbitTable, _orbit_table
 from blowupcones import (
     EXCEPTIONAL_LINES,
     EXCEPTIONALS,
@@ -26,8 +26,10 @@ from blowupcones import (
     MembershipReport,
     NotEffective,
     NotInCurveCone,
+    NotMovable,
     NotNef,
     ScaleExceeded,
+    apply_word,
     cone_member,
     curve_decompose,
     curve_generators,
@@ -39,9 +41,13 @@ from blowupcones import (
     exceptional_orbit,
     is_nef,
     line_between,
+    movable_decompose,
     nef_decompose,
     nef_generators,
+    pi_generators,
 )
+
+from conftest import listed_to
 
 
 def generic_problem(target, generators):
@@ -348,6 +354,13 @@ def _reference_entering(price, columns):
     return -1
 
 
+def _packed(columns):
+    """A prepared cone with its columns packed as a truncation packs its new slice."""
+    cone = PreparedCone(columns)
+    cone.blocks = oracle._pack(cone, 0, len(cone))
+    return cone
+
+
 def _unpacked(block):
     """The columns a block was packed from, read back from its 16-bit fields."""
     start, stop, _, _, rows = block
@@ -390,8 +403,8 @@ class TestPackedPricing:
         for _ in range(60):
             bound = rng.choice((1, 3, 13, 100, 1000, 1 << 40))
             n = rng.choice((1, 7, 1024, 1500))
-            cone = PreparedCone(tuple(tuple(rng.randint(-bound, bound) for _ in range(9))
-                                      for _ in range(n)))
+            cone = _packed(tuple(tuple(rng.randint(-bound, bound) for _ in range(9))
+                                 for _ in range(n)))
             for _ in range(5):
                 price = [rng.randint(-300, 300) for _ in range(9)]
                 self._check(price, cone)
@@ -408,9 +421,9 @@ class TestPackedPricing:
             columns = list(zeros)
             columns[edge // 2] = negative
             columns[edge] = positive
-            assert self._check(price, PreparedCone(columns)) == edge
+            assert self._check(price, _packed(columns)) == edge
         # Exact zeros (and a negative) only: no column enters.
-        assert self._check(price, PreparedCone(zeros + [negative])) == -1
+        assert self._check(price, _packed(zeros + [negative])) == -1
 
     def test_smallest_positive_price(self):
         # price . a == 1 enters and price . a == 0 does not, on both sides of
@@ -418,15 +431,15 @@ class TestPackedPricing:
         price = [1] + [0] * 8
         for value in (1, oracle._GUARD - 1):
             columns = [(0,) * 9] * 1024 + [(value,) + (0,) * 8]
-            assert self._check(price, PreparedCone(columns)) == 1024
-            assert self._check([-1] + [0] * 8, PreparedCone(columns)) == -1
+            assert self._check(price, _packed(columns)) == 1024
+            assert self._check([-1] + [0] * 8, _packed(columns)) == -1
 
     def test_positive_only_at_half_anticanonical_column(self):
         # A functional separating -K/2 from the orbit, negated: every orbit
         # column prices <= 0 and the -K/2 column, past the blocks, prices > 0.
         cone = oracle._effective_cone(6)
         psi = oracle._cleared(cone_member(ConeProblem(HALF_ANTICANONICAL.vector(),
-                                                      PreparedCone(cone[:-1]))).functional)
+                                                      _packed(cone[:-1]))).functional)
         price = [-x for x in psi]
         assert self._check(price, cone) == len(cone) - 1
         assert self._check(psi, cone) >= 0
@@ -435,8 +448,8 @@ class TestPackedPricing:
         # Fields of these sums would overflow 16 bits; such blocks are priced
         # by `_dots`, with the same answer.
         rng = random.Random(3)
-        cone = PreparedCone(tuple(tuple(rng.randint(-13, 13) for _ in range(9))
-                                  for _ in range(2100)))
+        cone = _packed(tuple(tuple(rng.randint(-13, 13) for _ in range(9))
+                             for _ in range(2100)))
         for shift in (10, 13, 14, 15, 16, 62, 63, 64, 90):
             for _ in range(4):
                 price = [rng.randint(-(1 << shift), 1 << shift) for _ in range(9)]
@@ -446,7 +459,7 @@ class TestPackedPricing:
         price = [1 << 62, -(1 << 63), 3 << 61] + [0] * 6
         zeros = self._orthogonal(rng, price, 1500, bound=4)
         columns = zeros + [(1,) + (0,) * 8] + zeros
-        assert self._check(price, PreparedCone(columns)) == 1500
+        assert self._check(price, _packed(columns)) == 1500
 
     def test_block_edges_of_the_guard(self):
         # sum |price_i| * max |a| just under the guard is priced packed, at the
@@ -454,38 +467,42 @@ class TestPackedPricing:
         guard = oracle._GUARD
         columns = [(0,) * 9] * 1018 + [(-1,) + (0,) * 8] * 5 + [(1,) + (0,) * 8]
         for weight in (guard - 1, guard, guard + 1, 2 * guard, (1 << 62) + 1):
-            assert self._check([weight] + [0] * 8, PreparedCone(columns)) == 1023
-            assert self._check([-weight] + [0] * 8, PreparedCone(columns)) == 1018
+            assert self._check([weight] + [0] * 8, _packed(columns)) == 1023
+            assert self._check([-weight] + [0] * 8, _packed(columns)) == 1018
 
     def test_blocks_hold_their_columns(self):
         rng = random.Random(5)
-        cone = PreparedCone(tuple(tuple(rng.randint(-9, 9) for _ in range(9))
-                                  for _ in range(2500)))
+        cone = _packed(tuple(tuple(rng.randint(-9, 9) for _ in range(9)) for _ in range(2500)))
         blocks = cone.blocks
         assert [(b[0], b[1]) for b in blocks] == [(0, 1024), (1024, 2048), (2048, 2500)]
         for block in blocks:
             assert _unpacked(block) == cone[block[0] : block[1]]
-        assert cone.blocks is blocks  # packed once per cone
-        # A cone shorter than one block is priced by `_dots` alone.
-        assert PreparedCone(cone[:1023]).blocks == []
-        assert divisor_problem(H, nef_generators()).generators.blocks == []
+        # A run shorter than one block is priced by `_dots` alone, and so is
+        # every cone but the effective truncations, however long.
+        assert oracle._pack(cone, 0, 1023) == ()
+        assert PreparedCone(cone).blocks == ()
+        assert divisor_problem(H, nef_generators()).generators.blocks == ()
 
     def test_effective_truncation_uses_table_slices(self):
         # Slices of degree 6 and 7 are packed; degrees 0-5 (2192 columns, no
         # slice of 1024) and -K/2 are left to `_dots`.
         cone = oracle._effective_cone(7)
         blocks = cone.blocks
-        ends = [_orbit_vectors.prefix(k) for k in range(5, 8)]
+        ends = [_orbit_table.count(k) for k in range(5, 8)]
         assert [b[0] for b in blocks if b[0] in ends] == ends[:-1] == [2192, 3592]
         assert blocks[-1][1] == ends[-1] == len(cone) - 1
         for block in blocks:
             assert block[1] - block[0] <= oracle._BLOCK
             assert _unpacked(block) == cone[block[0] : block[1]]
         assert sum(b[1] - b[0] for b in blocks) == ends[-1] - ends[0]
-        # Every truncation holds the slices' own blocks, packed once.
-        shared = oracle._orbit_blocks(6) + oracle._orbit_blocks(7)
-        assert all(map(operator.is_, blocks, shared)) and len(blocks) == len(shared)
-        assert all(map(operator.is_, oracle._effective_cone(8).blocks, shared))
+        assert oracle._effective_cone(5).blocks == ()
+        # Each truncation holds the columns and blocks of the one below and
+        # packs only its new slice.
+        below = oracle._effective_cone(6)
+        assert all(map(operator.is_, cone, below[:-1]))
+        assert blocks[: len(below.blocks)] == below.blocks and len(blocks) > len(below.blocks)
+        assert all(map(operator.is_, blocks, below.blocks))
+        assert all(map(operator.is_, oracle._effective_cone(8).blocks, blocks))
 
     def test_zero_price_reads_no_column(self):
         class Sealed(PreparedCone):
@@ -495,7 +512,7 @@ class TestPackedPricing:
             @property
             def blocks(self):
                 assert not self.sealed
-                return super().blocks
+                return self.packed
 
             def __getitem__(self, key):
                 assert not self.sealed
@@ -508,6 +525,7 @@ class TestPackedPricing:
         rng = random.Random(3)
         columns = tuple(tuple(rng.randint(-9, 9) for _ in range(9)) for _ in range(2500))
         cone = Sealed(columns)
+        cone.packed = oracle._pack(cone, 0, len(cone))
         assert cone.blocks  # packed, so a non-zero price would read them
         cone.sealed = True
         for zero in ([0] * 9, (0,) * 9):
@@ -566,10 +584,10 @@ class TestTruncationPricing:
         # slices down, and (4; -1^8) carries the constant.
         lex, big = [0] + [32 ** (7 - i) for i in range(8)], 32 ** 9
         for degree in range(14):
-            start, stop = _orbit_vectors.prefix(degree - 1), _orbit_vectors.prefix(degree)
+            start, stop = _orbit_table.count(degree - 1), _orbit_table.count(degree)
             for j, sign in ((start, -1), (stop - 1, 1)):
                 weights = [sign * w for w in lex]
-                value = sum(map(operator.mul, weights, _orbit_vectors.vectors[j]))
+                value = sum(map(operator.mul, weights, oracle._effective_cone(13)[j]))
                 price = _shifted([w + big * (i == 0) for i, w in enumerate(weights)],
                                  value - 1 + big * degree)
                 assert self._check(price, degree) == j
@@ -614,8 +632,7 @@ class TestPricingCaches:
         packed = []
         pack = oracle._pack
         monkeypatch.setattr(oracle, "_pack", lambda *args: packed.append(args) or pack(*args))
-        before = (oracle._orbit_blocks.cache_info(), oracle._memo,
-                  oracle._effective_cone.cache_info())
+        before = (oracle._memo, oracle._effective_cone.cache_info())
         generators = nef_generators()
         rng = random.Random(8)
         kinds = set()
@@ -624,8 +641,7 @@ class TestPricingCaches:
             kinds.add(type(cone_member(generic_problem(divisor, generators))))
         assert kinds == {Feasible, Infeasible}
         assert not packed
-        after = (oracle._orbit_blocks.cache_info(), oracle._memo,
-                 oracle._effective_cone.cache_info())
+        after = (oracle._memo, oracle._effective_cone.cache_info())
         assert after == before
 
     def test_same_reports_after_table_cache_clear(self, fresh_oracle_caches):
@@ -633,18 +649,20 @@ class TestPricingCaches:
         divisors = [DivisorClass(rng.randint(5, 8), tuple(rng.randint(-8, 8) for _ in range(8)))
                     for _ in range(12)] + [HALF_ANTICANONICAL]
         before = [repr(effective_membership(divisor)) for divisor in divisors]
-        packed = oracle._orbit_blocks.cache_info().currsize
-        assert packed
+        built = oracle._effective_cone.cache_info().currsize
+        assert built
         oracle.cache_clear()
         assert [repr(effective_membership(divisor)) for divisor in divisors] == before
-        assert oracle._orbit_blocks.cache_info().currsize == packed
+        assert oracle._effective_cone.cache_info().currsize == built
 
     def test_cache_clear_drops_every_column_of_the_old_table(self, fresh_oracle_caches):
-        for degree in range(3, 14):
-            oracle._effective_cone(degree)
+        old = oracle._effective_cone(13)
         oracle.cache_clear()
-        _orbit_vectors.prefix(13)
-        assert oracle._effective_cone(13)[0] is _orbit_vectors.vectors[0]
+        new = oracle._effective_cone(13)
+        assert new == old and new[-1] is old[-1] is _HALF_ANTICANONICAL_INTS
+        assert not any(map(operator.is_, new[:-1], old[:-1]))
+        assert len(new.blocks) == len(old.blocks)
+        assert not any(map(operator.is_, new.blocks, old.blocks))
 
     def test_cache_clear_empties_the_shortcut_reports(self, fresh_oracle_caches):
         divisor = DivisorClass(5, (6,) + (0,) * 7)
@@ -656,22 +674,21 @@ class TestPricingCaches:
         assert again == report and again is not report
 
     def test_memo_alternation_prices_current_blocks(self, monkeypatch):
-        # Every block priced is the packing of the cone being priced.
+        # A user tuple's cone is priced by `_dots` alone, however long: no
+        # cone the memo prepares has blocks.
         monkeypatch.setattr(oracle, "_memo", ((), None))
         priced = []
         entering = oracle._entering
 
         def checked(price, columns):
-            # Each cone's blocks are read back the first time it is priced.
             if isinstance(columns, PreparedCone) and all(c is not columns for c in priced):
-                for block in columns.blocks:
-                    assert _unpacked(block) == columns[block[0] : block[1]]
+                assert columns.blocks == ()
                 priced.append(columns)
             return entering(price, columns)
 
-        # The nef cone has no blocks; the two orbit tuples own theirs.
-        pair = (nef_generators(), exceptional_orbit(4) + (HALF_ANTICANONICAL,),
-                nef_generators(), exceptional_orbit(5) + (HALF_ANTICANONICAL,))
+        # The nef cone, and two orbit tuples of 569 and 1185 columns.
+        pair = (nef_generators(), exceptional_orbit(3) + (HALF_ANTICANONICAL,),
+                nef_generators(), exceptional_orbit(4) + (HALF_ANTICANONICAL,))
         monkeypatch.setattr(oracle, "_entering", oracle._first_positive)
         expected = [repr(cone_member(divisor_problem(target, generators)))
                     for generators in pair for target in TestPreparedMemo.TARGETS]
@@ -853,6 +870,77 @@ class TestAgreementWithDecomposers:
         outcome = cone_member(divisor_problem(curve, curve_generators()))
         assert isinstance(outcome, Feasible)
 
+    def test_effective_agreement_sweep(self):
+        # A seeded sweep of 400 classes with d in 9..13 and m_i in -2..d, 30%
+        # of them halved: windows up to degree 15, the last under the cap.
+        # Each "yes" of effective_decompose round-trips through JSON and
+        # re-checks.  A class the LP refuses by the cap is "unknown", never
+        # agreement; every other verdict must match the LP's.
+        rng = random.Random(23)
+        classes = []
+        for _ in range(400):
+            d = rng.randint(9, 13)
+            divisor = DivisorClass(d, tuple(rng.randint(-2, d) for _ in range(8)))
+            classes.append(Fraction(1, 2) * divisor if rng.random() < 0.3 else divisor)
+        agree = unknown = yes = 0
+        for divisor in classes:
+            try:
+                cert = effective_decompose(divisor)
+            except NotEffective:
+                member = False
+            else:
+                Certificate.from_json(cert.to_json()).check()
+                member = True
+            yes += member
+            try:
+                report = effective_membership(divisor)
+            except ScaleExceeded:
+                unknown += 1
+                continue
+            assert isinstance(report.outcome, Feasible) == member, divisor
+            agree += 1
+        print(f"eff sweep: {agree} agree ({yes} yes in all), 0 disagree, {unknown} unknown")
+        assert agree >= len(classes) // 2 and yes >= len(classes) // 4
+
+    def test_movable_agreement_sweep(self):
+        # A seeded sweep of 2000 classes.  Half are combinations of the 17
+        # movable generators moved by a random word, a third of those nudged
+        # one unit; half are drawn with negative entries, a third of them
+        # divided by 2 or 3.  movable_decompose must agree with the LP over
+        # the 17 generators on the reduced class, as criterion 6 compares;
+        # each "yes" round-trips through JSON and re-checks.
+        rng = random.Random(29)
+        generators = pi_generators()
+        classes = []
+        for k in range(1000):
+            ints = [0] * 9
+            for generator in rng.sample(generators, rng.randint(1, 4)):
+                c = rng.randint(1, 3)
+                ints = [x + c * y for x, y in zip(ints, generator.scaled()[0])]
+            if k % 3 == 0:
+                ints[rng.randrange(9)] += rng.choice((-1, 1))
+            word = [rng.randrange(8) for _ in range(rng.randint(0, 8))]
+            classes.append(apply_word(word, DivisorClass(ints[0], tuple(ints[1:]))))
+        for k in range(1000):
+            d = rng.randint(0, 8)
+            divisor = DivisorClass(d, tuple(rng.randint(-2, d) for _ in range(8)))
+            classes.append(Fraction(1, rng.choice((2, 3))) * divisor if k % 3 == 0 else divisor)
+        yes = 0
+        for divisor in classes:
+            try:
+                cert = movable_decompose(divisor)
+            except NotMovable as failure:
+                reduced, member = failure.reduced, False
+            else:
+                Certificate.from_json(cert.to_json()).check()
+                reduced, member = cert.reduced_target(), True
+            outcome = cone_member(divisor_problem(reduced, generators))
+            assert isinstance(outcome, Feasible) == member, divisor
+            yes += member
+        no = len(classes) - yes
+        print(f"mov sweep: {yes} yes, {no} no")
+        assert min(yes, no) >= len(classes) // 4
+
     def test_effective_agreement_sample(self):
         rng = random.Random(11)
         for _ in range(50):
@@ -911,7 +999,7 @@ class TestEffectiveMembership:
         # Criterion-4 sampler: every LP answer from the shared prepared cone
         # equals a fresh generic LP over the same generator list.
         rng = random.Random(20250810)
-        feasible = 0
+        feasible, generators_at = 0, {}  # each truncation's generators, built once
         for _ in range(60):
             divisor = DivisorClass(
                 rng.randint(0, 8), tuple(rng.randint(-8, 8) for _ in range(8))
@@ -919,7 +1007,10 @@ class TestEffectiveMembership:
             report = effective_membership(divisor)
             if isinstance(report.outcome, Feasible):
                 feasible += 1
-                generators = effective_generators(report.truncation_degree)
+                degree = report.truncation_degree
+                if degree not in generators_at:
+                    generators_at[degree] = effective_generators(degree)
+                generators = generators_at[degree]
                 assert report.outcome == cone_member(generic_problem(divisor, generators))
         assert feasible >= 10
 
@@ -971,7 +1062,7 @@ class TestEffectiveMembership:
 def _per_column_filter(candidates, truncation_degree):
     # Pure in its arguments (the table is deterministic), so each degree's
     # brute force runs once per session.
-    columns = _orbit_vectors(truncation_degree) + (_HALF_ANTICANONICAL_INTS,)
+    columns = listed_to(_OrbitTable(), truncation_degree) + (_HALF_ANTICANONICAL_INTS,)
     return tuple(
         phi for phi in candidates
         if all(sum(p * x for p, x in zip(phi, v)) >= 0 for v in columns)
@@ -989,19 +1080,21 @@ def fresh_oracle_caches():
 def _cap_at(monkeypatch, degree):
     # The table's cap at the class count to the degree, so that degree is the
     # last one under it; the oracle's caches are emptied for the new cap.
-    monkeypatch.setattr(weyl, "MAX_GENERATORS", _orbit_vectors.count(degree))
+    monkeypatch.setattr(weyl, "MAX_GENERATORS", _orbit_table.count(degree))
     oracle.cache_clear()
 
 
 class TestVerifiedFunctionals:
     """The candidates are verified once, on the shapes up to the last degree under the cap."""
 
-    def test_candidates_match_per_column_filter(self, monkeypatch, fresh_oracle_caches):
+    def test_candidates_match_per_column_filter(self, monkeypatch, fresh_oracle_caches,
+                                                listings):
         expected = _per_column_filter(oracle._CANDIDATE_FUNCTIONALS, 13)
         _cap_at(monkeypatch, 13)
+        listings.clear()
         assert oracle._verified_functionals() == expected
         assert len(expected) == 10
-        assert _orbit_vectors.degree == -1  # read from the shapes alone
+        assert listings == []  # read from the shapes alone
 
     def test_failing_candidates_dropped_at_their_degree(self, monkeypatch, fresh_oracle_caches):
         # a(4d - sum m) + m_1 - m_2 = a + m_1 - m_2 on the orbit: it first fails
@@ -1035,41 +1128,45 @@ class TestEffectiveConeValidation:
     """Each truncation's cone is built once and validates all of its columns then."""
 
     @staticmethod
-    def _poison(degree, value, low=0):
-        # Build the table without the oracle, then corrupt one column of
-        # degree above `low`.
-        count = _orbit_vectors.prefix(degree)
-        start = _orbit_vectors.prefix(low)
-        vectors = list(_orbit_vectors.vectors)
-        j = (start + count) // 2
-        vectors[j] = (value,) + vectors[j][1:]
-        _orbit_vectors.vectors = tuple(vectors)
+    def _poison(monkeypatch, degree, column):
+        # The table's listing of the degree, with its middle column replaced
+        # by column(that column).
+        listing = _OrbitTable.listing
+
+        def poisoned(table, d):
+            listed = listing(table, d)
+            if d != degree:
+                return listed
+            j = len(listed) // 2
+            return listed[:j] + (column(listed[j]),) + listed[j + 1 :]
+
+        monkeypatch.setattr(_OrbitTable, "listing", poisoned)
 
     @pytest.mark.parametrize("value", [True, 1.0])
-    def test_bad_entry_rejected(self, fresh_oracle_caches, value):
-        self._poison(4, value)
+    def test_bad_entry_rejected(self, monkeypatch, fresh_oracle_caches, value):
+        self._poison(monkeypatch, 4, lambda v: (value,) + v[1:])
         with pytest.raises(TypeError):
             oracle._effective_cone(4)
 
     @pytest.mark.parametrize("value", [True, 1.0])
-    def test_bad_entry_rejected_after_cache_clear(self, fresh_oracle_caches, value):
+    def test_bad_entry_rejected_after_cache_clear(self, monkeypatch, fresh_oracle_caches, value):
         oracle._effective_cone(4)
         oracle.cache_clear()
-        self._poison(4, value)
+        self._poison(monkeypatch, 4, lambda v: (value,) + v[1:])
         with pytest.raises(TypeError):
             oracle._effective_cone(4)
 
     @pytest.mark.parametrize("value", [True, 1.0])
-    def test_bad_entry_in_new_slice_rejected(self, fresh_oracle_caches, value):
+    def test_bad_entry_in_new_slice_rejected(self, monkeypatch, fresh_oracle_caches, value):
+        # Degree 4 is built on the way to 5 and its bad column is refused there.
         oracle._effective_cone(3)
-        self._poison(5, value, low=3)
+        self._poison(monkeypatch, 4, lambda v: (value,) + v[1:])
         with pytest.raises(TypeError):
             oracle._effective_cone(5)
 
-    def test_bad_dimension_rejected(self, fresh_oracle_caches):
+    def test_bad_dimension_rejected(self, monkeypatch, fresh_oracle_caches):
         oracle._effective_cone(2)
-        count = _orbit_vectors.prefix(3)
-        _orbit_vectors.vectors = _orbit_vectors.vectors[: count - 1] + ((3, 1),)
+        self._poison(monkeypatch, 3, lambda v: (3, 1))
         with pytest.raises(ValueError):
             oracle._effective_cone(3)
 
@@ -1089,16 +1186,17 @@ class TestEffectiveConeValidation:
         for degree in (3, 6, 5, 13, 6, 3, 13):
             cone = cones.setdefault(degree, oracle._effective_cone(degree))
             assert oracle._effective_cone(degree) is cone
-            assert cone[:-1] == _orbit_vectors(degree)
+            assert cone[:-1] == listed_to(_orbit_table, degree)
             assert cone[-1] == _HALF_ANTICANONICAL_INTS
-        # One cone per degree, each validated whole, once, when it was built.
-        assert validated == [_orbit_vectors.count(k) + 1 for k in (3, 6, 5, 13)]
-        assert oracle._effective_cone.cache_info().misses == 4
+        # One cone per degree, each validated whole, once, when it was built;
+        # a cone builds the cones below it first, lowest degree first.
+        assert validated == [_orbit_table.count(k) + 1 for k in range(14)]
+        assert oracle._effective_cone.cache_info().misses == 14
 
     def test_each_lp_degree_built_once(self, monkeypatch, fresh_oracle_caches):
-        # Criterion-4 sampler: the LP degrees alternate, yet each one's cone
-        # is built once; cones built beforehand, highest degree first, give
-        # the same reports.
+        # Criterion-4 sampler: the LP degrees alternate, yet each cone of the
+        # chain, to the highest LP degree, is built once; cones built
+        # beforehand, highest degree first, give the same reports.
         rng = random.Random(20250810)
         divisors = [DivisorClass(rng.randint(0, 8), tuple(rng.randint(-8, 8) for _ in range(8)))
                     for _ in range(200)]
@@ -1111,24 +1209,24 @@ class TestEffectiveConeValidation:
 
         monkeypatch.setattr(oracle, "cone_member", counted)
         reports = [effective_membership(divisor) for divisor in divisors]
-        built = oracle._effective_cone.cache_info().misses
-        assert built == len(set(sizes)) >= 4
-        assert len(sizes) > 5 * built
+        top = max(k for k in range(14) if _orbit_table.count(k) + 1 in sizes)
+        assert oracle._effective_cone.cache_info().misses == top + 1
+        assert len(set(sizes)) >= 4
+        assert len(sizes) > 5 * len(set(sizes))
         oracle._effective_cone.cache_clear()
-        oracle._orbit_blocks.cache_clear()
         for degree in range(13, 2, -1):
             oracle._effective_cone(degree)
         assert [effective_membership(divisor) for divisor in divisors] == reports
-        assert oracle._effective_cone.cache_info().misses == 11
+        assert oracle._effective_cone.cache_info().misses == 14
 
 
 class TestLazyTable:
     """Shortcut queries read only the table's shapes; columns are listed for an LP."""
 
-    def test_shortcut_query_lists_no_column(self, fresh_oracle_caches):
+    def test_shortcut_query_lists_no_column(self, fresh_oracle_caches, listings):
         divisor = DivisorClass(5, (6,) + (0,) * 7)  # d - m_1 < 0 at every degree
         report = effective_membership(divisor)
-        assert _orbit_vectors.degree == -1
+        assert listings == []
         assert report.outcome == Infeasible((1, -1) + (0,) * 7)
         assert report.checked_degrees == (8, 9, 10)
         # The same report once the whole table is listed and validated.
@@ -1136,14 +1234,15 @@ class TestLazyTable:
         oracle._verified_functionals.cache_clear()
         assert effective_membership(divisor) == report
 
-    def test_first_lp_lists_its_truncation(self, fresh_oracle_caches):
+    def test_first_lp_lists_its_truncation(self, fresh_oracle_caches, listings):
         report = effective_membership(DivisorClass(2, (1, 1, 1, 1, 1, 1, 1, 0)))
         assert isinstance(report.outcome, Feasible)
-        assert _orbit_vectors.degree == 5
-        assert oracle._effective_cone.cache_info().currsize == 1
+        # Each degree's slice is listed before the cone below it is built.
+        assert listings == [5, 4, 3, 2, 1, 0]
+        assert oracle._effective_cone.cache_info().currsize == 6
         assert len(oracle._effective_cone(5)) == report.generator_count
 
-    def test_carried_check_lists_no_column(self, monkeypatch, fresh_oracle_caches):
+    def test_carried_check_lists_no_column(self, monkeypatch, fresh_oracle_caches, listings):
         # One LP at degree 4; its functional is carried to degrees 5 and 6 on
         # the shapes, so the table stays listed to the LP's degree only.
         divisor = DivisorClass(1, (1, 1, 1, 1, 0, 0, 0, 0))
@@ -1156,8 +1255,8 @@ class TestLazyTable:
         monkeypatch.setattr(oracle, "cone_member", counted)
         report = effective_membership(divisor)
         assert report.checked_degrees == (4, 5, 6)
-        assert lps == [_orbit_vectors.count(4) + 1]
-        assert _orbit_vectors.degree == 4
+        assert lps == [_orbit_table.count(4) + 1]
+        assert sorted(listings) == list(range(5))
         # The same report once the whole table is listed and validated.
         oracle._effective_cone(13)
         assert effective_membership(divisor) == report
@@ -1167,7 +1266,7 @@ class TestLazyTable:
         # with phi, which holds on the orbit to degree 11 and first fails at
         # 12: so the carried check fails there and a fresh LP runs at 12.
         phi = (16, -3, -5) + (-4,) * 6
-        assert _orbit_vectors.minimum(phi, 0, 11) >= 0 > _orbit_vectors.minimum(phi, 12, 12)
+        assert _orbit_table.minimum(phi, 0, 11) >= 0 > _orbit_table.minimum(phi, 12, 12)
         divisor = DivisorClass(8, (4, 3, -7, 5, 6, 1, -5, 7))
         lps = []
 
@@ -1179,7 +1278,7 @@ class TestLazyTable:
 
         monkeypatch.setattr(oracle, "cone_member", first_answer_phi)
         report = effective_membership(divisor)
-        assert lps == [_orbit_vectors.count(11) + 1, _orbit_vectors.count(12) + 1]
+        assert lps == [_orbit_table.count(11) + 1, _orbit_table.count(12) + 1]
         assert report.checked_degrees == (11, 12, 13)
         assert report.outcome.functional != tuple(map(Fraction, phi))
         problem = divisor_problem(divisor, effective_generators(report.truncation_degree))
@@ -1224,14 +1323,14 @@ def _reference_membership(divisor):
     base = max(0, math.ceil(divisor.d)) + oracle.EXTRA_DEGREE
     checked, outcome, carried, carried_degree = [], None, None, -1
     for degree in range(base, base + oracle.WINDOW + 1):
-        count = _orbit_vectors.count(degree) + 1
+        count = _orbit_table.count(degree) + 1
         checked.append(degree)
         shortcut = _reference_shortcut(cleared, degree)
         if shortcut is not None:
             outcome = shortcut
             continue
         if carried is not None:
-            if _orbit_vectors.minimum(carried_psi, carried_degree + 1, degree) >= 0:
+            if _orbit_table.minimum(carried_psi, carried_degree + 1, degree) >= 0:
                 carried_degree, outcome = degree, Infeasible(carried)
                 continue
             carried = None
@@ -1287,33 +1386,35 @@ class TestOneDegreeShortcut:
         monkeypatch.setattr(oracle, "cone_member", no_lp)
         report = effective_membership(divisor)
         assert report == MembershipReport(Infeasible((1, -1) + (0,) * 7), 10, (8, 9, 10),
-                                          _orbit_vectors.count(10) + 1, False)
+                                          _orbit_table.count(10) + 1, False)
         assert divisor._d is None and divisor._m is None
 
 
 class TestMembershipScale:
     """A truncation over the table's cap is refused before the table grows past it."""
 
-    def test_degree_hundred_refused_early(self, fresh_oracle_caches):
+    def test_degree_hundred_refused_early(self, fresh_oracle_caches, listings):
         with pytest.raises(ScaleExceeded):
             effective_membership(DivisorClass(100, (0,) * 8))
-        assert _orbit_vectors.degree <= 16
+        assert listings == []
+        assert len(_orbit_table._shapes) <= 17
 
-    def test_refused_at_the_first_degree_over_the_cap(self, monkeypatch, fresh_oracle_caches):
-        counts = [_orbit_vectors.prefix(k) for k in range(8)]
+    def test_refused_at_the_first_degree_over_the_cap(self, monkeypatch, fresh_oracle_caches,
+                                                      listings):
+        counts = [_orbit_table.count(k) for k in range(8)]
         oracle.cache_clear()
         monkeypatch.setattr(weyl, "MAX_GENERATORS", counts[5])
         message = f"^the orbit to degree 6 has {counts[6]} classes, more than MAX_GENERATORS = "
         message += f"{counts[5]}$"
         with pytest.raises(ScaleExceeded, match=message):
             effective_membership(DivisorClass(10, (0,) * 8))
-        assert _orbit_vectors.degree == -1  # counted from the shapes, nothing enumerated
+        assert listings == []  # counted from the shapes, nothing enumerated
         # A window that fits is answered in full: degrees 3, 4 and 5, plus -K/2.
         report = effective_membership(-EXCEPTIONALS[0])
         assert report.checked_degrees == (3, 4, 5)
         assert report.generator_count == counts[5] + 1
 
-    def test_shortcut_over_the_cap_runs_no_lp(self, monkeypatch, fresh_oracle_caches):
+    def test_shortcut_over_the_cap_runs_no_lp(self, monkeypatch, fresh_oracle_caches, listings):
         # Window 14..16, separated by d - m_1: refused at degree 16, the first
         # over the cap, with no LP at degree 14 or 15 and nothing listed.
         def no_lp(problem):
@@ -1322,13 +1423,13 @@ class TestMembershipScale:
         monkeypatch.setattr(oracle, "cone_member", no_lp)
         with pytest.raises(ScaleExceeded, match="^the orbit to degree 16 has 72760 classes, "):
             effective_membership(DivisorClass(11, (12,) + (0,) * 7))
-        assert _orbit_vectors.degree == -1
+        assert listings == []
 
     def test_cap_under_the_window_top(self, monkeypatch, fresh_oracle_caches):
         # Base degree 5, top degree 7, cap at degree 5: a shortcut class is
         # refused at degree 6, the first over the cap, as the loop refuses it;
         # a class Feasible at its base degree is still answered there.
-        counts = [_orbit_vectors.prefix(k) for k in range(8)]
+        counts = [_orbit_table.count(k) for k in range(8)]
         oracle.cache_clear()
         monkeypatch.setattr(weyl, "MAX_GENERATORS", counts[5])
         message = f"^the orbit to degree 6 has {counts[6]} classes, more than MAX_GENERATORS = "

@@ -45,11 +45,11 @@ from blowupcones.weyl import (
     _lattice_shapes,
     _merge_runs,
     _OrbitTable,
-    _orbit_vectors,
+    _orbit_table,
     _sort_descending,
 )
 
-from conftest import generator_letters, int_divisors, rational_divisors, words
+from conftest import generator_letters, int_divisors, listed_to, rational_divisors, words
 
 MINUS_H = DivisorClass(-1, (0,) * 8)
 SCRATCH = DivisorClass(5, (3, 1, 4, 1, 5, 0, 2, 6))
@@ -286,25 +286,27 @@ class TestOrbitTable:
         growing = _OrbitTable()
         for bound in range(10):
             reference = breadth_first_orbit(bound)
-            assert _OrbitTable()(bound) == reference
-            assert growing(bound) == reference
+            assert listed_to(_OrbitTable(), bound) == reference
+            assert listed_to(growing, bound) == reference
 
     def test_bound_order_does_not_matter(self):
+        # A degree's listing and the counts are the same whatever the table
+        # counted or listed before.
         direct, stepped = _OrbitTable(), _OrbitTable()
-        direct.prefix(13)
+        direct.count(13)
         for bound in (5, 9, 13, 7):
-            stepped.prefix(bound)
-        assert stepped.vectors == direct.vectors
+            stepped.listing(bound)
         for bound in range(-1, 15):
-            assert stepped.prefix(bound) == direct.prefix(bound)
-        assert stepped.classes(7) == direct.classes(7)
+            assert stepped.count(bound) == direct.count(bound)
+        for degree in range(14):
+            assert stepped.listing(degree) == direct.listing(degree)
 
     def test_cache_clear_starts_over(self):
         table = _OrbitTable()
-        table.prefix(6)
+        table.listing(6)
         table.cache_clear()
-        assert (table.vectors, table.degree, table._shapes) == ((), -1, [])
-        assert table(4) == breadth_first_orbit(4)
+        assert (table._shapes, table._ends) == ([], [0])
+        assert listed_to(table, 4) == breadth_first_orbit(4)
 
     def test_degree_counts_to_thirteen(self):
         counts = orbit_degree_counts(13)
@@ -312,11 +314,12 @@ class TestOrbitTable:
         assert sum(counts.values()) == 37480
 
     def test_grown_degree_by_degree(self):
+        # Listing a degree grows the shapes to that degree and no further.
         table = _OrbitTable()
         for degree in range(9):
-            table.prefix(degree)
-            assert table.degree == degree
-        assert table.vectors == breadth_first_orbit(8)
+            table.listing(degree)
+            assert len(table._shapes) == degree + 1
+        assert listed_to(table, 8) == breadth_first_orbit(8)
 
 
 ORBIT_GOLDEN = json.loads(
@@ -357,9 +360,9 @@ class TestLemma:
             assert sorted(_lattice_shapes(d)) == brute, d
 
     def test_orbit_to_degree_fifteen(self):
-        table = _OrbitTable()
-        assert table(15) == breadth_first_orbit(15)
-        counts = Counter(v[0] for v in table(15))
+        orbit = listed_to(_OrbitTable(), 15)
+        assert orbit == breadth_first_orbit(15)
+        counts = Counter(v[0] for v in orbit)
         assert sorted(counts) == list(range(16)) and sum(counts.values()) == 59096
         assert counts[15] == 11200
         # The `orbit --max-degree 13` CSV, as recorded in the golden corpus.
@@ -367,7 +370,8 @@ class TestLemma:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["class", "degree"])
-        writer.writerows([f"{v[0]};{','.join(map(str, v[1:]))}", v[0]] for v in table(13))
+        writer.writerows([f"{v[0]};{','.join(map(str, v[1:]))}", v[0]]
+                         for v in orbit if v[0] <= 13)
         text = buffer.getvalue()
         assert text.count("\n") == golden["lines"]
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == golden["sha256"]
@@ -377,7 +381,7 @@ class TestLemma:
 def fresh_table():
     """Empty the shared orbit table (and the oracle's caches) before and after a test."""
     oracle.cache_clear()
-    yield _orbit_vectors
+    yield _orbit_table
     oracle.cache_clear()
 
 
@@ -385,39 +389,41 @@ class TestOrbitCap:
     """The table's own cap, MAX_GENERATORS classes, bounds every reader of the orbit."""
 
     @pytest.mark.parametrize("read", [exceptional_orbit, orbit_degree_counts, accumulation_report])
-    def test_every_reader_refused_at_degree_sixteen(self, fresh_table, read):
+    def test_every_reader_refused_at_degree_sixteen(self, fresh_table, listings, read):
         with pytest.raises(ScaleExceeded, match="^the orbit to degree 16 has 72760 classes, "):
             read(16)
         # Every reader counts the bound from the shapes before it lists anything.
-        assert fresh_table.degree == -1
+        assert listings == []
 
-    def test_accumulation_lists_no_class(self, fresh_table):
+    def test_accumulation_lists_no_class(self, fresh_table, listings):
         # Ray distance is symmetric in the points: each degree's maximum is
         # one over its shapes.
         assert [degree for degree, _ in accumulation_report(15)] == list(range(16))
-        assert fresh_table.degree == -1
+        assert listings == []
 
-    def test_far_bound_stops_growing_at_the_cap(self, fresh_table):
+    def test_far_bound_stops_growing_at_the_cap(self, fresh_table, listings):
         with pytest.raises(ScaleExceeded):
             exceptional_orbit(40)
-        assert fresh_table.degree == -1
+        assert listings == []
+        assert len(fresh_table._shapes) == 17  # grown to degree 16, the first over the cap
         # Truncations under the cap are still answered; one over it stays refused.
-        assert fresh_table.prefix(15) == 59096
+        assert len(exceptional_orbit(15)) == 59096
         with pytest.raises(ScaleExceeded):
-            fresh_table.prefix(16)
-        assert fresh_table.degree == 15
+            fresh_table.listing(16)
+        assert listings == list(range(16))
+        assert len(fresh_table._shapes) == 17
 
-    def test_count_and_prefix_refuse_with_one_message(self, monkeypatch):
+    def test_count_and_listing_refuse_with_one_message(self, monkeypatch, listings):
         monkeypatch.setattr(weyl, "MAX_GENERATORS", 1000)
         counted, listed = _OrbitTable(), _OrbitTable()
         with pytest.raises(ScaleExceeded) as by_count:
             counted.count(9)
-        with pytest.raises(ScaleExceeded) as by_prefix:
-            listed.prefix(9)
-        assert str(by_count.value) == str(by_prefix.value) == (
+        with pytest.raises(ScaleExceeded) as by_listing:
+            listed.listing(9)
+        assert str(by_count.value) == str(by_listing.value) == (
             "the orbit to degree 4 has 1184 classes, more than MAX_GENERATORS = 1000")
-        assert (counted.degree, counted.vectors) == (-1, ())
-        assert counted.count(3) == listed.prefix(3) == 568
+        assert listings == []
+        assert counted.count(3) == len(listed_to(listed, 3)) == 568
 
 
 def hand_built_functionals():
@@ -433,11 +439,11 @@ def hand_built_functionals():
 class TestOrbitShapes:
     """Counts and least values read from the shapes agree with the listed columns."""
 
-    def test_count_matches_prefix(self):
+    def test_count_matches_listing(self, listings):
         counted, listed = _OrbitTable(), _OrbitTable()
         counts = [counted.count(d) for d in range(16)]
-        assert (counted.degree, counted.vectors) == (-1, ())
-        assert counts == [listed.prefix(d) for d in range(16)]
+        assert listings == []
+        assert counts == list(itertools.accumulate(len(listed.listing(d)) for d in range(16)))
         assert counts[13] == 37480
 
     def test_shapes_per_degree(self):
@@ -446,21 +452,22 @@ class TestOrbitShapes:
         assert [len(shapes) for shapes in table._shapes[:14]] == [
             1, 1, 1, 2, 2, 2, 3, 4, 3, 5, 5, 4, 7, 6]
 
-    def test_minimum_matches_every_column(self):
+    def test_minimum_matches_every_column(self, listings):
         # Each functional's least value over every degree window lo..hi <= 13,
         # against a dot product with every column of the window.
         rng = random.Random(614)
         functionals = list(_CANDIDATE_FUNCTIONALS) + hand_built_functionals()
         functionals += [tuple(rng.randint(-9, 9) for _ in range(9)) for _ in range(200)]
         listed, counted = _OrbitTable(), _OrbitTable()
-        slices = [listed(d)[listed.prefix(d - 1):] for d in range(14)]
+        slices = [listed.listing(d) for d in range(14)]
+        listings.clear()
         for phi in functionals:
             least = [min(map(sum, map(map, itertools.repeat(mul), itertools.repeat(phi), c)))
                      for c in slices]
             for lo in range(14):
                 for hi in range(lo, 14):
                     assert counted.minimum(phi, lo, hi) == min(least[lo : hi + 1]), (phi, lo, hi)
-        assert counted.degree == -1
+        assert listings == []
 
     def test_minimum_refuses_past_the_cap(self, monkeypatch):
         monkeypatch.setattr(weyl, "MAX_GENERATORS", 1000)
