@@ -44,7 +44,8 @@ def _as_fraction(value) -> Fraction:
         return value
     if isinstance(value, float):
         raise TypeError("floating-point coefficients are not allowed; use Fraction")
-    return Fraction(value)
+    # Text is read as `parse` reads it, so exponent notation is refused here too.
+    return Fraction(_parse_rational(value) if isinstance(value, str) else value)
 
 
 class _Frame:

@@ -8,13 +8,15 @@ that re-sum to the target, or a separating functional that is non-negative on
 all generators and negative on the target; both certificates are re-checked
 in integer arithmetic before they are returned.
 
-Two generator sets are prepared: validated once and kept as integer columns
-(`PreparedCone`), so a query checks only its target.  The effective-cone
+Two kinds of generator set are prepared, validated once, so a query checks
+only its target: integral tuples, kept as integer columns (`PreparedCone`),
+and the effective-cone truncations (`_Truncation`).  The effective-cone
 truncation of degree k is the one of degree k - 1 without -K/2, then the
-orbit table's listing of degree k, then -K/2; each is validated whole when
-built.  The table refuses a degree over MAX_GENERATORS classes
-(`weyl.ScaleExceeded`) before anything is listed, so an oversized query fails
-before its LP is built; `_check_shape` is the LP's own guard on any set.
+orbit table's listing of degree k, then -K/2; each slice is validated when
+it is listed, and the cap is checked on the whole truncation.  The table
+refuses a degree over MAX_GENERATORS classes (`weyl.ScaleExceeded`) before
+anything is listed, so an oversized query fails before its LP is built;
+`_check_shape` is the LP's own guard on any set.
 
 `effective_membership` first tries a few fixed functionals (the shortcut),
 once per query, on the class's integer frame.  They are verified once, on
@@ -44,29 +46,40 @@ from being reused, and a tuple of frozen classes cannot change.  Lists can
 change between calls, and rational sets need row scaling, so both are built
 and scaled afresh for every query.
 
-Each truncation packs its new orbit slice, if it has 1024 columns or more,
-1024 at a time into one Python int per row with a 16-bit field per column,
-and inherits the blocks below it (about 0.7 MB to degree 13).  One pass over
-a block is 9 big-int multiply-adds; a field's top bit says whether that
-column's price is positive, so it enters the column that pricing one column
-at a time enters.  A block a price could overflow, a shorter slice and every
-other cone (user tuples, the nef and curve generators) are priced by dot
-products, as are the certificate checks.
+Each truncation is stored row-major per orbit slice (`_Truncation`): a
+slice's nine `array('b')` rows hold entry i of each of its columns in
+listing order, built once when the slice is listed and shared by every
+truncation above it, followed by the -K/2 column; columns are rebuilt from
+the bytes only when read (`len`, `cone[j]`, iteration).  A slice of 1024
+columns or more (degree 6 and up) is also packed, 1024 at a time, into one
+Python int per row with a 16-bit field per column (about 1.1 MB to degree
+13 with the rows).  One pass over a block is 9 big-int multiply-adds; a
+field's top bit says whether that column's price is positive.  Every run
+the blocks leave (the degree 0-5 slices, -K/2, a block a price could
+overflow, and the nef, curve and user cones) is priced by the row kernel,
+one lazy chain of maps per run read up to its first positive entry.  Both
+kernels enter the column that pricing one column at a time enters.  Every
+column the simplex enters from a truncation must be -K/2 or a (-1)-class,
+so a changed byte fails the LP that enters it.  `_solve`'s "no" check
+stays a plain dot-product scan over the columns (`_dots`): it shares no
+code with either kernel, so a pricing fault cannot pass its own check.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, compress, count, repeat
-from operator import gt, lt, mul
+from functools import cached_property, lru_cache, partial, reduce
+from itertools import accumulate, chain, compress, count, repeat
+from operator import add, gt, lt, mul
 
 from .lattice import HALF_ANTICANONICAL, CurveClass, DivisorClass
-from .weyl import (_HALF_ANTICANONICAL_INTS, MAX_GENERATORS, ScaleExceeded, _orbit_table,
-                   exceptional_orbit)
+from .weyl import (_HALF_ANTICANONICAL_INTS, MAX_GENERATORS, ScaleExceeded, _is_minus_one_frame,
+                   _orbit_table, exceptional_orbit)
 
 MAX_DIMENSION = 10
 # Bland's rule cannot cycle, and no LP of the acceptance suite takes more than
@@ -84,6 +97,11 @@ def _check_exact(value) -> None:
         raise TypeError(f"exact rational entry required, got {value!r}")
 
 
+def _check_count(count: int) -> None:
+    if count > MAX_GENERATORS:
+        raise ScaleExceeded(f"{count} generators exceed {MAX_GENERATORS}")
+
+
 def _check_shape(dim: int, generators) -> None:
     if not generators:
         raise ValueError("at least one generator is required")
@@ -91,10 +109,15 @@ def _check_shape(dim: int, generators) -> None:
         raise ValueError("vectors must have positive dimension")
     if dim > MAX_DIMENSION:
         raise ScaleExceeded(f"dimension {dim} exceeds {MAX_DIMENSION}")
-    if len(generators) > MAX_GENERATORS:
-        raise ScaleExceeded(f"{len(generators)} generators exceed {MAX_GENERATORS}")
+    _check_count(len(generators))
     if any(len(vec) != dim for vec in generators):
         raise ValueError("all generators must match the target dimension")
+
+
+def _check_ints(values) -> None:
+    for value in values:
+        if type(value) is not int:
+            raise TypeError(f"integer generator entry required, got {value!r}")
 
 
 class PreparedCone(tuple):
@@ -103,15 +126,50 @@ class PreparedCone(tuple):
     A ConeProblem on a PreparedCone checks only its target and skips scaling.
     """
 
-    blocks: tuple = ()  # packed pricing blocks (`_pack`): only the effective truncations have any
-
     def __new__(cls, generators):
         cone = super().__new__(cls, generators)
         _check_shape(len(cone[0]) if cone else 0, cone)
-        for value in chain.from_iterable(cone):
-            if type(value) is not int:
-                raise TypeError(f"integer generator entry required, got {value!r}")
+        _check_ints(chain.from_iterable(cone))
         return cone
+
+    @cached_property
+    def runs(self) -> tuple:
+        """The pricing runs (see `_entering`): one run of rows, with no packed block."""
+        return ((tuple(zip(*self)), ()),)
+
+
+class _Truncation:
+    """An effective truncation stored row-major: its orbit slices, then -K/2.
+
+    `runs` holds one (rows, blocks) pair per degree slice, lowest degree
+    first, then `_HALF_RUN`: rows are nine `array('b')`, row i holding entry
+    i of each of the slice's columns in listing order, and blocks are the
+    slice's packed blocks (`_pack`).  A truncation shares its slices' runs
+    with every truncation above it.  Columns are rebuilt from the rows only
+    when read, through `len`, `cone[j]` and iteration.
+    """
+
+    __slots__ = ("runs", "_ends")
+
+    def __init__(self, runs: tuple) -> None:
+        self.runs = runs
+        self._ends = tuple(accumulate(len(rows[0]) for rows, _ in runs))
+        _check_count(self._ends[-1])
+
+    def __len__(self) -> int:
+        return self._ends[-1]
+
+    def __getitem__(self, j: int) -> tuple[int, ...]:
+        if j < 0:
+            j += len(self)
+        if not 0 <= j < len(self):
+            raise IndexError("truncation index out of range")
+        run = bisect_right(self._ends, j)
+        j -= self._ends[run - 1] if run else 0
+        return tuple(row[j] for row in self.runs[run][0])
+
+    def __iter__(self):
+        return chain.from_iterable(zip(*rows) for rows, _ in self.runs)
 
 
 @dataclass(frozen=True)
@@ -126,9 +184,9 @@ class ConeProblem:
     generators: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        # A PreparedCone was checked whole; its first column gives its dimension.
-        prepared = isinstance(self.generators, PreparedCone)
-        _check_shape(len(self.target), self.generators[:1] if prepared else self.generators)
+        # A prepared cone was checked whole; its first column gives its dimension.
+        prepared = isinstance(self.generators, (PreparedCone, _Truncation))
+        _check_shape(len(self.target), (self.generators[0],) if prepared else self.generators)
         for value in chain(self.target, *(() if prepared else self.generators)):
             _check_exact(value)
 
@@ -168,12 +226,14 @@ def divisor_problem(target: DivisorClass | CurveClass, generators) -> ConeProble
 
 def cone_member(problem: ConeProblem) -> Feasible | Infeasible:
     """Decide exact cone membership by phase-1 simplex, with a checked certificate."""
-    if isinstance(problem.generators, PreparedCone):
+    if isinstance(problem.generators, (PreparedCone, _Truncation)):
         return _solve(problem.generators, problem.target)
     # Scale each row by the lcm of its generator denominators: positive row
     # multipliers keep the coefficients, and a functional maps back row by row.
+    # The scaled columns are prepared for this one query, so their rows are
+    # transposed once, not on every pricing pass.
     scales = [math.lcm(*(x.denominator for x in row)) for row in zip(*problem.generators)]
-    columns = tuple(
+    columns = PreparedCone(
         tuple(x.numerator * (s // x.denominator) for x, s in zip(g, scales))
         for g in problem.generators
     )
@@ -227,8 +287,15 @@ def _simplex(columns, scale, rhs):
         price = [(zi + det) * s for zi, s in zip(z, scale)]
         entering = _entering(price, columns)
         if entering >= 0:
-            reduced = sum(map(mul, price, columns[entering]))
-            scaled = [s * x for s, x in zip(scale, columns[entering])]
+            entered = columns[entering]
+            # A truncation's columns are rebuilt from bytes: each one entered
+            # must be -K/2 (the last) or a (-1)-class.
+            if (type(columns) is _Truncation and entering < n - 1
+                    and not _is_minus_one_frame(entered, 1)):
+                raise RuntimeError(
+                    f"internal error: entered column {entered} is not an orbit class")
+            reduced = sum(map(mul, price, entered))
+            scaled = [s * x for s, x in zip(scale, entered)]
             column = [sum(map(mul, row, scaled)) for row in inverse]
         else:
             artificial = next((i for i in range(rows) if z[i] > 0), -1)
@@ -258,9 +325,16 @@ def _dots(vector, columns):
     return map(sum, map(map, repeat(mul), repeat(vector), columns))
 
 
-def _first_positive(price, columns) -> int:
-    """The first j with price . columns[j] > 0, or -1, by `_dots`."""
-    return next(compress(count(), map(lt, repeat(0), _dots(price, columns))), -1)
+def _row_entering(price, rows) -> int:
+    """The first j with sum_i price_i rows[i][j] > 0, or -1: the row kernel.
+
+    One lazy chain of maps, map(add, ..., map(mul, repeat(p_i), row_i)) over
+    the rows of non-zero price, read up to its first positive entry.
+    """
+    terms = [map(mul, repeat(p), row) for p, row in zip(price, rows) if p]
+    if not terms:
+        return -1
+    return next(compress(count(), map(lt, repeat(0), reduce(partial(map, add), terms))), -1)
 
 
 def _leaving_row(column, beta, basis) -> int:
@@ -295,10 +369,10 @@ def _cleared(vector) -> tuple[int, ...]:
 # suite and the benchmark, sum |price_i| stays below 128 and the largest entry
 # is 13, far inside the guard.
 # Only orbit slices of at least one block are packed: degree >= 6.  Shorter
-# slices (degree <= 5) and every other cone (the nef and curve generators,
-# user tuples) keep `_dots`.  Packing them too is faster still, but the
-# benchmark harness keeps every request it serves, so its peak RSS would then
-# pass its bound (see CHANGES.md).
+# slices (degree <= 5), -K/2 and every other cone (the nef and curve
+# generators, user tuples) are priced by the row kernel, `_row_entering`.
+# Packing them too is faster still, but the benchmark harness keeps every
+# request it serves, so its peak RSS would then pass its bound (see CHANGES.md).
 _BLOCK = 1024
 _BIAS = (1 << 15) - 1
 _GUARD = 1 << 14
@@ -308,50 +382,75 @@ _TOP_BIT = bytes(b >> 7 for b in range(256))
 def _entering(price, columns) -> int:
     """Bland's entering column: the first j with price . columns[j] > 0, or -1.
 
-    The packed blocks of an effective truncation take 9 big-int multiply-adds each.
-    The columns between and after them, a block whose fields this price could
-    overflow, and all other columns are priced by `_dots`, in column order.
+    Each (rows, blocks) run of the cone is priced in column order: its packed
+    blocks by 9 big-int multiply-adds each, and the columns between and after
+    them, and a block whose fields this price could overflow, by the row
+    kernel.  A cone without `runs` (a plain tuple) is one run of its rows.
     An all-zero price (the last pass of a feasible LP) makes no column
     positive, so it returns -1 without reading one.
     """
-    weight, start = sum(map(abs, price)), 0
+    weight, offset = sum(map(abs, price)), 0
     if not weight:
         return -1
-    for low, high, bound, bias, rows in getattr(columns, "blocks", ()):
-        if weight * bound >= _GUARD:
-            continue
-        if start < low:
-            hit = _first_positive(price, columns[start:low])
+    for rows, blocks in getattr(columns, "runs", None) or ((tuple(zip(*columns)), ()),):
+        start = 0
+        for low, high, bound, bias, packed in blocks:
+            if weight * bound >= _GUARD:
+                continue
+            if start < low:
+                hit = _row_entering(price, [row[start:low] for row in rows])
+                if hit >= 0:
+                    return offset + start + hit
+            total = sum(map(mul, price, packed), bias)
+            hit = total.to_bytes(2 * (high - low), "little")[1::2].translate(_TOP_BIT).find(1)
             if hit >= 0:
-                return start + hit
-        total = sum(map(mul, price, rows), bias)
-        hit = total.to_bytes(2 * (high - low), "little")[1::2].translate(_TOP_BIT).find(1)
+                return offset + low + hit
+            start = high
+        hit = _row_entering(price, [row[start:] for row in rows] if start else rows)
         if hit >= 0:
-            return low + hit
-        start = high
-    hit = _first_positive(price, columns[start:] if start else columns)
-    return start + hit if hit >= 0 else -1
+            return offset + start + hit
+        offset += len(rows[0])
+    return -1
 
 
-def _pack(columns, start: int, stop: int) -> tuple:
-    """Blocks (low, high, bound, bias, rows) of columns[start:stop], in order.
+def _pack(rows) -> tuple:
+    """Blocks (low, high, bound, bias, packed) of the columns these rows hold, in order.
 
     A run of at least _BLOCK columns is cut into blocks of at most _BLOCK; a
     shorter run, and a block with an entry too large for a field, get none.
     bound is a block's largest |a_ij|.
     """
-    blocks = []
-    for low in range(start, stop, _BLOCK) if stop - start >= _BLOCK else ():
+    blocks, stop = [], len(rows[0])
+    for low in range(0, stop, _BLOCK) if stop >= _BLOCK else ():
         high = min(low + _BLOCK, stop)
-        chunk, ones = columns[low:high], ((1 << 16 * (high - low)) - 1) // 0xFFFF
+        chunk, ones = [row[low:high] for row in rows], ((1 << 16 * (high - low)) - 1) // 0xFFFF
         bound = max(map(abs, chain.from_iterable(chunk)))
         if bound < _GUARD:
             # Two's complement with each field's top bit flipped is a + 2^15.
             top, fmt = ones << 15, f"<{high - low}h"
-            rows = tuple((int.from_bytes(struct.pack(fmt, *row), "little") ^ top) - top
-                         for row in zip(*chunk))
-            blocks.append((low, high, bound, _BIAS * ones, rows))
+            packed = tuple((int.from_bytes(struct.pack(fmt, *row), "little") ^ top) - top
+                           for row in chunk)
+            blocks.append((low, high, bound, _BIAS * ones, packed))
     return tuple(blocks)
+
+
+def _slice_run(listing) -> tuple:
+    """One orbit slice's run: its columns as nine byte rows, and their packed blocks.
+
+    Validated here, once: every column has the dimension of -K/2, and every
+    entry is an int that fits a signed byte.
+    """
+    _check_shape(len(_HALF_ANTICANONICAL_INTS), listing)
+    _check_ints(chain.from_iterable(listing))
+    try:
+        rows = tuple(array("b", row) for row in zip(*listing))
+    except OverflowError:
+        raise ScaleExceeded("an orbit entry does not fit in a signed byte") from None
+    return rows, _pack(rows)
+
+
+# -K/2's run: the last column of every truncation.
+_HALF_RUN = (tuple((x,) for x in _HALF_ANTICANONICAL_INTS), ())
 
 
 # -- effective-cone membership with per-instance truncation ----------------------
@@ -379,18 +478,13 @@ def effective_generators(truncation_degree: int) -> tuple[DivisorClass, ...]:
 
 
 @lru_cache(maxsize=None)
-def _effective_cone(truncation_degree: int) -> PreparedCone:
+def _effective_cone(truncation_degree: int) -> _Truncation:
     # One cone per degree, at most 16 under the table's cap.  It shares the
-    # columns and blocks of the cone below; its slice is listed first, so a
-    # degree over the cap is refused before any cone below it is built.
-    new = _orbit_table.listing(truncation_degree)
-    columns, blocks = (), ()
-    if truncation_degree:
-        below = _effective_cone(truncation_degree - 1)
-        columns, blocks = below[:-1], below.blocks
-    cone = PreparedCone(columns + new + (_HALF_ANTICANONICAL_INTS,))
-    cone.blocks = blocks + _pack(cone, len(columns), len(cone) - 1)
-    return cone
+    # slice runs of the cone below; its slice is listed first, so a degree
+    # over the cap is refused before any cone below it is built.
+    new = _slice_run(_orbit_table.listing(truncation_degree))
+    below = _effective_cone(truncation_degree - 1).runs[:-1] if truncation_degree else ()
+    return _Truncation(below + (new, _HALF_RUN))
 
 
 # Functionals known to be non-negative on every effective generator: the

@@ -512,6 +512,26 @@ class TestOracleCommand:
         argv = ("oracle", "--curves", "--generators", str(gens), "--format", fmt, target)
         assert run(capsys, *argv) == (0, expected, "")
 
+    @pytest.mark.parametrize("target, expected", [
+        ("3/4;-7/4,1/4,1/4,0,0,0,0,0",
+         "feasible; nonzero terms: 2*(0;-1,0,0,0,0,0,0,0), 1/2*(3/2;1/2,1/2,1/2,0,0,0,0,0)\n"),
+        ("1;0,0,0,0,0,0,0,1/2", "infeasible; separating functional: 2,-2,-2,-2,-1,-1,-1,-1,-6\n"),
+    ], ids=["feasible", "infeasible"])
+    def test_rational_generator_file(self, capsys, monkeypatch, target, expected):
+        # p/q generators are row-scaled per query, not prepared, and priced by
+        # the row kernel; the same file runs through the installed script in CI.
+        priced = []
+        row_entering = oracle._row_entering
+
+        def counted(price, rows):
+            priced.append(len(rows[0]))
+            return row_entering(price, rows)
+
+        monkeypatch.setattr(oracle, "_row_entering", counted)
+        argv = ("oracle", "--generators", str(DATA / "rational_generators.txt"), target)
+        assert run(capsys, *argv) == (0, expected, "")
+        assert priced and set(priced) == {4}
+
     @pytest.mark.parametrize(
         "case", ORACLE_GOLDEN, ids=[f"{c['generators']}-{c['target']}" for c in ORACLE_GOLDEN]
     )

@@ -403,6 +403,22 @@ class TestIntegerLiterals:
         divisor = DivisorClass(half, (half,) * 8)
         assert divisor.d == half and type(divisor.d) is Fraction
 
+    @pytest.mark.parametrize("entry", ["1e1000000", "-2.5E100000000", "1/1e9"])
+    def test_constructor_refuses_exponent_text_at_once(self, entry):
+        # A text entry is read as parse reads it, not by Fraction() alone.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exponent notation is not accepted"):
+            DivisorClass(entry, (0,) * 8)
+        with pytest.raises(ValueError, match="exponent notation is not accepted"):
+            DivisorClass(0, (0,) * 7 + (entry,))
+        assert time.perf_counter() - start < 1
+
+    def test_constructor_reads_text_entries(self):
+        three_halves = DivisorClass(Fraction(3, 2), (Fraction(3, 2),) + (0,) * 7)
+        assert DivisorClass("3/2", ("3/2",) + (0,) * 7) == three_halves
+        expected = DivisorClass(-7, (Fraction(3, 2),) + (0,) * 7)
+        assert DivisorClass(" -7 ", ("1.5",) + ("0",) * 7) == expected
+
 
 def _int_limit_message(digits):
     """int()'s own error on so many digits, or None where the interpreter has no such limit."""

@@ -1,9 +1,12 @@
+import gc
 import hashlib
 import itertools
 import math
 import operator
 import random
+import re
 import struct
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 
@@ -355,9 +358,10 @@ def _reference_entering(price, columns):
 
 
 def _packed(columns):
-    """A prepared cone with its columns packed as a truncation packs its new slice."""
+    """A prepared cone whose one run is packed as a truncation packs an orbit slice."""
     cone = PreparedCone(columns)
-    cone.blocks = oracle._pack(cone, 0, len(cone))
+    rows = tuple(zip(*cone))
+    cone.runs = ((rows, oracle._pack(rows)),)
     return cone
 
 
@@ -372,7 +376,7 @@ def _unpacked(block):
 
 
 class TestPackedPricing:
-    """The packed kernel enters the column `_dots` pricing enters, on any prices."""
+    """The packed and row kernels enter the column `_dots` pricing enters, on any prices."""
 
     EDGES = (0, 1, 1023, 1024, 1025, 2047, 2048, 2499)
 
@@ -394,7 +398,7 @@ class TestPackedPricing:
     @staticmethod
     def _check(price, columns):
         expected = _reference_entering(price, columns)
-        assert oracle._first_positive(price, columns) == expected
+        assert oracle._row_entering(price, tuple(zip(*columns))) == expected
         assert oracle._entering(price, columns) == expected
         return expected
 
@@ -439,14 +443,14 @@ class TestPackedPricing:
         # column prices <= 0 and the -K/2 column, past the blocks, prices > 0.
         cone = oracle._effective_cone(6)
         psi = oracle._cleared(cone_member(ConeProblem(HALF_ANTICANONICAL.vector(),
-                                                      _packed(cone[:-1]))).functional)
+                                                      _packed(tuple(cone)[:-1]))).functional)
         price = [-x for x in psi]
         assert self._check(price, cone) == len(cone) - 1
         assert self._check(psi, cone) >= 0
 
     def test_prices_past_the_guard(self):
         # Fields of these sums would overflow 16 bits; such blocks are priced
-        # by `_dots`, with the same answer.
+        # by the row kernel, with the same answer.
         rng = random.Random(3)
         cone = _packed(tuple(tuple(rng.randint(-13, 13) for _ in range(9))
                              for _ in range(2100)))
@@ -473,44 +477,45 @@ class TestPackedPricing:
     def test_blocks_hold_their_columns(self):
         rng = random.Random(5)
         cone = _packed(tuple(tuple(rng.randint(-9, 9) for _ in range(9)) for _ in range(2500)))
-        blocks = cone.blocks
+        (rows, blocks), = cone.runs
         assert [(b[0], b[1]) for b in blocks] == [(0, 1024), (1024, 2048), (2048, 2500)]
         for block in blocks:
             assert _unpacked(block) == cone[block[0] : block[1]]
-        # A run shorter than one block is priced by `_dots` alone, and so is
-        # every cone but the effective truncations, however long.
-        assert oracle._pack(cone, 0, 1023) == ()
-        assert PreparedCone(cone).blocks == ()
-        assert divisor_problem(H, nef_generators()).generators.blocks == ()
+        # A run shorter than one block is priced by the row kernel alone, and
+        # so is every cone but the effective truncations, however long.
+        assert oracle._pack([row[:1023] for row in rows]) == ()
+        assert PreparedCone(cone).runs == ((rows, ()),)
+        assert divisor_problem(H, nef_generators()).generators.runs[0][1] == ()
 
     def test_effective_truncation_uses_table_slices(self):
-        # Slices of degree 6 and 7 are packed; degrees 0-5 (2192 columns, no
-        # slice of 1024) and -K/2 are left to `_dots`.
+        # One run per orbit slice, then -K/2's: each slice reads back as the
+        # table's listing from nine byte rows.  Slices of degree 6 and 7 are
+        # packed; degrees 0-5 (2192 columns, no slice of 1024) and -K/2 are
+        # left to the row kernel.
         cone = oracle._effective_cone(7)
-        blocks = cone.blocks
-        ends = [_orbit_table.count(k) for k in range(5, 8)]
-        assert [b[0] for b in blocks if b[0] in ends] == ends[:-1] == [2192, 3592]
-        assert blocks[-1][1] == ends[-1] == len(cone) - 1
-        for block in blocks:
-            assert block[1] - block[0] <= oracle._BLOCK
-            assert _unpacked(block) == cone[block[0] : block[1]]
-        assert sum(b[1] - b[0] for b in blocks) == ends[-1] - ends[0]
-        assert oracle._effective_cone(5).blocks == ()
-        # Each truncation holds the columns and blocks of the one below and
-        # packs only its new slice.
+        assert len(cone.runs) == 9 and cone.runs[-1] is oracle._HALF_RUN
+        for degree, (rows, blocks) in enumerate(cone.runs[:-1]):
+            assert len(rows) == 9 and all(row.typecode == "b" for row in rows)
+            assert tuple(zip(*rows)) == _orbit_table.listing(degree)
+            width, block = len(rows[0]), oracle._BLOCK
+            cuts = [(low, min(low + block, width)) for low in range(0, width, block)]
+            assert [(b[0], b[1]) for b in blocks] == (cuts if degree >= 6 else [])
+            for block in blocks:
+                assert _unpacked(block) == tuple(zip(*rows))[block[0] : block[1]]
+        assert [_orbit_table.count(k) for k in (5, 6, 7)] == [2192, 3592, len(cone) - 1]
+        assert tuple(cone) == listed_to(_orbit_table, 7) + (_HALF_ANTICANONICAL_INTS,)
+        # Each slice is stored once: every truncation above shares its run.
         below = oracle._effective_cone(6)
-        assert all(map(operator.is_, cone, below[:-1]))
-        assert blocks[: len(below.blocks)] == below.blocks and len(blocks) > len(below.blocks)
-        assert all(map(operator.is_, blocks, below.blocks))
-        assert all(map(operator.is_, oracle._effective_cone(8).blocks, blocks))
+        assert all(map(operator.is_, cone.runs[:7], below.runs[:-1]))
+        assert all(map(operator.is_, oracle._effective_cone(8).runs[:8], cone.runs[:-1]))
 
     def test_zero_price_reads_no_column(self):
         class Sealed(PreparedCone):
-            # Once sealed, asking for the blocks or reading a column fails.
+            # Once sealed, asking for the runs or reading a column fails.
             sealed = False
 
             @property
-            def blocks(self):
+            def runs(self):
                 assert not self.sealed
                 return self.packed
 
@@ -525,8 +530,9 @@ class TestPackedPricing:
         rng = random.Random(3)
         columns = tuple(tuple(rng.randint(-9, 9) for _ in range(9)) for _ in range(2500))
         cone = Sealed(columns)
-        cone.packed = oracle._pack(cone, 0, len(cone))
-        assert cone.blocks  # packed, so a non-zero price would read them
+        rows = tuple(zip(*columns))
+        cone.packed = ((rows, oracle._pack(rows)),)
+        assert cone.runs[0][1]  # packed, so a non-zero price would read them
         cone.sealed = True
         for zero in ([0] * 9, (0,) * 9):
             assert oracle._entering(zero, cone) == _reference_entering(zero, columns) == -1
@@ -541,19 +547,26 @@ def _shifted(price, t):
     return [p - t * u for p, u in zip(price, _ONE_ON_THE_ORBIT)]
 
 
+@lru_cache(maxsize=None)
+def _truncation_rows(degree):
+    # The rows of the whole truncation, read column by column (pure in the degree).
+    return tuple(zip(*oracle._effective_cone(degree)))
+
+
 class TestTruncationPricing:
     """Bland's entering column on every effective truncation, degrees 0 to 13.
 
-    `_entering` (the slices' packed blocks, `_dots` elsewhere) and
-    `_first_positive` (`_dots` alone) enter the column that pricing one
-    column at a time enters.
+    `_entering` (the slices' packed blocks, the row kernel elsewhere) and
+    `_row_entering` on the whole cone's rows (no blocks) enter the column
+    that pricing one column at a time enters.
     """
 
     @staticmethod
     def _check(price, degree):
         cone = oracle._effective_cone(degree)
         expected = _reference_entering(price, cone)
-        assert oracle._entering(price, cone) == oracle._first_positive(price, cone) == expected
+        rows = _truncation_rows(degree)
+        assert oracle._entering(price, cone) == oracle._row_entering(price, rows) == expected
         return expected
 
     def test_random_prices_on_every_truncation(self):
@@ -657,12 +670,20 @@ class TestPricingCaches:
 
     def test_cache_clear_drops_every_column_of_the_old_table(self, fresh_oracle_caches):
         old = oracle._effective_cone(13)
+        old_runs = old.runs
         oracle.cache_clear()
         new = oracle._effective_cone(13)
-        assert new == old and new[-1] is old[-1] is _HALF_ANTICANONICAL_INTS
-        assert not any(map(operator.is_, new[:-1], old[:-1]))
-        assert len(new.blocks) == len(old.blocks)
-        assert not any(map(operator.is_, new.blocks, old.blocks))
+        assert tuple(new) == tuple(old) and new[-1] == _HALF_ANTICANONICAL_INTS
+        assert new.runs[-1] is old_runs[-1] is oracle._HALF_RUN
+        # Every slice's rows and blocks are built afresh from the new table.
+        for (rows, blocks), (old_rows, old_blocks) in zip(new.runs[:-1], old_runs[:-1]):
+            assert rows == old_rows and not any(map(operator.is_, rows, old_rows))
+            assert blocks == old_blocks and not any(map(operator.is_, blocks, old_blocks))
+        # And nothing else holds the old store: its byte rows are freed.
+        gone = [weakref.ref(row) for rows, _ in old_runs[:-1] for row in rows]
+        del old, old_runs, rows, old_rows
+        gc.collect()
+        assert all(ref() is None for ref in gone)
 
     def test_cache_clear_empties_the_shortcut_reports(self, fresh_oracle_caches):
         divisor = DivisorClass(5, (6,) + (0,) * 7)
@@ -674,22 +695,22 @@ class TestPricingCaches:
         assert again == report and again is not report
 
     def test_memo_alternation_prices_current_blocks(self, monkeypatch):
-        # A user tuple's cone is priced by `_dots` alone, however long: no
-        # cone the memo prepares has blocks.
+        # A user tuple's cone is priced by the row kernel alone, however
+        # long: no cone the memo prepares has blocks.
         monkeypatch.setattr(oracle, "_memo", ((), None))
         priced = []
         entering = oracle._entering
 
         def checked(price, columns):
             if isinstance(columns, PreparedCone) and all(c is not columns for c in priced):
-                assert columns.blocks == ()
+                assert columns.runs[0][1] == () and len(columns.runs) == 1
                 priced.append(columns)
             return entering(price, columns)
 
         # The nef cone, and two orbit tuples of 569 and 1185 columns.
         pair = (nef_generators(), exceptional_orbit(3) + (HALF_ANTICANONICAL,),
                 nef_generators(), exceptional_orbit(4) + (HALF_ANTICANONICAL,))
-        monkeypatch.setattr(oracle, "_entering", oracle._first_positive)
+        monkeypatch.setattr(oracle, "_entering", _reference_entering)
         expected = [repr(cone_member(divisor_problem(target, generators)))
                     for generators in pair for target in TestPreparedMemo.TARGETS]
         monkeypatch.setattr(oracle, "_entering", checked)
@@ -770,6 +791,34 @@ class TestIntegerVerification:
         _corrupt_simplex(monkeypatch, corrupt)
         with pytest.raises(RuntimeError, match="negative on a generator"):
             effective_membership(DivisorClass(1, (1, 1, 1, 1, 0, 0, 0, 0)))
+
+    def test_changed_byte_fails_the_lp_that_enters_it(self, monkeypatch, fresh_oracle_caches):
+        # A degree-6 column that an LP at degree 6 enters, with its degree
+        # byte flipped in the stored rows: the packed blocks still price it
+        # as before, so the same LP enters it, and the check refuses it.
+        cone, low = oracle._effective_cone(6), _orbit_table.count(5)
+        entered = []
+        entering = oracle._entering
+
+        def recorded(price, columns):
+            entered.append(entering(price, columns))
+            return entered[-1]
+
+        monkeypatch.setattr(oracle, "_entering", recorded)
+        rng = random.Random(20250810)
+        while not any(low <= j < len(cone) - 1 for j in entered):
+            entered.clear()
+            divisor = DivisorClass(3, tuple(rng.randint(-3, 3) for _ in range(8)))
+            problem = ConeProblem(divisor.vector(), cone)
+            expected = cone_member(problem)
+        j = next(j for j in entered if low <= j < len(cone) - 1)
+        rows, _ = cone.runs[6]
+        rows[0][j - low] ^= 1
+        assert cone[j][0] == 6 ^ 1
+        with pytest.raises(RuntimeError, match=f"entered column {re.escape(str(cone[j]))} is not"):
+            cone_member(problem)
+        rows[0][j - low] ^= 1
+        assert cone_member(problem) == expected
 
 
 class TestAgreementWithDecomposers:
@@ -1178,20 +1227,33 @@ class TestEffectiveConeValidation:
 
     def test_shared_columns_validated_once(self, monkeypatch, fresh_oracle_caches):
         validated = []
-        check_shape = oracle._check_shape
-        monkeypatch.setattr(oracle, "_check_shape",
-                            lambda dim, generators: validated.append(len(generators))
-                            or check_shape(dim, generators))
+        slice_run = oracle._slice_run
+        monkeypatch.setattr(oracle, "_slice_run",
+                            lambda listing: validated.append(listing) or slice_run(listing))
         cones = {}
         for degree in (3, 6, 5, 13, 6, 3, 13):
             cone = cones.setdefault(degree, oracle._effective_cone(degree))
             assert oracle._effective_cone(degree) is cone
-            assert cone[:-1] == listed_to(_orbit_table, degree)
+            assert tuple(cone)[:-1] == listed_to(_orbit_table, degree)
             assert cone[-1] == _HALF_ANTICANONICAL_INTS
-        # One cone per degree, each validated whole, once, when it was built;
-        # a cone builds the cones below it first, lowest degree first.
-        assert validated == [_orbit_table.count(k) + 1 for k in range(14)]
+        # One slice per degree, validated and stored once, when it was listed:
+        # a cone lists its own slice before it builds the cones below it.
+        order = [3, 2, 1, 0, 6, 5, 4] + list(range(13, 6, -1))
+        assert validated == [_orbit_table.listing(k) for k in order]
         assert oracle._effective_cone.cache_info().misses == 14
+        # Every cone above a slice shares its run.
+        for degree in range(14):
+            runs = oracle._effective_cone(degree).runs
+            assert all(map(operator.is_, runs[:-1], cones[13].runs[: degree + 1]))
+
+    @pytest.mark.parametrize("value", [128, -129, 1 << 70])
+    def test_entry_past_a_byte_rejected(self, monkeypatch, fresh_oracle_caches, value):
+        # A slice is stored in signed bytes: a larger entry is refused when
+        # the slice is listed, before any cone is built.
+        self._poison(monkeypatch, 4, lambda v: (value,) + v[1:])
+        with pytest.raises(ScaleExceeded, match="signed byte"):
+            oracle._effective_cone(4)
+        assert oracle._effective_cone.cache_info().currsize == 0
 
     def test_each_lp_degree_built_once(self, monkeypatch, fresh_oracle_caches):
         # Criterion-4 sampler: the LP degrees alternate, yet each cone of the
