@@ -42,10 +42,16 @@ RationalLike = Fraction | int | str
 def _as_fraction(value) -> Fraction:
     if type(value) is Fraction:
         return value
-    if isinstance(value, float):
-        raise TypeError("floating-point coefficients are not allowed; use Fraction")
-    # Text is read as `parse` reads it, so exponent notation is refused here too.
-    return Fraction(_parse_rational(value) if isinstance(value, str) else value)
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"exact rational coefficient required, got {value!r}")
+    if isinstance(value, str):
+        # Read as `parse` reads it: exponent notation and a zero denominator
+        # are ValueErrors here too.
+        try:
+            value = _parse_rational(value)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"cannot parse coefficient {value!r}: {exc}") from None
+    return Fraction(value)
 
 
 class _Frame:

@@ -8,14 +8,22 @@ that re-sum to the target, or a separating functional that is non-negative on
 all generators and negative on the target; both certificates are re-checked
 in integer arithmetic before they are returned.
 
-Two kinds of generator set are prepared, validated once, so a query checks
-only its target: integral tuples, kept as integer columns (`PreparedCone`),
-and the effective-cone truncations (`_Truncation`).  The effective-cone
-truncation of degree k is the one of degree k - 1 without -K/2, then the
-orbit table's listing of degree k, then -K/2; each slice is validated when
-it is listed, and the cap is checked on the whole truncation.  The table
-refuses a degree over MAX_GENERATORS classes (`weyl.ScaleExceeded`) before
-anything is listed, so an oversized query fails before its LP is built;
+Every integral generator set is a `PreparedCone`, validated once, so a
+query checks only its target.  A prepared cone is a chain of runs, each
+built by `_run`: it checks its columns (dimension, count, int entries) and
+stores them row-major, row i holding entry i of each column in order, as an
+`array('b')` when every entry fits a signed byte and as a tuple otherwise.
+A run of _BLOCK (1024) columns or more is also packed, 1024 at a time, into
+one Python int per row with a 16-bit field per column, so whether a run is
+packed depends on its length alone.  Columns are rebuilt from the rows only
+when read (`len`, `cone[j]`, iteration).  A user set is one run.  The
+effective-cone truncation of degree k chains the runs of the one of degree
+k - 1 without -K/2, then the run of the orbit table's listing of degree k,
+then -K/2's run: each slice is validated and stored once, when it is listed,
+and shared by every truncation above it (about 1.1 MB to degree 13, blocks
+included), and the cap is checked on the whole chain.  The table refuses a
+degree over MAX_GENERATORS classes (`weyl.ScaleExceeded`) before anything
+is listed, so an oversized query fails before its LP is built;
 `_check_shape` is the LP's own guard on any set.
 
 `effective_membership` first tries a few fixed functionals (the shortcut),
@@ -38,31 +46,24 @@ The caches built from the orbit table (`_effective_cone`,
 the old table's columns or counts; no library path calls it.
 
 `divisor_problem` reads each generator's (divisor or curve class's)
-integer frame (`scaled()`) and keeps the last integral generator *tuple* it
-was given with its cone, such as `nef_generators()` or `curve_generators()`,
-which return one cached tuple.
+integer frame (`scaled()`) and prepares every integral set.  It keeps the
+last integral generator *tuple* it was given with its cone, such as
+`nef_generators()` or `curve_generators()`, which return one cached tuple.
 The memo is matched by identity, not by value: holding the tuple keeps its id
-from being reused, and a tuple of frozen classes cannot change.  Lists can
-change between calls, and rational sets need row scaling, so both are built
-and scaled afresh for every query.
+from being reused, and a tuple of frozen classes cannot change.  A list can
+change between calls, so an integral list is prepared afresh for each query
+and never held; a rational set is row-scaled per query (`cone_member`).
 
-Each truncation is stored row-major per orbit slice (`_Truncation`): a
-slice's nine `array('b')` rows hold entry i of each of its columns in
-listing order, built once when the slice is listed and shared by every
-truncation above it, followed by the -K/2 column; columns are rebuilt from
-the bytes only when read (`len`, `cone[j]`, iteration).  A slice of 1024
-columns or more (degree 6 and up) is also packed, 1024 at a time, into one
-Python int per row with a 16-bit field per column (about 1.1 MB to degree
-13 with the rows).  One pass over a block is 9 big-int multiply-adds; a
-field's top bit says whether that column's price is positive.  Every run
-the blocks leave (the degree 0-5 slices, -K/2, a block a price could
-overflow, and the nef, curve and user cones) is priced by the row kernel,
-one lazy chain of maps per run read up to its first positive entry.  Both
-kernels enter the column that pricing one column at a time enters.  Every
-column the simplex enters from a truncation must be -K/2 or a (-1)-class,
-so a changed byte fails the LP that enters it.  `_solve`'s "no" check
-stays a plain dot-product scan over the columns (`_dots`): it shares no
-code with either kernel, so a pricing fault cannot pass its own check.
+One pass over a packed block is 9 big-int multiply-adds; a field's top bit
+says whether that column's price is positive.  Every run the blocks leave
+(a run under 1024 columns, such as the degree 0-5 slices, -K/2 and the nef
+and curve cones, and a block a price could overflow) is priced by the row
+kernel, one lazy chain of maps per run read up to its first positive entry.
+Both kernels enter the column that pricing one column at a time enters.
+Every column the simplex enters from a truncation must be -K/2 or a
+(-1)-class, so a changed byte fails the LP that enters it.  `_solve`'s "no"
+check stays a plain dot-product scan over the columns (`_dots`): it shares
+no code with either kernel, so a pricing fault cannot pass its own check.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial, reduce
+from functools import lru_cache, partial, reduce
 from itertools import accumulate, chain, compress, count, repeat
 from operator import add, gt, lt, mul
 
@@ -120,50 +121,34 @@ def _check_ints(values) -> None:
             raise TypeError(f"integer generator entry required, got {value!r}")
 
 
-class PreparedCone(tuple):
-    """Integer generator columns, validated once (as ConeProblem, but ints only).
+class PreparedCone:
+    """Integer generator columns, validated once, as a chain of (rows, blocks) runs.
 
-    A ConeProblem on a PreparedCone checks only its target and skips scaling.
-    """
-
-    def __new__(cls, generators):
-        cone = super().__new__(cls, generators)
-        _check_shape(len(cone[0]) if cone else 0, cone)
-        _check_ints(chain.from_iterable(cone))
-        return cone
-
-    @cached_property
-    def runs(self) -> tuple:
-        """The pricing runs (see `_entering`): one run of rows, with no packed block."""
-        return ((tuple(zip(*self)), ()),)
-
-
-class _Truncation:
-    """An effective truncation stored row-major: its orbit slices, then -K/2.
-
-    `runs` holds one (rows, blocks) pair per degree slice, lowest degree
-    first, then `_HALF_RUN`: rows are nine `array('b')`, row i holding entry
-    i of each of the slice's columns in listing order, and blocks are the
-    slice's packed blocks (`_pack`).  A truncation shares its slices' runs
-    with every truncation above it.  Columns are rebuilt from the rows only
-    when read, through `len`, `cone[j]` and iteration.
+    `runs` holds the runs in column order, each built by `_run`.  A
+    ConeProblem on a PreparedCone checks only its target and skips scaling.
+    Columns are rebuilt from the rows only when read, through `len`,
+    `cone[j]` and iteration.
     """
 
     __slots__ = ("runs", "_ends")
 
-    def __init__(self, runs: tuple) -> None:
-        self.runs = runs
-        self._ends = tuple(accumulate(len(rows[0]) for rows, _ in runs))
-        _check_count(self._ends[-1])
+    def __init__(self, generators) -> None:
+        run = _run(tuple(generators))
+        self.runs, self._ends = (run,), (len(run[0][0]),)
+
+    @classmethod
+    def of_runs(cls, runs: tuple) -> PreparedCone:
+        """The cone of these runs' columns, in order: each run built by `_run`."""
+        cone = cls.__new__(cls)
+        cone.runs, cone._ends = runs, tuple(accumulate(len(rows[0]) for rows, _ in runs))
+        _check_count(len(cone))
+        return cone
 
     def __len__(self) -> int:
         return self._ends[-1]
 
     def __getitem__(self, j: int) -> tuple[int, ...]:
-        if j < 0:
-            j += len(self)
-        if not 0 <= j < len(self):
-            raise IndexError("truncation index out of range")
+        j = range(len(self))[j]  # IndexError out of range; a negative j counts from the end
         run = bisect_right(self._ends, j)
         j -= self._ends[run - 1] if run else 0
         return tuple(row[j] for row in self.runs[run][0])
@@ -185,7 +170,7 @@ class ConeProblem:
 
     def __post_init__(self) -> None:
         # A prepared cone was checked whole; its first column gives its dimension.
-        prepared = isinstance(self.generators, (PreparedCone, _Truncation))
+        prepared = isinstance(self.generators, PreparedCone)
         _check_shape(len(self.target), (self.generators[0],) if prepared else self.generators)
         for value in chain(self.target, *(() if prepared else self.generators)):
             _check_exact(value)
@@ -212,21 +197,20 @@ _memo: tuple = ((), None)
 def divisor_problem(target: DivisorClass | CurveClass, generators) -> ConeProblem:
     """The membership problem of `target` over the generators' coefficient vectors."""
     global _memo
-    if type(generators) is tuple and generators:
-        held, cone = _memo
-        if generators is not held:
-            frames = [g.scaled() for g in generators]
-            if any(den != 1 for _, den in frames):
-                return ConeProblem(target.vector(), tuple(g.vector() for g in generators))
-            cone = PreparedCone(tuple(ints) for ints, _ in frames)
-            _memo = (generators, cone)
-        return ConeProblem(target.vector(), cone)
-    return ConeProblem(target.vector(), tuple(g.vector() for g in generators))
+    if type(generators) is tuple and generators and generators is _memo[0]:
+        return ConeProblem(target.vector(), _memo[1])
+    frames = [g.scaled() for g in generators]
+    if any(den != 1 for _, den in frames):
+        return ConeProblem(target.vector(), tuple(g.vector() for g in generators))
+    cone = PreparedCone(ints for ints, _ in frames)
+    if type(generators) is tuple:
+        _memo = (generators, cone)
+    return ConeProblem(target.vector(), cone)
 
 
 def cone_member(problem: ConeProblem) -> Feasible | Infeasible:
     """Decide exact cone membership by phase-1 simplex, with a checked certificate."""
-    if isinstance(problem.generators, (PreparedCone, _Truncation)):
+    if isinstance(problem.generators, PreparedCone):
         return _solve(problem.generators, problem.target)
     # Scale each row by the lcm of its generator denominators: positive row
     # multipliers keep the coefficients, and a functional maps back row by row.
@@ -243,7 +227,7 @@ def cone_member(problem: ConeProblem) -> Feasible | Infeasible:
     return outcome
 
 
-def _solve(columns: tuple[tuple[int, ...], ...], target) -> Feasible | Infeasible:
+def _solve(columns: PreparedCone, target) -> Feasible | Infeasible:
     # Row i is multiplied by +-denominator(target_i) for a non-negative integer
     # right-hand side.  Certificates are checked in integers: sum_j num_j a_j ==
     # det * target, or the cleared functional >= 0 on all columns, < 0 on target.
@@ -253,8 +237,9 @@ def _solve(columns: tuple[tuple[int, ...], ...], target) -> Feasible | Infeasibl
     if basic is not None:
         if det <= 0 or any(numerator < 0 for numerator in basic.values()):
             raise RuntimeError("internal error: negative coefficient in feasibility certificate")
+        terms = [(numerator, columns[j]) for j, numerator in basic.items()]
         for i, (s, b) in enumerate(zip(scale, rhs)):
-            if s * sum(numerator * columns[j][i] for j, numerator in basic.items()) != det * b:
+            if s * sum(numerator * column[i] for numerator, column in terms) != det * b:
                 raise RuntimeError("internal error: feasibility certificate does not re-sum")
         coefficients = [Fraction(0)] * len(columns)
         for j, numerator in basic.items():
@@ -288,9 +273,9 @@ def _simplex(columns, scale, rhs):
         entering = _entering(price, columns)
         if entering >= 0:
             entered = columns[entering]
-            # A truncation's columns are rebuilt from bytes: each one entered
-            # must be -K/2 (the last) or a (-1)-class.
-            if (type(columns) is _Truncation and entering < n - 1
+            # A truncation (the cone ending in -K/2's run) is rebuilt from
+            # bytes: each column entered must be -K/2 (the last) or a (-1)-class.
+            if (columns.runs[-1] is _HALF_RUN and entering < n - 1
                     and not _is_minus_one_frame(entered, 1)):
                 raise RuntimeError(
                     f"internal error: entered column {entered} is not an orbit class")
@@ -368,11 +353,12 @@ def _cleared(vector) -> tuple[int, ...]:
 # bytes.  16-bit fields keep the blocks small; on every LP of the acceptance
 # suite and the benchmark, sum |price_i| stays below 128 and the largest entry
 # is 13, far inside the guard.
-# Only orbit slices of at least one block are packed: degree >= 6.  Shorter
-# slices (degree <= 5), -K/2 and every other cone (the nef and curve
-# generators, user tuples) are priced by the row kernel, `_row_entering`.
-# Packing them too is faster still, but the benchmark harness keeps every
-# request it serves, so its peak RSS would then pass its bound (see CHANGES.md).
+# Only runs of at least one block are packed (`_run`): the orbit slices of
+# degree >= 6 and any other set of 1024 columns or more.  Shorter runs (the
+# degree <= 5 slices, -K/2, the nef and curve generators) are priced by the
+# row kernel, `_row_entering`.  Packing them too is faster still, but the
+# benchmark harness keeps every request it serves, so its peak RSS would then
+# pass its bound (see CHANGES.md).
 _BLOCK = 1024
 _BIAS = (1 << 15) - 1
 _GUARD = 1 << 14
@@ -385,14 +371,13 @@ def _entering(price, columns) -> int:
     Each (rows, blocks) run of the cone is priced in column order: its packed
     blocks by 9 big-int multiply-adds each, and the columns between and after
     them, and a block whose fields this price could overflow, by the row
-    kernel.  A cone without `runs` (a plain tuple) is one run of its rows.
-    An all-zero price (the last pass of a feasible LP) makes no column
+    kernel.  An all-zero price (the last pass of a feasible LP) makes no column
     positive, so it returns -1 without reading one.
     """
     weight, offset = sum(map(abs, price)), 0
     if not weight:
         return -1
-    for rows, blocks in getattr(columns, "runs", None) or ((tuple(zip(*columns)), ()),):
+    for rows, blocks in columns.runs:
         start = 0
         for low, high, bound, bias, packed in blocks:
             if weight * bound >= _GUARD:
@@ -434,23 +419,23 @@ def _pack(rows) -> tuple:
     return tuple(blocks)
 
 
-def _slice_run(listing) -> tuple:
-    """One orbit slice's run: its columns as nine byte rows, and their packed blocks.
+def _run(columns: tuple) -> tuple:
+    """One run of a prepared cone: its columns' rows, and their packed blocks (`_pack`).
 
-    Validated here, once: every column has the dimension of -K/2, and every
-    entry is an int that fits a signed byte.
+    Validated here, once: the columns' dimension and count, and int entries.
+    Row i holds entry i of each column, in order: an `array('b')` when every
+    entry fits a signed byte, a tuple otherwise.
     """
-    _check_shape(len(_HALF_ANTICANONICAL_INTS), listing)
-    _check_ints(chain.from_iterable(listing))
-    try:
-        rows = tuple(array("b", row) for row in zip(*listing))
-    except OverflowError:
-        raise ScaleExceeded("an orbit entry does not fit in a signed byte") from None
+    _check_shape(len(columns[0]) if columns else 0, columns)
+    _check_ints(chain.from_iterable(columns))
+    rows = tuple(zip(*columns))
+    if -128 <= min(map(min, rows)) and max(map(max, rows)) <= 127:
+        rows = tuple(array("b", row) for row in rows)
     return rows, _pack(rows)
 
 
 # -K/2's run: the last column of every truncation.
-_HALF_RUN = (tuple((x,) for x in _HALF_ANTICANONICAL_INTS), ())
+_HALF_RUN = _run((_HALF_ANTICANONICAL_INTS,))
 
 
 # -- effective-cone membership with per-instance truncation ----------------------
@@ -478,13 +463,13 @@ def effective_generators(truncation_degree: int) -> tuple[DivisorClass, ...]:
 
 
 @lru_cache(maxsize=None)
-def _effective_cone(truncation_degree: int) -> _Truncation:
+def _effective_cone(truncation_degree: int) -> PreparedCone:
     # One cone per degree, at most 16 under the table's cap.  It shares the
     # slice runs of the cone below; its slice is listed first, so a degree
     # over the cap is refused before any cone below it is built.
-    new = _slice_run(_orbit_table.listing(truncation_degree))
+    new = _run(_orbit_table.listing(truncation_degree))
     below = _effective_cone(truncation_degree - 1).runs[:-1] if truncation_degree else ()
-    return _Truncation(below + (new, _HALF_RUN))
+    return PreparedCone.of_runs(below + (new, _HALF_RUN))
 
 
 # Functionals known to be non-negative on every effective generator: the

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import time
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from blowupcones import oracle
+from blowupcones import ConeProblem, DivisorClass, cone_member, divisor_problem, oracle
 from blowupcones.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
@@ -518,8 +519,10 @@ class TestOracleCommand:
         ("1;0,0,0,0,0,0,0,1/2", "infeasible; separating functional: 2,-2,-2,-2,-1,-1,-1,-1,-6\n"),
     ], ids=["feasible", "infeasible"])
     def test_rational_generator_file(self, capsys, monkeypatch, target, expected):
-        # p/q generators are row-scaled per query, not prepared, and priced by
-        # the row kernel; the same file runs through the installed script in CI.
+        # p/q generators are row-scaled into integer columns and prepared per
+        # query (an integral file is prepared from its frames), and their four
+        # columns are priced by the row kernel; the same file runs through the
+        # installed script in CI.
         priced = []
         row_entering = oracle._row_entering
 
@@ -531,6 +534,27 @@ class TestOracleCommand:
         argv = ("oracle", "--generators", str(DATA / "rational_generators.txt"), target)
         assert run(capsys, *argv) == (0, expected, "")
         assert priced and set(priced) == {4}
+
+    @pytest.mark.parametrize("target, expected", [
+        ("2;1,1,1,1,1,1,1,1", "infeasible; separating functional: 19/5,-1,-1,-1,-1,-1,-1,-1,-1\n"),
+        ("1;0,0,0,0,0,0,0,0", "feasible; "),
+    ], ids=["infeasible", "feasible"])
+    def test_orbit_file_is_packed(self, capsys, tmp_path, target, expected):
+        # The 2192 orbit classes to degree 5, from `orbit`'s class column, as
+        # a generator file: one run of three blocks, packed for the query.
+        # The same file runs through the installed script in CI.
+        _, out, _ = run(capsys, "orbit", "--max-degree", "5")
+        classes = [row[0] for row in csv.reader(out.splitlines()[1:])]
+        gens = tmp_path / "orbit5.txt"
+        gens.write_text("\n".join(classes) + "\n")
+        code, out, _ = run(capsys, "oracle", "--generators", str(gens), target)
+        assert code == 0 and out.startswith(expected)
+        # The prepared and the generic Fraction path give the same outcome.
+        generators = [DivisorClass.parse(text) for text in classes]
+        problem = divisor_problem(DivisorClass.parse(target), generators)
+        assert len(problem.generators) == 2192 and len(problem.generators.runs[0][1]) == 3
+        generic = ConeProblem(problem.target, tuple(g.vector() for g in generators))
+        assert repr(cone_member(problem)) == repr(cone_member(generic))
 
     @pytest.mark.parametrize(
         "case", ORACLE_GOLDEN, ids=[f"{c['generators']}-{c['target']}" for c in ORACLE_GOLDEN]

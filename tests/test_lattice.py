@@ -289,6 +289,9 @@ class TestCurveClassBasics:
     def test_bool_and_float_refused(self, a, c):
         with pytest.raises(TypeError):
             CurveClass(a, c)
+        # A divisor class refuses the same entries: a bool is no coefficient.
+        with pytest.raises(TypeError):
+            DivisorClass(a, c)
 
 
 class TestTextForms:
@@ -418,6 +421,12 @@ class TestIntegerLiterals:
         assert DivisorClass("3/2", ("3/2",) + (0,) * 7) == three_halves
         expected = DivisorClass(-7, (Fraction(3, 2),) + (0,) * 7)
         assert DivisorClass(" -7 ", ("1.5",) + ("0",) * 7) == expected
+        # A zero denominator is a ValueError, as `parse` reports the same text.
+        with pytest.raises(ValueError):
+            DivisorClass.parse("1/0;0,0,0,0,0,0,0,0")
+        for entries in (("1/0", (0,) * 8), (0, (0,) * 7 + ("-3/0",))):
+            with pytest.raises(ValueError, match="cannot parse coefficient"):
+                DivisorClass(*entries)
 
 
 def _int_limit_message(digits):

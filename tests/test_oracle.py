@@ -187,6 +187,27 @@ class TestPreparedCone:
             prepared = cone_member(ConeProblem(target, PreparedCone(columns)))
             assert prepared == cone_member(ConeProblem(target, columns))
 
+    def test_entries_past_a_byte_round_trip(self):
+        # An entry of 2^70 keeps every row of its cone a tuple, read back
+        # exactly; the LP on it answers as the generic Fraction path does.
+        big = 1 << 70
+        columns = ((big, 0, 1), (0, 1, 0), (-1, 0, 0), (0, 0, 1), (1, 1, -big))
+        cone = PreparedCone(columns)
+        assert all(type(row) is tuple for row in cone.runs[0][0])
+        assert tuple(cone) == columns and len(cone) == 5
+        assert [cone[j] for j in range(-5, 5)] == list(columns * 2)
+        with pytest.raises(IndexError):
+            cone[5]
+        kinds = set()
+        for target in ((big, 5, 2), (2 * big + 3, 1, 0), (0, -1, 0), (Fraction(big, 3), 0, -1)):
+            generic = ConeProblem(target, tuple(tuple(map(Fraction, c)) for c in columns))
+            outcome = cone_member(ConeProblem(target, cone))
+            assert repr(outcome) == repr(cone_member(generic))
+            check = check_feasible if isinstance(outcome, Feasible) else check_infeasible
+            check(generic, outcome)
+            kinds.add(type(outcome))
+        assert kinds == {Feasible, Infeasible}
+
 
 class TestPreparedMemo:
     """divisor_problem prepares the last integral generator tuple once."""
@@ -223,10 +244,15 @@ class TestPreparedMemo:
     def test_mutated_list_is_not_memoised(self):
         generators = list(nef_generators())
         target = EXCEPTIONALS[0]
-        assert isinstance(cone_member(divisor_problem(target, generators)), Infeasible)
+        first = divisor_problem(target, generators)
+        assert isinstance(cone_member(first), Infeasible)
         generators.append(target)
         problem = divisor_problem(target, generators)
-        assert not isinstance(problem.generators, PreparedCone)
+        # A list is prepared afresh for each query and never held.
+        assert problem.generators is not first.generators
+        assert len(problem.generators) == len(generators)
+        assert problem.generators[-1] == target.vector()
+        assert oracle._memo == ((), None)
         assert isinstance(cone_member(problem), Feasible)
 
     def test_rational_tuple_not_prepared(self):
@@ -240,6 +266,18 @@ class TestPreparedMemo:
     def test_curve_generators(self):
         problem = divisor_problem(CurveClass(1, (0,) * 8), curve_generators())
         assert isinstance(problem.generators, PreparedCone)
+
+    def test_integral_list_matches_tuple(self):
+        # An integral list is prepared for its query as the tuple is, and
+        # leaves the memo as it found it.
+        for generators in (nef_generators(), exceptional_orbit(2) + (HALF_ANTICANONICAL,)):
+            for target in self.TARGETS:
+                held = oracle._memo
+                from_list = divisor_problem(target, list(generators))
+                assert isinstance(from_list.generators, PreparedCone)
+                outcome = repr(cone_member(from_list))
+                assert oracle._memo is held
+                assert outcome == repr(cone_member(divisor_problem(target, generators)))
 
     def test_criterion_3_sample_matches_generic_path(self):
         generators = nef_generators()
@@ -327,7 +365,8 @@ class TestPivotRule:
 
         monkeypatch.setattr(oracle, "_leaving_row", recorded)
         for columns, scale, rhs in _degenerate_lps():
-            assert oracle._simplex(columns, scale, rhs) == _reference_simplex(columns, scale, rhs)
+            expected = _reference_simplex(columns, scale, rhs)
+            assert oracle._simplex(PreparedCone(columns), scale, rhs) == expected
         first_loses = last_loses = 0
         for column, beta, basis in calls:
             expected = _reference_leaving_row(column, beta, basis)
@@ -355,14 +394,6 @@ def _reference_entering(price, columns):
         if sum(p * x for p, x in zip(price, a)) > 0:
             return j
     return -1
-
-
-def _packed(columns):
-    """A prepared cone whose one run is packed as a truncation packs an orbit slice."""
-    cone = PreparedCone(columns)
-    rows = tuple(zip(*cone))
-    cone.runs = ((rows, oracle._pack(rows)),)
-    return cone
 
 
 def _unpacked(block):
@@ -407,7 +438,7 @@ class TestPackedPricing:
         for _ in range(60):
             bound = rng.choice((1, 3, 13, 100, 1000, 1 << 40))
             n = rng.choice((1, 7, 1024, 1500))
-            cone = _packed(tuple(tuple(rng.randint(-bound, bound) for _ in range(9))
+            cone = PreparedCone(tuple(tuple(rng.randint(-bound, bound) for _ in range(9))
                                  for _ in range(n)))
             for _ in range(5):
                 price = [rng.randint(-300, 300) for _ in range(9)]
@@ -425,9 +456,9 @@ class TestPackedPricing:
             columns = list(zeros)
             columns[edge // 2] = negative
             columns[edge] = positive
-            assert self._check(price, _packed(columns)) == edge
+            assert self._check(price, PreparedCone(columns)) == edge
         # Exact zeros (and a negative) only: no column enters.
-        assert self._check(price, _packed(zeros + [negative])) == -1
+        assert self._check(price, PreparedCone(zeros + [negative])) == -1
 
     def test_smallest_positive_price(self):
         # price . a == 1 enters and price . a == 0 does not, on both sides of
@@ -435,15 +466,15 @@ class TestPackedPricing:
         price = [1] + [0] * 8
         for value in (1, oracle._GUARD - 1):
             columns = [(0,) * 9] * 1024 + [(value,) + (0,) * 8]
-            assert self._check(price, _packed(columns)) == 1024
-            assert self._check([-1] + [0] * 8, _packed(columns)) == -1
+            assert self._check(price, PreparedCone(columns)) == 1024
+            assert self._check([-1] + [0] * 8, PreparedCone(columns)) == -1
 
     def test_positive_only_at_half_anticanonical_column(self):
         # A functional separating -K/2 from the orbit, negated: every orbit
         # column prices <= 0 and the -K/2 column, past the blocks, prices > 0.
         cone = oracle._effective_cone(6)
         psi = oracle._cleared(cone_member(ConeProblem(HALF_ANTICANONICAL.vector(),
-                                                      _packed(tuple(cone)[:-1]))).functional)
+                                                      PreparedCone(tuple(cone)[:-1]))).functional)
         price = [-x for x in psi]
         assert self._check(price, cone) == len(cone) - 1
         assert self._check(psi, cone) >= 0
@@ -452,7 +483,7 @@ class TestPackedPricing:
         # Fields of these sums would overflow 16 bits; such blocks are priced
         # by the row kernel, with the same answer.
         rng = random.Random(3)
-        cone = _packed(tuple(tuple(rng.randint(-13, 13) for _ in range(9))
+        cone = PreparedCone(tuple(tuple(rng.randint(-13, 13) for _ in range(9))
                              for _ in range(2100)))
         for shift in (10, 13, 14, 15, 16, 62, 63, 64, 90):
             for _ in range(4):
@@ -463,7 +494,7 @@ class TestPackedPricing:
         price = [1 << 62, -(1 << 63), 3 << 61] + [0] * 6
         zeros = self._orthogonal(rng, price, 1500, bound=4)
         columns = zeros + [(1,) + (0,) * 8] + zeros
-        assert self._check(price, _packed(columns)) == 1500
+        assert self._check(price, PreparedCone(columns)) == 1500
 
     def test_block_edges_of_the_guard(self):
         # sum |price_i| * max |a| just under the guard is priced packed, at the
@@ -471,20 +502,43 @@ class TestPackedPricing:
         guard = oracle._GUARD
         columns = [(0,) * 9] * 1018 + [(-1,) + (0,) * 8] * 5 + [(1,) + (0,) * 8]
         for weight in (guard - 1, guard, guard + 1, 2 * guard, (1 << 62) + 1):
-            assert self._check([weight] + [0] * 8, _packed(columns)) == 1023
-            assert self._check([-weight] + [0] * 8, _packed(columns)) == 1018
+            assert self._check([weight] + [0] * 8, PreparedCone(columns)) == 1023
+            assert self._check([-weight] + [0] * 8, PreparedCone(columns)) == 1018
+
+    def test_user_cone_with_a_block_past_the_guard(self):
+        # 3000 seeded user columns, negative under the price (200; 1^8) but
+        # for one marker: the middle block holds an entry past the guard, so
+        # only the first and last blocks are packed and the row kernel prices
+        # the columns between them.
+        rng = random.Random(29)
+        base = [(rng.randint(-13, -1),) + tuple(rng.randint(-13, 13) for _ in range(8))
+                for _ in range(3000)]
+        base[1700] = (-1, -oracle._GUARD - 5) + (0,) * 7
+        price, marker = [200] + [1] * 8, (13,) + (0,) * 8
+        cone = PreparedCone(base)
+        assert [(b[0], b[1]) for b in cone.runs[0][1]] == [(0, 1024), (2048, 3000)]
+        assert self._check(price, cone) == self._check([0] * 9, cone) == -1
+        for t in (0, 1023, 1024, 1699, 1700, 1701, 2047, 2048, 2999):
+            columns = base[:t] + [marker] + base[t + 1 :]
+            assert self._check(price, PreparedCone(columns)) == t
+        for shift in (4, 8, 14, 62, 90):
+            for _ in range(4):
+                price = [rng.randint(-(1 << shift), 1 << shift) for _ in range(9)]
+                self._check(price, cone)
+                self._check([-abs(price[0])] + price[1:], cone)
 
     def test_blocks_hold_their_columns(self):
         rng = random.Random(5)
-        cone = _packed(tuple(tuple(rng.randint(-9, 9) for _ in range(9)) for _ in range(2500)))
-        (rows, blocks), = cone.runs
+        columns = tuple(tuple(rng.randint(-9, 9) for _ in range(9)) for _ in range(2500))
+        (rows, blocks), = PreparedCone(columns).runs
         assert [(b[0], b[1]) for b in blocks] == [(0, 1024), (1024, 2048), (2048, 2500)]
         for block in blocks:
-            assert _unpacked(block) == cone[block[0] : block[1]]
-        # A run shorter than one block is priced by the row kernel alone, and
-        # so is every cone but the effective truncations, however long.
+            assert _unpacked(block) == columns[block[0] : block[1]]
+        # Packing follows the run's length alone: a run shorter than one
+        # block, such as the nef generators, is priced by the row kernel.
         assert oracle._pack([row[:1023] for row in rows]) == ()
-        assert PreparedCone(cone).runs == ((rows, ()),)
+        assert PreparedCone(columns[:1023]).runs == ((tuple(row[:1023] for row in rows), ()),)
+        assert [(b[0], b[1]) for b in PreparedCone(columns[:1024]).runs[0][1]] == [(0, 1024)]
         assert divisor_problem(H, nef_generators()).generators.runs[0][1] == ()
 
     def test_effective_truncation_uses_table_slices(self):
@@ -510,31 +564,25 @@ class TestPackedPricing:
         assert all(map(operator.is_, oracle._effective_cone(8).runs[:8], cone.runs[:-1]))
 
     def test_zero_price_reads_no_column(self):
-        class Sealed(PreparedCone):
-            # Once sealed, asking for the runs or reading a column fails.
-            sealed = False
-
-            @property
-            def runs(self):
-                assert not self.sealed
-                return self.packed
+        class Sealed:
+            # Asking for the runs, the length or a column fails.
+            def __getattr__(self, name):
+                raise AssertionError(f"read {name}")
 
             def __getitem__(self, key):
-                assert not self.sealed
-                return super().__getitem__(key)
+                raise AssertionError("read a column")
 
             def __iter__(self):
-                assert not self.sealed
-                return super().__iter__()
+                raise AssertionError("read the columns")
 
         rng = random.Random(3)
         columns = tuple(tuple(rng.randint(-9, 9) for _ in range(9)) for _ in range(2500))
-        cone = Sealed(columns)
-        rows = tuple(zip(*columns))
-        cone.packed = ((rows, oracle._pack(rows)),)
+        cone = PreparedCone(columns)
         assert cone.runs[0][1]  # packed, so a non-zero price would read them
-        cone.sealed = True
+        with pytest.raises(AssertionError, match="read runs"):
+            oracle._entering([1] + [0] * 8, Sealed())
         for zero in ([0] * 9, (0,) * 9):
+            assert oracle._entering(zero, Sealed()) == -1
             assert oracle._entering(zero, cone) == _reference_entering(zero, columns) == -1
 
 
@@ -642,9 +690,11 @@ class TestPricingCaches:
     """Packed blocks are built once per prepared cone and never go stale."""
 
     def test_generic_calls_add_no_cache_entry(self, monkeypatch):
+        # Each query prepares its row-scaled columns afresh: one run of 228,
+        # under one block, so nothing is packed and nothing is kept.
         packed = []
         pack = oracle._pack
-        monkeypatch.setattr(oracle, "_pack", lambda *args: packed.append(args) or pack(*args))
+        monkeypatch.setattr(oracle, "_pack", lambda rows: packed.append(pack(rows)) or packed[-1])
         before = (oracle._memo, oracle._effective_cone.cache_info())
         generators = nef_generators()
         rng = random.Random(8)
@@ -653,7 +703,7 @@ class TestPricingCaches:
             divisor = DivisorClass(rng.randint(0, 4), tuple(rng.randint(0, 3) for _ in range(8)))
             kinds.add(type(cone_member(generic_problem(divisor, generators))))
         assert kinds == {Feasible, Infeasible}
-        assert not packed
+        assert len(packed) == 200 and not any(packed)
         after = (oracle._memo, oracle._effective_cone.cache_info())
         assert after == before
 
@@ -695,15 +745,18 @@ class TestPricingCaches:
         assert again == report and again is not report
 
     def test_memo_alternation_prices_current_blocks(self, monkeypatch):
-        # A user tuple's cone is priced by the row kernel alone, however
-        # long: no cone the memo prepares has blocks.
+        # A user tuple's cone is one run, packed exactly when it holds a
+        # block of columns, and its blocks are its own columns.
         monkeypatch.setattr(oracle, "_memo", ((), None))
         priced = []
         entering = oracle._entering
 
         def checked(price, columns):
-            if isinstance(columns, PreparedCone) and all(c is not columns for c in priced):
-                assert columns.runs[0][1] == () and len(columns.runs) == 1
+            if all(c is not columns for c in priced):
+                (rows, blocks), = columns.runs
+                assert bool(blocks) == (len(columns) >= oracle._BLOCK)
+                for block in blocks:
+                    assert _unpacked(block) == tuple(columns)[block[0] : block[1]]
                 priced.append(columns)
             return entering(price, columns)
 
@@ -718,8 +771,10 @@ class TestPricingCaches:
             outcomes = [repr(cone_member(divisor_problem(target, generators)))
                         for generators in pair for target in TestPreparedMemo.TARGETS]
             assert outcomes == expected
-        # Every generator tuple got a cone of its own, each time it came back.
+        # Every generator tuple got a cone of its own, each time it came back;
+        # the degree-4 orbit tuple (1186 columns) is packed.
         assert [len(cone) for cone in priced] == [len(g) for g in pair] * 2
+        assert [bool(cone.runs[0][1]) for cone in priced] == [False, False, False, True] * 2
 
 
 def _corrupt_simplex(monkeypatch, corrupt):
@@ -1227,9 +1282,9 @@ class TestEffectiveConeValidation:
 
     def test_shared_columns_validated_once(self, monkeypatch, fresh_oracle_caches):
         validated = []
-        slice_run = oracle._slice_run
-        monkeypatch.setattr(oracle, "_slice_run",
-                            lambda listing: validated.append(listing) or slice_run(listing))
+        run = oracle._run
+        monkeypatch.setattr(oracle, "_run",
+                            lambda listing: validated.append(listing) or run(listing))
         cones = {}
         for degree in (3, 6, 5, 13, 6, 3, 13):
             cone = cones.setdefault(degree, oracle._effective_cone(degree))
@@ -1248,12 +1303,24 @@ class TestEffectiveConeValidation:
 
     @pytest.mark.parametrize("value", [128, -129, 1 << 70])
     def test_entry_past_a_byte_rejected(self, monkeypatch, fresh_oracle_caches, value):
-        # A slice is stored in signed bytes: a larger entry is refused when
-        # the slice is listed, before any cone is built.
-        self._poison(monkeypatch, 4, lambda v: (value,) + v[1:])
-        with pytest.raises(ScaleExceeded, match="signed byte"):
-            oracle._effective_cone(4)
-        assert oracle._effective_cone.cache_info().currsize == 0
+        # A slice with an entry past a signed byte keeps it exactly, in tuple
+        # rows, while the other slices stay bytes.  Its column (d < 0, or
+        # 4d - sum m < 0, which no other generator has) is needed for itself,
+        # so the LP on it enters it and refuses it: it is no orbit class.
+        if value < 0:
+            self._poison(monkeypatch, 4, lambda v: (value,) + v[1:])
+        else:
+            self._poison(monkeypatch, 4, lambda v: v[:1] + (value,) + v[2:])
+        cone = oracle._effective_cone(4)
+        rows, blocks = cone.runs[4]
+        assert all(type(row) is tuple for row in rows) and blocks == ()
+        others = cone.runs[:4] + cone.runs[5:]
+        assert all(row.typecode == "b" for rows, _ in others for row in rows)
+        listed = _orbit_table.listing(4)
+        column, j = listed[len(listed) // 2], _orbit_table.count(3) + len(listed) // 2
+        assert value in column and cone[j] == tuple(cone)[j] == column
+        with pytest.raises(RuntimeError, match="is not an orbit class"):
+            cone_member(ConeProblem(column, cone))
 
     def test_each_lp_degree_built_once(self, monkeypatch, fresh_oracle_caches):
         # Criterion-4 sampler: the LP degrees alternate, yet each cone of the
