@@ -6,7 +6,11 @@ cycling) over integer generator columns, keeping only the fraction-free basis
 inverse.  A membership query either returns non-negative rational coefficients
 that re-sum to the target, or a separating functional that is non-negative on
 all generators and negative on the target; both certificates are re-checked
-in integer arithmetic before they are returned.
+in integer arithmetic before they are returned.  Phase 1 stops as soon as
+every basic artificial row holds zero: from there every pivot is degenerate
+and moves no variable, so a feasible LP ends without a closing pricing pass
+over its columns, and an infeasible one, which never reaches a zero sum,
+pivots as before.
 
 Every integral generator set is a `PreparedCone`, validated once, so a
 query checks only its target.  A prepared cone is a chain of runs, each
@@ -84,8 +88,9 @@ from .weyl import (_HALF_ANTICANONICAL_INTS, MAX_GENERATORS, ScaleExceeded, _is_
 
 MAX_DIMENSION = 10
 # Bland's rule cannot cycle, and no LP of the acceptance suite takes more than
-# 103 pivots, so passing this many means the pricing is at fault: it fails
-# instead of looping.
+# 518 pivots (criterion 5 separating -K/2 from the orbit to degree 4; a
+# feasible one takes at most 91), so passing this many means the pricing is at
+# fault: it fails instead of looping.
 MAX_PIVOTS = 10_000
 # effective_membership truncates the orbit at degree ceil(d) + EXTRA_DEGREE and
 # re-checks an Infeasible verdict at WINDOW further degrees.
@@ -263,12 +268,24 @@ def _simplex(columns, scale, rhs):
     v . (scale * a_j) with v = z + det, so Bland's rule pivots as on the full
     tableau.  Returns ({basic column: numerator}, None, det) when feasible, and
     (None, v, det) otherwise: y = v / det has y^T A <= 0 and y^T rhs > 0.
+
+    Phase 1 stops as soon as every basic artificial row holds zero (Dantzig,
+    "Linear Programming and Extensions", 1963, ch. 5).  The artificial sum is
+    then 0, its least value.  A pivot lowers the sum by its step times a
+    positive reduced cost, so every further pivot would be degenerate: its
+    step is 0 and no variable's value moves.  The non-zero values numerator /
+    det are therefore those a run to optimality would end with (only which
+    zero-valued columns are basic can differ), and no closing pricing pass is
+    made.  An infeasible LP never reaches a zero sum, so its pivots, dual and
+    det are unchanged.
     """
     rows, n = len(rhs), len(columns)
     inverse = [[int(i == k) for k in range(rows)] for i in range(rows)]
     beta, z, det = list(rhs), [0] * rows, 1
     basis = list(range(n, n + rows))
     for _ in range(MAX_PIVOTS + 1):
+        if not any(b for b, j in zip(beta, basis) if j >= n):
+            break
         price = [(zi + det) * s for zi, s in zip(z, scale)]
         entering = _entering(price, columns)
         if entering >= 0:
@@ -371,8 +388,8 @@ def _entering(price, columns) -> int:
     Each (rows, blocks) run of the cone is priced in column order: its packed
     blocks by 9 big-int multiply-adds each, and the columns between and after
     them, and a block whose fields this price could overflow, by the row
-    kernel.  An all-zero price (the last pass of a feasible LP) makes no column
-    positive, so it returns -1 without reading one.
+    kernel.  An all-zero price makes no column positive, so it returns -1
+    without reading one.
     """
     weight, offset = sum(map(abs, price)), 0
     if not weight:

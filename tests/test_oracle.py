@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import pytest
 
-from blowupcones import oracle, weyl
+from blowupcones import cones, oracle, weyl
 from blowupcones.oracle import PreparedCone
 from blowupcones.weyl import _HALF_ANTICANONICAL_INTS, _OrbitTable, _orbit_table
 from blowupcones import (
@@ -330,6 +330,15 @@ def _reference_simplex(columns, scale, rhs):
     return {basis[i]: beta[i] for i in range(rows) if basis[i] < n}, None, det
 
 
+def _values(result):
+    """A `_simplex` result as values: a Feasible one as {j: Fraction(numerator, det)}
+    over its non-zero entries, an Infeasible one as it is."""
+    basic, dual, det = result
+    if basic is None:
+        return result
+    return {j: Fraction(numerator, det) for j, numerator in basic.items() if numerator}
+
+
 def _degenerate_lps(seed=11, count=300):
     # Small 0/1/2 systems with zeros in the right-hand side tie often.
     rng = random.Random(seed)
@@ -343,7 +352,12 @@ def _degenerate_lps(seed=11, count=300):
 
 
 class TestPivotRule:
-    """Bland pricing and the integer ratio test pivot as the Fraction reference."""
+    """Bland pricing and the integer ratio test pivot as the Fraction reference.
+
+    The reference runs phase 1 to optimality, while `_simplex` stops at a zero
+    artificial sum, after which every pivot is degenerate: a Feasible result
+    is compared by its values, an Infeasible one exactly.
+    """
 
     def test_leaving_row_matches_reference(self):
         rng = random.Random(5)
@@ -365,8 +379,8 @@ class TestPivotRule:
 
         monkeypatch.setattr(oracle, "_leaving_row", recorded)
         for columns, scale, rhs in _degenerate_lps():
-            expected = _reference_simplex(columns, scale, rhs)
-            assert oracle._simplex(PreparedCone(columns), scale, rhs) == expected
+            expected = _values(_reference_simplex(columns, scale, rhs))
+            assert _values(oracle._simplex(PreparedCone(columns), scale, rhs)) == expected
         first_loses = last_loses = 0
         for column, beta, basis in calls:
             expected = _reference_leaving_row(column, beta, basis)
@@ -385,7 +399,59 @@ class TestPivotRule:
             d = rng.randint(0, 6)
             rhs = (d, *(rng.randint(0, d) for _ in range(8)))
             scale = (1, *(rng.choice((1, 1, -1)) for _ in range(8)))
-            assert oracle._simplex(columns, scale, rhs) == _reference_simplex(columns, scale, rhs)
+            expected = _values(_reference_simplex(columns, scale, rhs))
+            assert _values(oracle._simplex(columns, scale, rhs)) == expected
+
+
+class TestPhaseOneStop:
+    """Phase 1 stops at a zero artificial sum, so a feasible LP makes no
+    closing pricing pass that enters nothing."""
+
+    @staticmethod
+    def _recorded(monkeypatch):
+        passes = []  # what each pricing pass returned, in order
+        entering = oracle._entering
+
+        def recorded(price, columns):
+            passes.append(entering(price, columns))
+            return passes[-1]
+
+        monkeypatch.setattr(oracle, "_entering", recorded)
+        return passes
+
+    def test_zero_target_prices_nothing(self, monkeypatch):
+        passes = self._recorded(monkeypatch)
+        outcome = cone_member(divisor_problem(DivisorClass(0, (0,) * 8), nef_generators()))
+        assert isinstance(outcome, Feasible) and not any(outcome.coefficients)
+        assert passes == []
+
+    def test_feasible_lps_end_without_an_empty_pass(self, monkeypatch):
+        # Every feasible LP of the criterion-4 sampler (through
+        # effective_membership) and of the criterion-6 sampler over the nef
+        # generators ends on a pivot, never on a pass that returns -1.
+        passes, closing = self._recorded(monkeypatch), []
+        solve = oracle.cone_member
+
+        def lp(problem):
+            passes.clear()
+            outcome = solve(problem)
+            if isinstance(outcome, Feasible):
+                closing.append(-1 in passes)
+            return outcome
+
+        monkeypatch.setattr(oracle, "cone_member", lp)
+        rng = random.Random(20250810)
+        for _ in range(1000):
+            effective_membership(DivisorClass(rng.randint(0, 8),
+                                              tuple(rng.randint(-8, 8) for _ in range(8))))
+        assert len(closing) == 257 and not any(closing)
+        closing.clear()
+        rng, generators = random.Random(614), nef_generators()
+        for _ in range(2000):
+            d = rng.randint(0, 8)
+            lp(divisor_problem(DivisorClass(d, tuple(rng.randint(0, d) for _ in range(8))),
+                               generators))
+        assert len(closing) == 255 and not any(closing)
 
 
 def _reference_entering(price, columns):
@@ -927,12 +993,16 @@ class TestAgreementWithDecomposers:
         print(f"nef sweep: {yes} yes, {no} no")
         assert min(yes, no) >= len(classes) // 4
 
-    def test_curve_agreement_on_valid_region(self):
+    def test_curve_agreement_on_valid_region(self, monkeypatch):
         # A seeded sweep of about 2000 classes: combinations of the 36
         # generators, half of them moved one unit off, and classes drawn with
         # c_i of both signs.  Each verdict must match the LP; each "yes"
-        # round-trips through JSON and re-checks, each "no" names a nef
+        # round-trips through JSON and re-checks, with no search of the nef
+        # generators (the closed form decides), and each "no" names a nef
         # generator the class meets negatively.
+        searches = []
+        listed = cones.nef_generators
+        monkeypatch.setattr(cones, "nef_generators", lambda: searches.append(1) or listed())
         rng = random.Random(5)
         generators = curve_generators()
         classes = []
@@ -948,6 +1018,7 @@ class TestAgreementWithDecomposers:
             classes.append(CurveClass(rng.randint(0, 4), tuple(rng.randint(-3, 2) for _ in range(8))))
         yes = 0
         for curve in classes:
+            searches.clear()
             try:
                 cert = curve_decompose(curve)
             except NotInCurveCone as exc:
@@ -955,6 +1026,7 @@ class TestAgreementWithDecomposers:
                 assert curve_intersection(exc.witness, curve) < 0
                 member = False
             else:
+                assert not searches, curve
                 Certificate.from_json(cert.to_json()).check()
                 member = True
             outcome = cone_member(divisor_problem(curve, generators))
