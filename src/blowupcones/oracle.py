@@ -16,19 +16,18 @@ Every integral generator set is a `PreparedCone`, validated once, so a
 query checks only its target.  A prepared cone is a chain of runs, each
 built by `_run`: it checks its columns (dimension, count, int entries) and
 stores them row-major, row i holding entry i of each column in order, as an
-`array('b')` when every entry fits a signed byte and as a tuple otherwise.
-A run of _BLOCK (1024) columns or more is also packed, 1024 at a time, into
-one Python int per row with a 16-bit field per column, so whether a run is
-packed depends on its length alone.  Columns are rebuilt from the rows only
-when read (`len`, `cone[j]`, iteration).  A user set is one run.  The
-effective-cone truncation of degree k chains the runs of the one of degree
-k - 1 without -K/2, then the run of the orbit table's listing of degree k,
-then -K/2's run: each slice is validated and stored once, when it is listed,
-and shared by every truncation above it (about 1.1 MB to degree 13, blocks
-included), and the cap is checked on the whole chain.  The table refuses a
-degree over MAX_GENERATORS classes (`weyl.ScaleExceeded`) before anything
-is listed, so an oversized query fails before its LP is built;
-`_check_shape` is the LP's own guard on any set.
+`array('b')` when every entry fits a signed byte and as a tuple otherwise,
+together with the run's shapes, the distinct (a_0, sorted(a_1..)) of its
+columns.  Columns are rebuilt from the rows only when read (`len`,
+`cone[j]`, iteration).  A user set is one run.  The effective-cone
+truncation of degree k chains the runs of the one of degree k - 1 without
+-K/2, then the run of the orbit table's listing of degree k, then -K/2's
+run: each slice is validated and stored once, when it is listed, and shared
+by every truncation above it, and the cap is checked on the whole chain.
+The table refuses a degree over MAX_GENERATORS classes
+(`weyl.ScaleExceeded`) before anything is listed, so an oversized query
+fails before its LP is built; `_check_shape` is the LP's own guard on any
+set.
 
 `effective_membership` first tries a few fixed functionals (the shortcut),
 once per query, on the class's integer frame.  They are verified once, on
@@ -58,22 +57,25 @@ from being reused, and a tuple of frozen classes cannot change.  A list can
 change between calls, so an integral list is prepared afresh for each query
 and never held; a rational set is row-scaled per query (`cone_member`).
 
-One pass over a packed block is 9 big-int multiply-adds; a field's top bit
-says whether that column's price is positive.  Every run the blocks leave
-(a run under 1024 columns, such as the degree 0-5 slices, -K/2 and the nef
-and curve cones, and a block a price could overflow) is priced by the row
-kernel, one lazy chain of maps per run read up to its first positive entry.
-Both kernels enter the column that pricing one column at a time enters.
-Every column the simplex enters from a truncation must be -K/2 or a
-(-1)-class, so a changed byte fails the LP that enters it.  `_solve`'s "no"
-check stays a plain dot-product scan over the columns (`_dots`): it shares
-no code with either kernel, so a pricing fault cannot pass its own check.
+Pricing gates each run by its shapes.  For a price p and a column a with
+shape (a_0, s), p . a <= p_0 a_0 + sorted(p_1..) . s, both ascending, by the
+rearrangement inequality (Hardy, Littlewood and Polya, "Inequalities", 1934,
+ch. X).  A run whose bound, the largest of these over its shapes, is at most
+0 holds no column of positive price and is skipped unread; every other run
+is read by the row kernel up to its first positive column.  So pricing
+enters the column that pricing one column at a time enters.  The bound is
+the run's true maximum when the run is closed under permuting the points,
+as every orbit slice, -K/2 and the nef cone are.  Every column the simplex
+enters from a truncation must be -K/2 or a (-1)-class, so a byte changed
+after the run was built fails the LP that enters it; a changed column the
+gate skips fails the "no" check.  `_solve`'s "no" check stays a plain
+dot-product scan over the columns (`_dots`): it shares no code with the
+gate or the row kernel, so a pricing fault cannot pass its own check.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -127,9 +129,11 @@ def _check_ints(values) -> None:
 
 
 class PreparedCone:
-    """Integer generator columns, validated once, as a chain of (rows, blocks) runs.
+    """Integer generator columns, validated once, as a chain of (rows, shapes) runs.
 
-    `runs` holds the runs in column order, each built by `_run`.  A
+    `runs` holds the runs in column order, each built by `_run`: its rows,
+    and its shapes, taken once from its columns, by which `_entering` skips
+    a run that no price can enter.  `_ends` holds each run's end.  A
     ConeProblem on a PreparedCone checks only its target and skips scaling.
     Columns are rebuilt from the rows only when read, through `len`,
     `cone[j]` and iteration.
@@ -362,93 +366,39 @@ def _cleared(vector) -> tuple[int, ...]:
     return tuple(x.numerator * (lcm // x.denominator) for x in vector)
 
 
-# Packed pricing.  Row i of a block of columns a_0..a_{n-1} is the one int
-# sum_j a_ij 2^(16 j).  Then sum_i price_i row_i + _BIAS * sum_j 2^(16 j) holds
-# price . a_j + 2^15 - 1 in its 16-bit field j, as long as every field lies in
-# [0, 2^16): _GUARD keeps |price . a_j| < 2^14.  A field's top bit is then set
-# exactly when price . a_j >= 1, and to_bytes puts the top bits in the odd
-# bytes.  16-bit fields keep the blocks small; on every LP of the acceptance
-# suite and the benchmark, sum |price_i| stays below 128 and the largest entry
-# is 13, far inside the guard.
-# Only runs of at least one block are packed (`_run`): the orbit slices of
-# degree >= 6 and any other set of 1024 columns or more.  Shorter runs (the
-# degree <= 5 slices, -K/2, the nef and curve generators) are priced by the
-# row kernel, `_row_entering`.  Packing them too is faster still, but the
-# benchmark harness keeps every request it serves, so its peak RSS would then
-# pass its bound (see CHANGES.md).
-_BLOCK = 1024
-_BIAS = (1 << 15) - 1
-_GUARD = 1 << 14
-_TOP_BIT = bytes(b >> 7 for b in range(256))
-
-
 def _entering(price, columns) -> int:
     """Bland's entering column: the first j with price . columns[j] > 0, or -1.
 
-    Each (rows, blocks) run of the cone is priced in column order: its packed
-    blocks by 9 big-int multiply-adds each, and the columns between and after
-    them, and a block whose fields this price could overflow, by the row
-    kernel.  An all-zero price makes no column positive, so it returns -1
-    without reading one.
+    The price's tail is sorted once.  Each (rows, shapes) run of the cone is
+    skipped when its bound, the largest p_0 a_0 + sorted(p_1..) . s over its
+    shapes (a_0, s), is at most 0: by the rearrangement inequality no column
+    of the run then prices positive.  Every other run is priced in column
+    order by the row kernel.  A zero price skips every run unread.
     """
-    weight, offset = sum(map(abs, price)), 0
-    if not weight:
-        return -1
-    for rows, blocks in columns.runs:
-        start = 0
-        for low, high, bound, bias, packed in blocks:
-            if weight * bound >= _GUARD:
-                continue
-            if start < low:
-                hit = _row_entering(price, [row[start:low] for row in rows])
-                if hit >= 0:
-                    return offset + start + hit
-            total = sum(map(mul, price, packed), bias)
-            hit = total.to_bytes(2 * (high - low), "little")[1::2].translate(_TOP_BIT).find(1)
+    key = (price[0], *sorted(price[1:]))
+    for (rows, shapes), start in zip(columns.runs, chain((0,), columns._ends)):
+        if max(map(sum, map(map, repeat(mul), repeat(key), shapes))) > 0:
+            hit = _row_entering(price, rows)
             if hit >= 0:
-                return offset + low + hit
-            start = high
-        hit = _row_entering(price, [row[start:] for row in rows] if start else rows)
-        if hit >= 0:
-            return offset + start + hit
-        offset += len(rows[0])
+                return start + hit
     return -1
 
 
-def _pack(rows) -> tuple:
-    """Blocks (low, high, bound, bias, packed) of the columns these rows hold, in order.
-
-    A run of at least _BLOCK columns is cut into blocks of at most _BLOCK; a
-    shorter run, and a block with an entry too large for a field, get none.
-    bound is a block's largest |a_ij|.
-    """
-    blocks, stop = [], len(rows[0])
-    for low in range(0, stop, _BLOCK) if stop >= _BLOCK else ():
-        high = min(low + _BLOCK, stop)
-        chunk, ones = [row[low:high] for row in rows], ((1 << 16 * (high - low)) - 1) // 0xFFFF
-        bound = max(map(abs, chain.from_iterable(chunk)))
-        if bound < _GUARD:
-            # Two's complement with each field's top bit flipped is a + 2^15.
-            top, fmt = ones << 15, f"<{high - low}h"
-            packed = tuple((int.from_bytes(struct.pack(fmt, *row), "little") ^ top) - top
-                           for row in chunk)
-            blocks.append((low, high, bound, _BIAS * ones, packed))
-    return tuple(blocks)
-
-
 def _run(columns: tuple) -> tuple:
-    """One run of a prepared cone: its columns' rows, and their packed blocks (`_pack`).
+    """One run of a prepared cone: its columns' rows, and their shapes.
 
     Validated here, once: the columns' dimension and count, and int entries.
     Row i holds entry i of each column, in order: an `array('b')` when every
-    entry fits a signed byte, a tuple otherwise.
+    entry fits a signed byte, a tuple otherwise.  The shapes are the distinct
+    (a_0, sorted(a_1..)) of the columns, in order of first appearance, which
+    `_entering` bounds the run's prices by.
     """
     _check_shape(len(columns[0]) if columns else 0, columns)
     _check_ints(chain.from_iterable(columns))
     rows = tuple(zip(*columns))
     if -128 <= min(map(min, rows)) and max(map(max, rows)) <= 127:
         rows = tuple(array("b", row) for row in rows)
-    return rows, _pack(rows)
+    return rows, tuple(dict.fromkeys((a[0], *sorted(a[1:])) for a in columns))
 
 
 # -K/2's run: the last column of every truncation.

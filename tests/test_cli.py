@@ -541,8 +541,9 @@ class TestOracleCommand:
     ], ids=["infeasible", "feasible"])
     def test_orbit_file_is_packed(self, capsys, tmp_path, target, expected):
         # The 2192 orbit classes to degree 5, from `orbit`'s class column, as
-        # a generator file: one run of three blocks, packed for the query.
-        # The same file runs through the installed script in CI.
+        # a generator file: one run with the nine shapes of degrees 0-5.  The
+        # file is closed under permuting the points, so the gate's bound is
+        # exact on it.  The same file runs through the installed script in CI.
         _, out, _ = run(capsys, "orbit", "--max-degree", "5")
         classes = [row[0] for row in csv.reader(out.splitlines()[1:])]
         gens = tmp_path / "orbit5.txt"
@@ -552,7 +553,7 @@ class TestOracleCommand:
         # The prepared and the generic Fraction path give the same outcome.
         generators = [DivisorClass.parse(text) for text in classes]
         problem = divisor_problem(DivisorClass.parse(target), generators)
-        assert len(problem.generators) == 2192 and len(problem.generators.runs[0][1]) == 3
+        assert len(problem.generators) == 2192 and len(problem.generators.runs[0][1]) == 9
         generic = ConeProblem(problem.target, tuple(g.vector() for g in generators))
         assert repr(cone_member(problem)) == repr(cone_member(generic))
 

@@ -5,7 +5,6 @@ import math
 import operator
 import random
 import re
-import struct
 import weakref
 from fractions import Fraction
 from functools import lru_cache
@@ -462,18 +461,20 @@ def _reference_entering(price, columns):
     return -1
 
 
-def _unpacked(block):
-    """The columns a block was packed from, read back from its 16-bit fields."""
-    start, stop, _, _, rows = block
-    width = stop - start
-    top = sum(1 << 16 * j + 15 for j in range(width))
-    fields = [struct.unpack(f"<{width}H", (row + top).to_bytes(2 * width, "little"))
-              for row in rows]
-    return tuple(tuple(x - (1 << 15) for x in column) for column in zip(*fields))
+def _shape(column):
+    """A column's shape: its first entry, then the others ascending."""
+    return (column[0], *sorted(column[1:]))
+
+
+def _bound(price, shapes):
+    """The gate's bound: the largest p_0 a_0 + sorted(p_1..) . s over the shapes (a_0, s)."""
+    tail = sorted(price[1:])
+    return max(price[0] * shape[0] + sum(p * x for p, x in zip(tail, shape[1:]))
+               for shape in shapes)
 
 
 class TestPackedPricing:
-    """The packed and row kernels enter the column `_dots` pricing enters, on any prices."""
+    """The shape gate and the row kernel enter the column `_dots` pricing enters, on any price."""
 
     EDGES = (0, 1, 1023, 1024, 1025, 2047, 2048, 2499)
 
@@ -527,17 +528,19 @@ class TestPackedPricing:
         assert self._check(price, PreparedCone(zeros + [negative])) == -1
 
     def test_smallest_positive_price(self):
-        # price . a == 1 enters and price . a == 0 does not, on both sides of
-        # a block edge and at the largest field the guard allows.
+        # price . a == 1 enters and price . a == 0 does not, after 1024 zero
+        # columns and for an entry past a byte: the run's bound is exact, so
+        # it is read when its best column prices positive and skipped at 0.
         price = [1] + [0] * 8
-        for value in (1, oracle._GUARD - 1):
+        for value in (1, (1 << 14) - 1, 1 << 70):
             columns = [(0,) * 9] * 1024 + [(value,) + (0,) * 8]
             assert self._check(price, PreparedCone(columns)) == 1024
             assert self._check([-1] + [0] * 8, PreparedCone(columns)) == -1
+            assert _bound([-1] + [0] * 8, PreparedCone(columns).runs[0][1]) == 0
 
     def test_positive_only_at_half_anticanonical_column(self):
         # A functional separating -K/2 from the orbit, negated: every orbit
-        # column prices <= 0 and the -K/2 column, past the blocks, prices > 0.
+        # column prices <= 0 and the -K/2 column, in its own run, prices > 0.
         cone = oracle._effective_cone(6)
         psi = oracle._cleared(cone_member(ConeProblem(HALF_ANTICANONICAL.vector(),
                                                       PreparedCone(tuple(cone)[:-1]))).functional)
@@ -546,8 +549,8 @@ class TestPackedPricing:
         assert self._check(psi, cone) >= 0
 
     def test_prices_past_the_guard(self):
-        # Fields of these sums would overflow 16 bits; such blocks are priced
-        # by the row kernel, with the same answer.
+        # Big-int prices, up to 2^90: the bound and the row kernel are exact
+        # at any size.
         rng = random.Random(3)
         cone = PreparedCone(tuple(tuple(rng.randint(-13, 13) for _ in range(9))
                              for _ in range(2100)))
@@ -562,27 +565,40 @@ class TestPackedPricing:
         columns = zeros + [(1,) + (0,) * 8] + zeros
         assert self._check(price, PreparedCone(columns)) == 1500
 
-    def test_block_edges_of_the_guard(self):
-        # sum |price_i| * max |a| just under the guard is priced packed, at the
-        # guard it is not; both give the reference answer.
-        guard = oracle._GUARD
-        columns = [(0,) * 9] * 1018 + [(-1,) + (0,) * 8] * 5 + [(1,) + (0,) * 8]
-        for weight in (guard - 1, guard, guard + 1, 2 * guard, (1 << 62) + 1):
-            assert self._check([weight] + [0] * 8, PreparedCone(columns)) == 1023
-            assert self._check([-weight] + [0] * 8, PreparedCone(columns)) == 1018
+    def test_block_edges_of_the_guard(self, monkeypatch):
+        # The gate's edge: a run whose bound is exactly 0 is skipped unread
+        # and one whose bound is 1 is read, at any weight of the price.
+        read = []
+        row_entering = oracle._row_entering
+        monkeypatch.setattr(oracle, "_row_entering", lambda price, rows:
+                            read.append(len(rows[0])) or row_entering(price, rows))
+        low = [(0,) * 9] * 1018 + [(-1,) + (0,) * 8] * 5
+        high = [(0,) * 9] * 7 + [(1,) + (0,) * 8]
+        cone = PreparedCone.of_runs((oracle._run(tuple(low)), oracle._run(tuple(high))))
+        for weight in (1, (1 << 14) - 1, 1 << 14, (1 << 62) + 1):
+            read.clear()
+            assert self._check([weight] + [0] * 8, cone) == 1030
+            assert read[-1:] == [8]  # the gate skipped the low run, read the high one
+            read.clear()
+            assert self._check([-weight] + [0] * 8, cone) == 1018
+            assert read[-1:] == [1023]
 
     def test_user_cone_with_a_block_past_the_guard(self):
         # 3000 seeded user columns, negative under the price (200; 1^8) but
-        # for one marker: the middle block holds an entry past the guard, so
-        # only the first and last blocks are packed and the row kernel prices
-        # the columns between them.
+        # for one marker, one of them past a byte: the run keeps tuple rows,
+        # holds a shape per distinct column and is not closed under
+        # permutations, so its bound is loose, yet pricing is exact.
         rng = random.Random(29)
         base = [(rng.randint(-13, -1),) + tuple(rng.randint(-13, 13) for _ in range(8))
                 for _ in range(3000)]
-        base[1700] = (-1, -oracle._GUARD - 5) + (0,) * 7
+        base[1700] = (-1, -(1 << 14) - 5) + (0,) * 7
         price, marker = [200] + [1] * 8, (13,) + (0,) * 8
         cone = PreparedCone(base)
-        assert [(b[0], b[1]) for b in cone.runs[0][1]] == [(0, 1024), (2048, 3000)]
+        (rows, shapes), = cone.runs
+        assert all(type(row) is tuple for row in rows)
+        assert shapes == tuple(dict.fromkeys(map(_shape, base)))
+        loose = [200] + list(range(1, 9))
+        assert _bound(loose, shapes) > max(sum(map(operator.mul, loose, a)) for a in base)
         assert self._check(price, cone) == self._check([0] * 9, cone) == -1
         for t in (0, 1023, 1024, 1699, 1700, 1701, 2047, 2048, 2999):
             columns = base[:t] + [marker] + base[t + 1 :]
@@ -594,34 +610,30 @@ class TestPackedPricing:
                 self._check([-abs(price[0])] + price[1:], cone)
 
     def test_blocks_hold_their_columns(self):
+        # A run's shapes are its own columns' shapes, in order of first
+        # appearance, whatever its length; its rows are bytes at any length.
         rng = random.Random(5)
         columns = tuple(tuple(rng.randint(-9, 9) for _ in range(9)) for _ in range(2500))
-        (rows, blocks), = PreparedCone(columns).runs
-        assert [(b[0], b[1]) for b in blocks] == [(0, 1024), (1024, 2048), (2048, 2500)]
-        for block in blocks:
-            assert _unpacked(block) == columns[block[0] : block[1]]
-        # Packing follows the run's length alone: a run shorter than one
-        # block, such as the nef generators, is priced by the row kernel.
-        assert oracle._pack([row[:1023] for row in rows]) == ()
-        assert PreparedCone(columns[:1023]).runs == ((tuple(row[:1023] for row in rows), ()),)
-        assert [(b[0], b[1]) for b in PreparedCone(columns[:1024]).runs[0][1]] == [(0, 1024)]
-        assert divisor_problem(H, nef_generators()).generators.runs[0][1] == ()
+        for n in (1, 1023, 1024, 2500):
+            (rows, shapes), = PreparedCone(columns[:n]).runs
+            assert all(row.typecode == "b" for row in rows)
+            assert tuple(zip(*rows)) == columns[:n]
+            assert shapes == tuple(dict.fromkeys(map(_shape, columns[:n])))
+        # The 228 nef generators have 8 shapes and -K/2 one.
+        nef = divisor_problem(H, nef_generators()).generators
+        assert {_shape(a) for a in nef} == set(nef.runs[0][1]) and len(nef.runs[0][1]) == 8
+        assert oracle._HALF_RUN[1] == (_HALF_ANTICANONICAL_INTS,)
 
     def test_effective_truncation_uses_table_slices(self):
         # One run per orbit slice, then -K/2's: each slice reads back as the
-        # table's listing from nine byte rows.  Slices of degree 6 and 7 are
-        # packed; degrees 0-5 (2192 columns, no slice of 1024) and -K/2 are
-        # left to the row kernel.
+        # table's listing from nine byte rows, and its shapes are the table's
+        # shapes of its degree.
         cone = oracle._effective_cone(7)
         assert len(cone.runs) == 9 and cone.runs[-1] is oracle._HALF_RUN
-        for degree, (rows, blocks) in enumerate(cone.runs[:-1]):
+        for degree, (rows, shapes) in enumerate(cone.runs[:-1]):
             assert len(rows) == 9 and all(row.typecode == "b" for row in rows)
             assert tuple(zip(*rows)) == _orbit_table.listing(degree)
-            width, block = len(rows[0]), oracle._BLOCK
-            cuts = [(low, min(low + block, width)) for low in range(0, width, block)]
-            assert [(b[0], b[1]) for b in blocks] == (cuts if degree >= 6 else [])
-            for block in blocks:
-                assert _unpacked(block) == tuple(zip(*rows))[block[0] : block[1]]
+            assert sorted(shapes) == [(degree, *m) for m in _orbit_table.shapes(degree)]
         assert [_orbit_table.count(k) for k in (5, 6, 7)] == [2192, 3592, len(cone) - 1]
         assert tuple(cone) == listed_to(_orbit_table, 7) + (_HALF_ANTICANONICAL_INTS,)
         # Each slice is stored once: every truncation above shares its run.
@@ -630,26 +642,32 @@ class TestPackedPricing:
         assert all(map(operator.is_, oracle._effective_cone(8).runs[:8], cone.runs[:-1]))
 
     def test_zero_price_reads_no_column(self):
+        # A zero price bounds every run by 0, so it is answered from the
+        # shapes alone, with no row read; a price some run can enter reads it.
         class Sealed:
-            # Asking for the runs, the length or a column fails.
-            def __getattr__(self, name):
-                raise AssertionError(f"read {name}")
-
+            # Reading a row, its length or the rows fails.
             def __getitem__(self, key):
-                raise AssertionError("read a column")
+                raise AssertionError("read a row")
 
             def __iter__(self):
-                raise AssertionError("read the columns")
+                raise AssertionError("read the rows")
+
+            def __len__(self):
+                raise AssertionError("read a row's length")
 
         rng = random.Random(3)
         columns = tuple(tuple(rng.randint(-9, 9) for _ in range(9)) for _ in range(2500))
-        cone = PreparedCone(columns)
-        assert cone.runs[0][1]  # packed, so a non-zero price would read them
-        with pytest.raises(AssertionError, match="read runs"):
-            oracle._entering([1] + [0] * 8, Sealed())
-        for zero in ([0] * 9, (0,) * 9):
-            assert oracle._entering(zero, Sealed()) == -1
-            assert oracle._entering(zero, cone) == _reference_entering(zero, columns) == -1
+        for cone in (PreparedCone(columns), oracle._effective_cone(7),
+                     divisor_problem(H, nef_generators()).generators):
+            # The cone's shapes and ends, with sealed rows.
+            sealed = PreparedCone.__new__(PreparedCone)
+            sealed.runs = tuple((Sealed(), shapes) for _, shapes in cone.runs)
+            sealed._ends = cone._ends
+            for zero in ([0] * 9, (0,) * 9):
+                assert oracle._entering(zero, sealed) == -1
+                assert oracle._entering(zero, cone) == _reference_entering(zero, cone) == -1
+            with pytest.raises(AssertionError, match="^read "):
+                oracle._entering([1] + [0] * 8, sealed)
 
 
 # (4; -1^8) is 1 on every orbit class (4d - sum m = 1) and 0 on -K/2.
@@ -670,9 +688,9 @@ def _truncation_rows(degree):
 class TestTruncationPricing:
     """Bland's entering column on every effective truncation, degrees 0 to 13.
 
-    `_entering` (the slices' packed blocks, the row kernel elsewhere) and
-    `_row_entering` on the whole cone's rows (no blocks) enter the column
-    that pricing one column at a time enters.
+    `_entering` (each slice gated by its shapes, then read by the row
+    kernel) and `_row_entering` on the whole cone's rows (no gate) enter the
+    column that pricing one column at a time enters.
     """
 
     @staticmethod
@@ -721,7 +739,7 @@ class TestTruncationPricing:
                 assert self._check(price, 13) == j
 
     def test_big_int_prices(self):
-        # Prices past the guard, alone and shifted down on the orbit.
+        # Big-int prices, alone and shifted down on the orbit.
         rng = random.Random(3)
         for shift in (10, 14, 15, 16, 62, 63, 64, 90):
             for _ in range(2):
@@ -729,6 +747,81 @@ class TestTruncationPricing:
                 for degree in (0, 5, 13):
                     self._check(price, degree)
                     self._check(_shifted(price, 1 << (shift + 3)), degree)
+
+
+class TestShapeGate:
+    """The gate's bound on every kind of run, and the entering column it leaves."""
+
+    @staticmethod
+    def _recorded_prices(monkeypatch):
+        # The prices _simplex prices with on effective queries of the
+        # criterion-4 sampler, nef LPs of the criterion-6 sampler and LPs over
+        # the curve generators: every closing pass of an infeasible LP, which
+        # enters nothing, and a seeded sample of 30 others.
+        recorded = {}
+        entering = oracle._entering
+
+        def record(price, columns):
+            hit = entering(price, columns)
+            recorded.setdefault(tuple(price), hit)
+            return hit
+
+        monkeypatch.setattr(oracle, "_entering", record)
+        rng = random.Random(20250810)
+        for _ in range(60):
+            effective_membership(DivisorClass(rng.randint(0, 8),
+                                              tuple(rng.randint(-8, 8) for _ in range(8))))
+        rng = random.Random(614)
+        for _ in range(40):
+            d = rng.randint(0, 8)
+            target = DivisorClass(d, tuple(rng.randint(0, d) for _ in range(8)))
+            cone_member(divisor_problem(target, nef_generators()))
+        for _ in range(20):
+            target = CurveClass(rng.randint(0, 4), tuple(rng.randint(-3, 1) for _ in range(8)))
+            cone_member(divisor_problem(target, curve_generators()))
+        monkeypatch.undo()
+        closing = sorted(price for price, hit in recorded.items() if hit < 0)
+        others = sorted(price for price, hit in recorded.items() if hit >= 0)
+        assert len(closing) >= 5
+        return closing + random.Random(5).sample(others, 30)
+
+    def test_gate_matches_reference_on_every_cone(self, monkeypatch):
+        prices = self._recorded_prices(monkeypatch)
+        rng = random.Random(20250810)
+        prices += [[rng.randint(-(1 << k), 1 << k) for _ in range(9)] for k in (3, 8, 40)
+                   for _ in range(4)]
+        prices += [[0] * 9] + [[sign * int(i == k) for i in range(9)]
+                               for k in range(9) for sign in (1, -1)]
+        top = oracle._effective_cone(13)
+        orbit = tuple(top)[:-1]
+        user = PreparedCone(tuple(tuple(rng.randint(-9, 9) for _ in range(9))
+                                  for _ in range(500)))
+        # (cone, whether each of its runs is closed under permuting the points)
+        others = [(divisor_problem(H, nef_generators()).generators, True),
+                  (divisor_problem(EXCEPTIONAL_LINES[0], curve_generators()).generators, True),
+                  (PreparedCone.of_runs((oracle._HALF_RUN,)), True),
+                  (user, False)]
+        assert len(user.runs[0][1]) == 500
+        loose = 0
+        for price in prices:
+            # The truncation at k is the orbit to degree 13 cut at count(k), then -K/2.
+            first = _reference_entering(price, orbit)
+            half = sum(map(operator.mul, price, _HALF_ANTICANONICAL_INTS)) > 0
+            for degree in range(14):
+                cut = _orbit_table.count(degree)
+                expected = first if 0 <= first < cut else (cut if half else -1)
+                assert oracle._entering(price, oracle._effective_cone(degree)) == expected
+            for cone, _ in others:
+                assert oracle._entering(price, cone) == _reference_entering(price, cone)
+            # Per run: the bound is at least the best column's price, and
+            # equal to it on a run closed under permutations.
+            for cone, closed in [(top, True)] + others:
+                for rows, shapes in cone.runs:
+                    best = max(sum(map(operator.mul, price, a)) for a in zip(*rows))
+                    bound = _bound(price, shapes)
+                    assert bound == best if closed else bound >= best
+                    loose += bound > best
+        assert loose  # the user set's bound is loose on some price
 
 
 class TestPivotCap:
@@ -753,14 +846,15 @@ class TestPivotCap:
 
 
 class TestPricingCaches:
-    """Packed blocks are built once per prepared cone and never go stale."""
+    """Shapes are taken once per prepared cone and never go stale."""
 
     def test_generic_calls_add_no_cache_entry(self, monkeypatch):
         # Each query prepares its row-scaled columns afresh: one run of 228,
-        # under one block, so nothing is packed and nothing is kept.
-        packed = []
-        pack = oracle._pack
-        monkeypatch.setattr(oracle, "_pack", lambda rows: packed.append(pack(rows)) or packed[-1])
+        # with the nef cone's 8 shapes, and nothing is kept.
+        built = []
+        run = oracle._run
+        monkeypatch.setattr(oracle, "_run",
+                            lambda columns: built.append(run(columns)) or built[-1])
         before = (oracle._memo, oracle._effective_cone.cache_info())
         generators = nef_generators()
         rng = random.Random(8)
@@ -769,7 +863,8 @@ class TestPricingCaches:
             divisor = DivisorClass(rng.randint(0, 4), tuple(rng.randint(0, 3) for _ in range(8)))
             kinds.add(type(cone_member(generic_problem(divisor, generators))))
         assert kinds == {Feasible, Infeasible}
-        assert len(packed) == 200 and not any(packed)
+        assert len(built) == 200
+        assert {(len(rows[0]), len(shapes)) for rows, shapes in built} == {(228, 8)}
         after = (oracle._memo, oracle._effective_cone.cache_info())
         assert after == before
 
@@ -791,10 +886,10 @@ class TestPricingCaches:
         new = oracle._effective_cone(13)
         assert tuple(new) == tuple(old) and new[-1] == _HALF_ANTICANONICAL_INTS
         assert new.runs[-1] is old_runs[-1] is oracle._HALF_RUN
-        # Every slice's rows and blocks are built afresh from the new table.
-        for (rows, blocks), (old_rows, old_blocks) in zip(new.runs[:-1], old_runs[:-1]):
+        # Every slice's rows and shapes are built afresh from the new table.
+        for (rows, shapes), (old_rows, old_shapes) in zip(new.runs[:-1], old_runs[:-1]):
             assert rows == old_rows and not any(map(operator.is_, rows, old_rows))
-            assert blocks == old_blocks and not any(map(operator.is_, blocks, old_blocks))
+            assert shapes == old_shapes and not any(map(operator.is_, shapes, old_shapes))
         # And nothing else holds the old store: its byte rows are freed.
         gone = [weakref.ref(row) for rows, _ in old_runs[:-1] for row in rows]
         del old, old_runs, rows, old_rows
@@ -811,18 +906,15 @@ class TestPricingCaches:
         assert again == report and again is not report
 
     def test_memo_alternation_prices_current_blocks(self, monkeypatch):
-        # A user tuple's cone is one run, packed exactly when it holds a
-        # block of columns, and its blocks are its own columns.
+        # A user tuple's cone is one run, and its shapes are its own columns'.
         monkeypatch.setattr(oracle, "_memo", ((), None))
         priced = []
         entering = oracle._entering
 
         def checked(price, columns):
             if all(c is not columns for c in priced):
-                (rows, blocks), = columns.runs
-                assert bool(blocks) == (len(columns) >= oracle._BLOCK)
-                for block in blocks:
-                    assert _unpacked(block) == tuple(columns)[block[0] : block[1]]
+                (rows, shapes), = columns.runs
+                assert shapes == tuple(dict.fromkeys(map(_shape, columns)))
                 priced.append(columns)
             return entering(price, columns)
 
@@ -837,10 +929,10 @@ class TestPricingCaches:
             outcomes = [repr(cone_member(divisor_problem(target, generators)))
                         for generators in pair for target in TestPreparedMemo.TARGETS]
             assert outcomes == expected
-        # Every generator tuple got a cone of its own, each time it came back;
-        # the degree-4 orbit tuple (1186 columns) is packed.
+        # Every generator tuple got a cone of its own, each time it came back,
+        # with one shape per orbit shape of its degrees, plus -K/2's.
         assert [len(cone) for cone in priced] == [len(g) for g in pair] * 2
-        assert [bool(cone.runs[0][1]) for cone in priced] == [False, False, False, True] * 2
+        assert [len(cone.runs[0][1]) for cone in priced] == [8, 6, 8, 8] * 2
 
 
 def _corrupt_simplex(monkeypatch, corrupt):
@@ -914,32 +1006,63 @@ class TestIntegerVerification:
             effective_membership(DivisorClass(1, (1, 1, 1, 1, 0, 0, 0, 0)))
 
     def test_changed_byte_fails_the_lp_that_enters_it(self, monkeypatch, fresh_oracle_caches):
-        # A degree-6 column that an LP at degree 6 enters, with its degree
-        # byte flipped in the stored rows: the packed blocks still price it
-        # as before, so the same LP enters it, and the check refuses it.
+        # Shapes are taken when a run is built, so a byte changed afterwards
+        # is not in them.  A degree-6 column that an LP at degree 6 enters,
+        # with one byte flipped so that the price it entered at stays
+        # positive: the gate still reads its slice then, the same LP enters
+        # it, and the entered-column check refuses it.
         cone, low = oracle._effective_cone(6), _orbit_table.count(5)
         entered = []
         entering = oracle._entering
 
         def recorded(price, columns):
-            entered.append(entering(price, columns))
-            return entered[-1]
+            entered.append((list(price), entering(price, columns)))
+            return entered[-1][1]
 
         monkeypatch.setattr(oracle, "_entering", recorded)
         rng = random.Random(20250810)
-        while not any(low <= j < len(cone) - 1 for j in entered):
+        while not any(low <= j < len(cone) - 1 for _, j in entered):
             entered.clear()
             divisor = DivisorClass(3, tuple(rng.randint(-3, 3) for _ in range(8)))
             problem = ConeProblem(divisor.vector(), cone)
             expected = cone_member(problem)
-        j = next(j for j in entered if low <= j < len(cone) - 1)
+        price, j = next((p, j) for p, j in entered if low <= j < len(cone) - 1)
         rows, _ = cone.runs[6]
-        rows[0][j - low] ^= 1
-        assert cone[j][0] == 6 ^ 1
+        i = next(i for i, p in enumerate(price)
+                 if p * ((rows[i][j - low] ^ 1) - rows[i][j - low]) >= 0)
+        rows[i][j - low] ^= 1
+        assert sum(map(operator.mul, price, cone[j])) > 0
         with pytest.raises(RuntimeError, match=f"entered column {re.escape(str(cone[j]))} is not"):
             cone_member(problem)
-        rows[0][j - low] ^= 1
+        rows[i][j - low] ^= 1
         assert cone_member(problem) == expected
+
+    def test_changed_byte_the_gate_skips_fails_the_no_check(self, fresh_oracle_caches):
+        # An infeasible LP at degree 6 whose last pricing pass skips the
+        # degree-6 slice: one of its bytes is changed so that the LP's
+        # functional is negative on that column.  The slice's stale shapes
+        # still skip it, so the LP ends as before, and the "no" check, which
+        # reads every column, refuses its functional.
+        cone, low = oracle._effective_cone(6), _orbit_table.count(5)
+        rng = random.Random(20250810)
+        outcome = None
+        while not isinstance(outcome, Infeasible):
+            divisor = DivisorClass(3, tuple(rng.randint(-3, 3) for _ in range(8)))
+            problem = ConeProblem(divisor.vector(), cone)
+            outcome = cone_member(problem)
+        psi = oracle._cleared(outcome.functional)
+        rows, shapes = cone.runs[6]
+        assert _bound([-x for x in psi], shapes) <= 0
+        values = [sum(map(operator.mul, psi, a)) for a in zip(*rows)]
+        j = min(range(len(values)), key=values.__getitem__)
+        i = max(range(9), key=lambda i: abs(psi[i]))
+        old = rows[i][j]
+        rows[i][j] = -128 if psi[i] > 0 else 127
+        assert sum(map(operator.mul, psi, cone[low + j])) < 0
+        with pytest.raises(RuntimeError, match="negative on a generator"):
+            cone_member(problem)
+        rows[i][j] = old
+        assert cone_member(problem) == outcome
 
 
 class TestAgreementWithDecomposers:
@@ -1192,7 +1315,7 @@ class TestEffectiveMembership:
 
     def test_truncation_matches_user_cone_path(self):
         # Each truncation's prepared cone against the same generators as a
-        # held user tuple, a cone of its own that packs its own blocks, on
+        # held user tuple, a cone of one run with its own shapes, on
         # integral and p/q classes: the same pivots give repr-equal outcomes.
         rng = random.Random(20250810)
         kinds = set()
@@ -1384,12 +1507,14 @@ class TestEffectiveConeValidation:
         else:
             self._poison(monkeypatch, 4, lambda v: v[:1] + (value,) + v[2:])
         cone = oracle._effective_cone(4)
-        rows, blocks = cone.runs[4]
-        assert all(type(row) is tuple for row in rows) and blocks == ()
+        rows, shapes = cone.runs[4]
+        assert all(type(row) is tuple for row in rows)
         others = cone.runs[:4] + cone.runs[5:]
         assert all(row.typecode == "b" for rows, _ in others for row in rows)
         listed = _orbit_table.listing(4)
         column, j = listed[len(listed) // 2], _orbit_table.count(3) + len(listed) // 2
+        # Its shape joins the slice's own, so the gate bounds it too.
+        assert set(shapes) == {_shape(column)} | {(4, *m) for m in _orbit_table.shapes(4)}
         assert value in column and cone[j] == tuple(cone)[j] == column
         with pytest.raises(RuntimeError, match="is not an orbit class"):
             cone_member(ConeProblem(column, cone))

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Mutation check for the LP oracle, the certificate checker and the decomposers.
+"""Mutation check for the LP oracle, the checkers, the orbit's minimum and the decomposers.
 
 Each entry plants one fault in a copy of `src/` and names the tests that
 must catch it; a decomposer's fault is caught by the seeded sweep that
@@ -35,8 +35,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ORACLE = "blowupcones/oracle.py"
 CONES = "blowupcones/cones.py"
+WEYL = "blowupcones/weyl.py"
 
-PRICING = ("tests/test_oracle.py", "-k", "TestPackedPricing or TestTruncationPricing")
+PRICING = ("tests/test_oracle.py", "-k",
+           "TestPackedPricing or TestTruncationPricing or TestShapeGate")
 PIVOTS = ("tests/test_oracle.py", "-k", "TestPivotRule")
 EFF_SWEEP = ("tests/test_oracle.py", "-k", "test_effective_agreement_sweep")
 MOV_SWEEP = ("tests/test_oracle.py", "-k", "test_movable_agreement_sweep")
@@ -44,11 +46,15 @@ CURVE_SWEEP = ("tests/test_oracle.py", "-k", "test_curve_agreement_on_valid_regi
 NEF_SWEEP = ("tests/test_oracle.py", "-k", "test_nef_agreement_sweep")
 
 STOP = "        if not any(b for b, j in zip(beta, basis) if j >= n):\n"
+KEY = "key = (price[0], *sorted(price[1:]))"
+CERTIFICATES = ("tests/test_cones.py", "-k", "TestCertificateSerialization")
 
 # (name, file under src/, exact old text, new text, pytest selection)
 MUTANTS = (
-    ("packed hit read from the right", ORACLE,
-     ".translate(_TOP_BIT).find(1)", ".translate(_TOP_BIT).rfind(1)", PRICING),
+    # The shape gate in `_entering`: a bound below a column's price skips it.
+    ("gate tail sorted descending", ORACLE,
+     KEY, "key = (price[0], *sorted(price[1:], reverse=True))", PRICING),
+    ("gate bound without p_0 d", ORACLE, KEY, "key = (0, *sorted(price[1:]))", PRICING),
     # `lt` is read only by `_row_entering`, so aliasing it there is `lt` -> `le`.
     ("row kernel enters a zero price", ORACLE,
      "from operator import add, gt, lt, mul", "from operator import add, gt, le as lt, mul",
@@ -68,13 +74,30 @@ MUTANTS = (
      ("tests/test_oracle.py", "-k", "TestPreparedCone or TestEffectiveConeValidation")),
     ("negative coefficient accepted", CONES,
      "            if coefficient < 0:\n", "            if False:\n",
-     ("tests/test_cones.py", "-k", "TestCertificateSerialization")),
+     CERTIFICATES),
     ("word rule dropped", CONES,
      "if self.word and kind not in (CONE_EFF, CONE_MOV):", "if False:",
-     ("tests/test_cones.py", "-k", "TestCertificateSerialization")),
+     CERTIFICATES),
     ("(-1)-test dropped", CONES,
      "        return _is_minus_one_frame(ints, den)\n", "        return den == 1\n",
-     ("tests/test_cones.py", "-k", "TestCertificateSerialization")),
+     CERTIFICATES),
+    # The (-1)-test behind the checker and the entered-column check.
+    ("(-1)-test without den == 1", WEYL,
+     "return den == 1 and _form(ints, ints) == -1", "return _form(ints, ints) == -1",
+     CERTIFICATES),
+    # The orbit's least values by shape, read by the shortcut and the carried check.
+    ("minimum pairs phi ascending", WEYL,
+     "weights = sorted(phi[1:], reverse=True)", "weights = sorted(phi[1:])",
+     ("tests/test_weyl.py", "-k", "test_minimum_matches_every_column")),
+    ("minimum skips its top degree", WEYL,
+     "for d in range(low, high + 1) for shape", "for d in range(low, high) for shape",
+     ("tests/test_weyl.py", "-k", "test_minimum_matches_every_column")),
+    ("shortcut verified one degree short", ORACLE,
+     "minimum(phi, 0, last) >= 0", "minimum(phi, 0, last - 1) >= 0",
+     ("tests/test_oracle.py", "-k", "TestVerifiedFunctionals")),
+    ("carried check reads the degree below", ORACLE,
+     "minimum(carried_psi, degree, degree)", "minimum(carried_psi, degree - 1, degree - 1)",
+     ("tests/test_oracle.py", "-k", "TestLazyTable")),
     # Phase 1's stop at a zero artificial sum.  Without it every verdict and
     # value stays the same, so only the count of pricing passes shows it.
     ("phase-1 stop deleted", ORACLE, STOP + "            break\n", "",
